@@ -266,9 +266,12 @@ def _model_ingredients(config: RunConfig, ts):
 
 
 def bphz_report(config: RunConfig) -> dict:
+    samples = config.budget("mc_samples")
+    if samples < 2:
+        raise ConfigError("config-value", "budgets.mc_samples must be at "
+                          f"least 2 for a standard error, got {samples}")
     ts, sector = _sector(config)
     _grid, sampler, kernels = _model_ingredients(config, ts)
-    samples = config.budget("mc_samples")
 
     def mc(tree, ell):
         prep = PreparationMap(lambda t: ell.get(t, 0.0))

@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass, field as dfield
 from functools import lru_cache
 from fractions import Fraction
-from itertools import product as iproduct
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 import sympy as sp
@@ -263,9 +262,12 @@ class FiniteDifferenceField:
 
 def frozen_gaussian(field: CoefficientField, w, z):
     """Fundamental solution of the operator with diffusion frozen at the
-    point w = (t, x), evaluated at the increments z of shape (..., 2); the
-    values have shape (...) and vanish where t <= 0."""
-    a0 = float(np.min(field.a(np.asarray(w, dtype=float)[None, :])))
+    one point w = (t, x) of shape (2,), evaluated at the increments z of
+    shape (..., 2); the values have shape (...) and vanish where t <= 0."""
+    w = np.asarray(w, dtype=float)
+    if w.shape != (2,):
+        raise ValueError(f"w must be one point of shape (2,), not {w.shape}")
+    a0 = float(field.a(w[None, :])[0])
     if a0 <= 0:
         raise ValueError("ellipticity violated: a(w) is not positive")
     z = np.asarray(z, dtype=float)
@@ -531,6 +533,12 @@ def _jet_symbol(name: str, k) -> sp.Symbol:
     return sp.Symbol(f"{name}{k[0]}_{k[1]}", real=True)
 
 
+def _parse_jet(s: sp.Symbol) -> tuple[str, tuple[int, int]]:
+    """Inverse of _jet_symbol: a{i}_{j} -> ("a", (i, j))."""
+    i, j = str(s)[1:].split("_")
+    return str(s)[0], (int(i), int(j))
+
+
 @dataclass(frozen=True)
 class LambdaTerm:
     """One certified local term F(w) * int prod P[i](y_i - y_{i+1})
@@ -565,10 +573,8 @@ class LambdaTerm:
             name = str(s)
             if not (name[0] in "abc" and "_" in name):
                 return False
-            if r is not None:
-                i, j = name[1:].split("_")
-                if scaled_degree((int(i), int(j))) > r:
-                    return False
+            if r is not None and scaled_degree(_parse_jet(s)[1]) > r:
+                return False
         a00 = _jet_symbol("a", (0, 0))
         if not (den.is_polynomial() and den.free_symbols <= {a00}):
             return False
@@ -601,9 +607,7 @@ class LambdaTerm:
     def _jet_values(self, field: CoefficientField, w) -> dict:
         out = {}
         for s in self.coefficient.free_symbols:
-            name = str(s)
-            i, j = name[1:].split("_")
-            out[s] = float(field.jet(name[0], (int(i), int(j)),
+            out[s] = float(field.jet(*_parse_jet(s),
                                      np.asarray(w, dtype=float)[None, :])[0])
         a00 = _jet_symbol("a", (0, 0))
         if a00 not in out:
@@ -661,23 +665,22 @@ class _ZtildeJets:
         return self._exprs[key]
 
     def fn(self, k, dv: int = 0) -> tuple[Callable, list]:
+        """The lambdified derivative and the jet indices of its arguments,
+        parsed from the symbol names once."""
         key = (tuple(k), dv)
         if key not in self._fns:
             e = self.expr(k, dv)
             syms = sorted((s for s in e.free_symbols if s is not _V),
                           key=str)
-            self._fns[key] = (sp.lambdify([*syms, _V], e, "numpy"), syms)
+            self._fns[key] = (sp.lambdify([*syms, _V], e, "numpy"),
+                              [_parse_jet(s)[1] for s in syms])
         return self._fns[key]
 
     def value(self, field, k, point, v, dv: int = 0):
-        fn, syms = self.fn(k, dv)
+        fn, ks = self.fn(k, dv)
         point = np.asarray(point, dtype=float)
-        args = []
-        for s in syms:
-            i, j = str(s)[1:].split("_")
-            args.append(field.jet("a", (int(i), int(j)), point))
-        vals = fn(*args, np.asarray(v, dtype=float))
-        return vals
+        return fn(*(field.jet("a", j, point) for j in ks),
+                  np.asarray(v, dtype=float))
 
 
 _ZJETS = _ZtildeJets()
@@ -742,25 +745,31 @@ class ZRemainder:
         mask = s > 0
         safe = np.where(mask, s, 1.0)
         v = (z[..., 1] - zbar[..., 1]) / np.sqrt(safe)
-        m = _m_of(self.k)
-        if self.k[m] == 1:
-            hi = _mix(zbar, w, m + 1)
-            lo = _mix(zbar, w, m)
-            inc = (_ZJETS.value(self.field, self.kd, hi, v, dv)
-                   - _ZJETS.value(self.field, self.kd, lo, v, dv))
-        else:
-            n = self.kd[m]
-            nodes, wts = _jacobi_01(self.quad, n)
-            inc = 0.0
-            lo = _mix(zbar, w, m)
-            base = _ZJETS.value(self.field, self.kd, lo, v, dv)
-            for node, wq in zip(nodes, wts):
-                p = np.array(lo, dtype=float, copy=True)
-                p[..., m] = w[..., m] + node * (zbar[..., m] - w[..., m])
-                inc = inc + wq * (
-                    _ZJETS.value(self.field, self.kd, p, v, dv) - base)
+        inc = _increment(
+            lambda kd, p: _ZJETS.value(self.field, kd, p, v, dv),
+            self.k, self.kd, w, zbar, self.quad)
         power = -0.5 - 0.5 * dv
         return np.where(mask, safe ** power * inc / _fact(self.kd), 0.0)
+
+
+def _increment(dval, k, kd, w, pt, quad: int = 24):
+    """int delta_k[dval(kd, .)](w + (pt-w) y) Q^{kd}(dy): the increment of
+    the kd-th derivative dval(kd, point) along the first non-vanishing
+    direction m of k, exact when kd[m] = 0 and by Gauss-Jacobi otherwise."""
+    w = np.asarray(w, dtype=float)
+    pt = np.asarray(pt, dtype=float)
+    m = _m_of(k)
+    if kd[m] == 0:
+        return dval(kd, _mix(pt, w, m + 1)) - dval(kd, _mix(pt, w, m))
+    nodes, wts = _jacobi_01(quad, kd[m])
+    lo = _mix(pt, w, m)
+    base = dval(kd, lo)
+    acc = 0.0
+    for node, wq in zip(nodes, wts):
+        p = np.array(lo, copy=True)
+        p[..., m] = w[..., m] + node * (pt[..., m] - w[..., m])
+        acc = acc + wq * (dval(kd, p) - base)
+    return acc
 
 
 def _mix(zbar, w, upto: int):
@@ -795,14 +804,14 @@ def taylor_decompose_Z(field: CoefficientField, r: int):
 @dataclass(frozen=True)
 class _SlotTerm:
     nu: tuple[int, int]           # exponent of (zbar - w)
-    is_rem: bool
-    k_label: tuple[int, int] | None
+    k_label: tuple[int, int] | None  # boundary index; None = jet term
     value: Callable                # (w, z, zbar) -> array
 
 
 def _coeff_slot_terms(field, name: str, r: int, at_z: bool, sign: float):
     """Expansion of a coefficient evaluated at z (at_z) or of the increment
     a(zbar)-a(z) (not at_z), as slot terms in powers of (zbar-w)."""
+    deriv = lambda kd, pt: field.jet(name, kd, pt)
     terms = []
     for k in lower_indices(r):
         ls = [(i, j) for i in range(k[0] + 1) for j in range(k[1] + 1)]
@@ -817,21 +826,20 @@ def _coeff_slot_terms(field, name: str, r: int, at_z: bool, sign: float):
             def val(w, z, zbar, k=k, l=l, c=c):
                 jet = field.jet(name, k, np.asarray(w, dtype=float))
                 return c * jet * _mono(np.asarray(z) - np.asarray(zbar), l)
-            terms.append(_SlotTerm(nu, False, None, val))
+            terms.append(_SlotTerm(nu, None, val))
     for k in boundary_indices(r):
         kd = _down(k)
         if not at_z:
-            terms.append(_SlotTerm(kd, True, k,
+            terms.append(_SlotTerm(kd, k,
                                    lambda w, z, zbar, k=k, kd=kd:
-                                   (_coeff_increment(field, name, k, kd, w,
-                                                     zbar)
-                                    - _coeff_increment(field, name, k, kd, w,
-                                                       z)) / _fact(kd)))
+                                   (_increment(deriv, k, kd, w, zbar)
+                                    - _increment(deriv, k, kd, w, z))
+                                   / _fact(kd)))
         else:
-            terms.append(_SlotTerm(kd, True, k,
+            terms.append(_SlotTerm(kd, k,
                                    lambda w, z, zbar, k=k, kd=kd, s=sign:
-                                   s * _coeff_increment(field, name, k, kd,
-                                                        w, z) / _fact(kd)))
+                                   s * _increment(deriv, k, kd, w, z)
+                                   / _fact(kd)))
         # the part of (z-w)^{k_down} carrying (z-zbar) powers
         for eta in [(i, j) for i in range(kd[0] + 1)
                     for j in range(kd[1] + 1) if (i, j) != (0, 0)]:
@@ -844,30 +852,9 @@ def _coeff_slot_terms(field, name: str, r: int, at_z: bool, sign: float):
 
             def val_b(w, z, zbar, k=k, kd=kd, eta=eta, c=c):
                 return (c * _mono(np.asarray(z) - np.asarray(zbar), eta)
-                        * _coeff_increment(field, name, k, kd, w, z))
-            terms.append(_SlotTerm(nu, True, k, val_b))
+                        * _increment(deriv, k, kd, w, z))
+            terms.append(_SlotTerm(nu, k, val_b))
     return terms
-
-
-def _coeff_increment(field, name, k, kd, w, pt, quad: int = 24):
-    """int delta_k[d^{kd} coeff](w + (pt-w) y) Q^{kd}(dy)."""
-    w = np.asarray(w, dtype=float)
-    pt = np.asarray(pt, dtype=float)
-    m = _m_of(k)
-    if kd[m] == 0:
-        hi = _mix(pt, w, m + 1)
-        lo = _mix(pt, w, m)
-        return (field.jet(name, kd, hi) - field.jet(name, kd, lo))
-    n = kd[m]
-    nodes, wts = _jacobi_01(quad, n)
-    lo = _mix(pt, w, m)
-    base = field.jet(name, kd, lo)
-    acc = 0.0
-    for node, wq in zip(nodes, wts):
-        p = np.array(lo, copy=True)
-        p[..., m] = w[..., m] + node * (pt[..., m] - w[..., m])
-        acc = acc + wq * (field.jet(name, kd, p) - base)
-    return acc
 
 
 def _bracket_slot_terms(field, r: int):
@@ -883,49 +870,52 @@ def _bracket_slot_terms(field, r: int):
             if k not in derivs:
                 e = _jetify(sp.expand(sp.diff(expr, _WT, k[0], _WX, k[1])))
                 syms = sorted(e.free_symbols, key=str)
-                derivs[k] = (sp.lambdify(syms, e, "numpy"), syms)
+                derivs[k] = (sp.lambdify(syms, e, "numpy"),
+                             [_parse_jet(s)[1] for s in syms])
 
         def dval(k, pt, derivs=derivs):
-            fn, syms = derivs[k]
+            fn, ks = derivs[k]
             pt = np.asarray(pt, dtype=float)
-            args = [field.jet("a", tuple(int(c) for c in
-                                         str(s)[1:].split("_")), pt)
-                    for s in syms]
-            return fn(*args)
+            return fn(*(field.jet("a", j, pt) for j in ks))
 
         for k in lower_indices(r):
             def val(w, z, zbar, k=k, dval=dval):
                 return dval(k, w) / _fact(k)
-            terms.append((_SlotTerm(k, False, None, val), v2))
+            terms.append((_SlotTerm(k, None, val), v2))
         for k in boundary_indices(r):
             kd = _down(k)
 
             def val_r(w, z, zbar, k=k, kd=kd, dval=dval):
-                return _profile_increment(dval, k, kd, w, zbar) / _fact(kd)
-            terms.append((_SlotTerm(kd, True, k, val_r), v2))
+                return _increment(dval, k, kd, w, zbar) / _fact(kd)
+            terms.append((_SlotTerm(kd, k, val_r), v2))
     return terms
 
 
-def _profile_increment(dval, k, kd, w, pt, quad: int = 24):
-    w = np.asarray(w, dtype=float)
-    pt = np.asarray(pt, dtype=float)
-    m = _m_of(k)
-    if kd[m] == 0:
-        return dval(kd, _mix(pt, w, m + 1)) - dval(kd, _mix(pt, w, m))
-    n = kd[m]
-    nodes, wts = _jacobi_01(quad, n)
-    lo = _mix(pt, w, m)
-    base = dval(kd, lo)
-    acc = 0.0
-    for node, wq in zip(nodes, wts):
-        p = np.array(lo, copy=True)
-        p[..., m] = w[..., m] + node * (pt[..., m] - w[..., m])
-        acc = acc + wq * (dval(kd, p) - base)
-    return acc
+class _Row(NamedTuple):
+    nu: tuple[int, int]               # total power of (zbar - w)
+    slots: tuple[int, ...]            # indices into EDecomposition.slots
+    lead: bool                        # leading part: carries 1/s
+    v2: bool                          # ... and v^2 = x^2/s
+    k_label: tuple[int, int] | None   # first remainder's index; None = jet
 
 
 class EDecomposition:
-    """Jet/remainder split of the error kernel in the base-point slot."""
+    """Jet/remainder split of the error kernel in the base-point slot.
+
+    Each factor of E = (a(zbar)-a(z)) [v^2/4a^2 - 1/2a](zbar) s^{-1} Z
+    - b(z) dx Z - c(z) Z is expanded in powers of (zbar - w) into slot
+    terms: jets at w times powers of z - zbar, or increment-form
+    remainders.  ``slots`` holds the distinct slot terms (82 for r = 3:
+    8 of Z, 8 of dx Z, 14 of the a-increment, 16 of the bracket, 18 each of
+    b and c) and ``rows`` their products (2,080 for r = 3), jet rows
+    first.  A row is a remainder row if any of its slots is a remainder.
+    Every view evaluates each slot its rows use once per call and sums the
+    row products in table order, so that
+
+        E(z, zbar) = sum_nu (zbar-w)^nu jets()[nu](w, z - zbar)
+                   + sum_{k,nu} (zbar-w)^nu remainders()[k, nu](w, z, zbar)
+                   = reassemble(w, z, zbar).
+    """
 
     def __init__(self, field: CoefficientField, r: int):
         if r <= 2:
@@ -938,109 +928,90 @@ class EDecomposition:
         self.zjets, self.zrems = taylor_decompose_Z(field, r)
         self._build()
 
-    # -- slot products ------------------------------------------------
     def _build(self):
         field, r = self.field, self.r
-        self.jet_combos = []      # (nu_total, value(w, z, zbar))
-        self.rem_combos = []      # ((k_label, nu_total), value)
+        self.slots: list[_SlotTerm] = []
 
-        z_slots = ([_SlotTerm(k, False, None,
-                              lambda w, z, zbar, jet=self.zjets[k]:
-                              jet(w, np.asarray(z) - np.asarray(zbar)))
-                    for k in self.zjets]
-                   + [_SlotTerm(_down(k), True, k,
-                                lambda w, z, zbar, rem=self.zrems[k]:
-                                rem(w, z, zbar))
-                      for k in self.zrems])
-        zx_slots = ([_SlotTerm(k, False, None,
-                               lambda w, z, zbar, jet=self.zjets[k]:
-                               jet(w, np.asarray(z) - np.asarray(zbar),
-                                   dv=1))
-                     for k in self.zjets]
-                    + [_SlotTerm(_down(k), True, k,
-                                 lambda w, z, zbar, rem=self.zrems[k]:
-                                 rem(w, z, zbar, dv=1))
-                       for k in self.zrems])
+        def add(terms) -> range:
+            self.slots.extend(terms)
+            return range(len(self.slots) - len(terms), len(self.slots))
 
-        da_slots = _coeff_slot_terms(field, "a", r, at_z=False, sign=1.0)
+        iz, izx = (add(
+            [_SlotTerm(k, None,
+                       lambda w, z, zbar, jet=self.zjets[k], dv=dv:
+                       jet(w, np.asarray(z) - np.asarray(zbar), dv=dv))
+             for k in self.zjets]
+            + [_SlotTerm(_down(k), k,
+                         lambda w, z, zbar, rem=self.zrems[k], dv=dv:
+                         rem(w, z, zbar, dv=dv))
+               for k in self.zrems]) for dv in (0, 1))
+        ida = add(_coeff_slot_terms(field, "a", r, at_z=False, sign=1.0))
         bracket = _bracket_slot_terms(field, r)
-        b_slots = _coeff_slot_terms(field, "b", r, at_z=True, sign=-1.0)
-        c_slots = _coeff_slot_terms(field, "c", r, at_z=True, sign=-1.0)
+        ibr = add([s for s, _v2 in bracket])
+        ib = add(_coeff_slot_terms(field, "b", r, at_z=True, sign=-1.0))
+        ic = add(_coeff_slot_terms(field, "c", r, at_z=True, sign=-1.0))
 
         # leading part: (a(zbar)-a(z)) * [v^2/4a^2 - 1/2a](zbar)
         #   * s^{-1} * Z-slot, with the v^2 factor realised as v^2 = x^2/s
-        for s1 in da_slots:
-            for s2, v2 in bracket:
-                for s3 in z_slots:
-                    self._push((s1, s2, s3), extra="lead",
-                               v2=v2)
-        for sb in b_slots:
-            for s3 in zx_slots:
-                self._push((sb, s3), extra="none")
-        for sc in c_slots:
-            for s3 in z_slots:
-                self._push((sc, s3), extra="none")
+        combos = [((i, j, k), True, v2) for i in ida
+                  for j, (_s, v2) in zip(ibr, bracket) for k in iz]
+        combos += [((i, k), False, False) for i in ib for k in izx]
+        combos += [((i, k), False, False) for i in ic for k in iz]
+        rows = []
+        for idx, lead, v2 in combos:
+            slots = [self.slots[i] for i in idx]
+            rems = [s.k_label for s in slots if s.k_label is not None]
+            nu = tuple(sum(s.nu[c] for s in slots) for c in (0, 1))
+            rows.append(_Row(nu, idx, lead, v2, rems[0] if rems else None))
+        self.rows = sorted(rows, key=lambda row: row.k_label is not None)
 
-    def _push(self, slots, *, extra: str, v2: bool = False):
-        nu = tuple(sum(s.nu[i] for s in slots) for i in (0, 1))
-        rem_slots = [s for s in slots if s.is_rem]
-
-        def value(w, z, zbar, slots=slots, extra=extra, v2=v2):
-            z = np.asarray(z, dtype=float)
-            zbar = np.asarray(zbar, dtype=float)
+    def _values(self, rows, w, z, zbar):
+        """Yield the value of each row at (w, z, zbar), evaluating every
+        slot the rows use once."""
+        w, z, zbar = (np.asarray(p, dtype=float) for p in (w, z, zbar))
+        s_t = z[..., 0] - zbar[..., 0]
+        mask = s_t > 0
+        safe = np.where(mask, s_t, 1.0)
+        lead = {False: 1.0 / safe,
+                True: 1.0 / safe * (z[..., 1] - zbar[..., 1]) ** 2 / safe}
+        slot_values: dict = {}
+        for row in rows:
             out = 1.0
-            for s in slots:
-                out = out * s.value(w, z, zbar)
-            if extra == "lead":
-                s_t = z[..., 0] - zbar[..., 0]
-                mask = s_t > 0
-                safe = np.where(mask, s_t, 1.0)
-                factor = 1.0 / safe
-                if v2:
-                    factor = factor * (z[..., 1] - zbar[..., 1]) ** 2 / safe
-                out = np.where(mask, out * factor, 0.0)
-            return out
+            for i in row.slots:
+                if i not in slot_values:
+                    slot_values[i] = self.slots[i].value(w, z, zbar)
+                out = out * slot_values[i]
+            if row.lead:
+                out = np.where(mask, out * lead[row.v2], 0.0)
+            yield out
 
-        if rem_slots:
-            self.rem_combos.append(((rem_slots[0].k_label, nu), value))
-        else:
-            self.jet_combos.append((nu, value))
+    def _groups(self, jet: bool) -> dict:
+        groups: dict = {}
+        for row in self.rows:
+            if (row.k_label is None) == jet:
+                key = row.nu if jet else (row.k_label, row.nu)
+                groups.setdefault(key, []).append(row)
+        return groups
 
     # -- public views ---------------------------------------------------
     def jets(self) -> dict:
-        groups: dict = {}
-        for nu, value in self.jet_combos:
-            groups.setdefault(nu, []).append(value)
-
-        out = {}
-        for nu, vals in groups.items():
-            def ev(w, zeta, vals=vals):
-                zeta = np.asarray(zeta, dtype=float)
-                zero = np.zeros(2)
-                return sum(v(w, zeta, zero) for v in vals)
-            out[nu] = ev
-        return out
+        """Jet kernels (w, z - zbar) -> value, keyed by nu."""
+        return {nu: lambda w, zeta, rows=rows:
+                sum(self._values(rows, w, zeta, np.zeros(2)))
+                for nu, rows in self._groups(jet=True).items()}
 
     def remainders(self) -> dict:
-        groups: dict = {}
-        for key, value in self.rem_combos:
-            groups.setdefault(key, []).append(value)
-        out = {}
-        for key, vals in groups.items():
-            def ev(w, z, zbar, vals=vals):
-                return sum(v(w, z, zbar) for v in vals)
-            out[key] = ev
-        return out
+        """Remainder kernels (w, z, zbar) -> value, keyed by (k, nu)."""
+        return {key: lambda w, z, zbar, rows=rows:
+                sum(self._values(rows, w, z, zbar))
+                for key, rows in self._groups(jet=False).items()}
 
     def reassemble(self, w, z, zbar) -> float:
-        w = np.asarray(w, dtype=float)
-        z = np.asarray(z, dtype=float)
-        zbar = np.asarray(zbar, dtype=float)
+        w, z, zbar = (np.asarray(p, dtype=float) for p in (w, z, zbar))
+        offset = zbar - w
         total = 0.0
-        for nu, value in self.jet_combos:
-            total = total + _mono(zbar - w, nu) * value(w, z, zbar)
-        for (k, nu), value in self.rem_combos:
-            total = total + _mono(zbar - w, nu) * value(w, z, zbar)
+        for row, value in zip(self.rows, self._values(self.rows, w, z, zbar)):
+            total = total + _mono(offset, row.nu) * value
         return total
 
 

@@ -437,10 +437,6 @@ class ModelInstance:
         """Recentering map between base points, as a tree -> formal sum map."""
         return gamma_action(convolve(character_inverse(self.g(x)), self.g(y)))
 
-    def gamma_matrix(self, x, y) -> dict[DecoratedTree, FormalSum]:
-        act = self.gamma(x, y)
-        return {t: act(t) for t in self.basis}
-
 
 def build_model(historic: HistoricSet, kernel_assignment: Mapping[str, DyadicKernel],
                 noise: Mapping[str, GridField], prep: PreparationMap, *,
@@ -619,7 +615,10 @@ def expectation_oracle(historic: HistoricSet,
                        noise_sampler: Callable, prep: PreparationMap,
                        tree, samples: int) -> tuple[float, float]:
     """Monte Carlo mean and standard error at the origin of the un-recentred
-    multiplicative model of a tree (or a formal combination of trees)."""
+    multiplicative model of a tree (or a formal combination of trees).
+    The standard error needs at least two samples."""
+    if samples < 2:
+        raise ValueError(f"need at least 2 samples, got {samples}")
     first = noise_sampler(0)
     grid = next(iter(first.values())).grid
     kernels = {name: KernelOnGrid(K, grid)

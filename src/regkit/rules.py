@@ -131,13 +131,6 @@ class Rule:
         root = node_profile(tree, 0)
         return any(self.admits(t, root) for t in self.typeset.kernel_types)
 
-    def conforms_as_branch(self, tree: DecoratedTree, etype: str) -> bool:
-        """Conformity of a tree viewed as hanging below an edge of given type."""
-        if not self.admits(etype, node_profile(tree, 0)):
-            return False
-        return all(self.admits(tree.etype[v], node_profile(tree, v))
-                   for v in tree.edges())
-
     # -- subcriticality -------------------------------------------------------
 
     def subcritical_witness(self, grid: Sequence[Fraction] | None = None

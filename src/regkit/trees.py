@@ -404,14 +404,6 @@ class DecoratedTree:
         nested = self._nested()
         return DecoratedTree._from_nested(self.typeset, (tuple(k), nested[1]))
 
-    def strip_colour(self) -> "DecoratedTree":
-        if not self.has_colour:
-            return self
-        def rec(node):
-            nd, edges = node
-            return (nd, [(et, ed, od, False, rec(ch)) for (et, ed, od, _c, ch) in edges])
-        return DecoratedTree._from_nested(self.typeset, rec(self._nested()))
-
     def strip_odeco(self) -> "DecoratedTree":
         if all(od is None for od in self.odeco):
             return self

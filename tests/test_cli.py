@@ -43,6 +43,13 @@ class TestConfig:
         assert result.exit_code == 2
         assert report["error"]["kind"] == "config-parse"
 
+    def test_single_mc_sample_refused(self, runner, tmp_path):
+        result, report = invoke(runner, tmp_path, "bphz",
+                                {"budgets": {"mc_samples": 1}})
+        assert result.exit_code == 2
+        assert report["error"]["kind"] == "config-value"
+        assert "mc_samples" in report["error"]["detail"]
+
     def test_corrupted_rule_is_structured_error(self, runner, tmp_path):
         bad = tmp_path / "rule.json"
         bad.write_text('{"scaling": [2, 1], "types": ')

@@ -1,11 +1,16 @@
+import json
 import math
+from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from regkit.heatkernel import (
     CoefficientField,
+    EDecomposition,
     FiniteDifferenceField,
     apply_operator,
     boundary_indices,
@@ -116,6 +121,12 @@ class TestFrozenGaussian:
         f = CoefficientField.make("x")  # vanishes at the base point
         with pytest.raises(ValueError, match="ellipticity"):
             frozen_gaussian(f, ORIGIN, np.array([[0.1, 0.0]]))
+
+    def test_batch_of_base_points_refused(self):
+        # one frozen coefficient per call: a batch of w has no single a(w)
+        f = CoefficientField.make("1 + sin(x)/5")
+        with pytest.raises(ValueError, match="shape"):
+            frozen_gaussian(f, [[0, 0], [0, 1]], np.array([[0.1, 0.0]]))
 
 
 class TestErrorKernel:
@@ -290,6 +301,23 @@ class TestTaylorZ:
             assert total == pytest.approx(jet(w, zeta).item(), rel=1e-9)
 
 
+REASSEMBLY_FIELDS = [
+    ("1 + sin(x)/5", "0", "1/3"),
+    ("1 + t/10 + sin(x)/5", "x/7", "cos(x)/3"),
+]
+E_PINS = json.loads(
+    (Path(__file__).parent / "e_decomposition_pins.json").read_text())
+
+
+@lru_cache(maxsize=None)
+def _e_decomposition(coeffs, r=3):
+    return EDecomposition(CoefficientField.make(*coeffs, regularity=12), r)
+
+
+def _hex(x) -> str:
+    return float(x).hex()
+
+
 class TestTaylorE:
     def test_low_order_refused(self, gentle):
         with pytest.raises(ValueError, match="exceed"):
@@ -304,10 +332,7 @@ class TestTaylorE:
         for rem in rems.values():
             assert float(rem(w, z, zbar)) == 0.0
 
-    @pytest.mark.parametrize("coeffs", [
-        ("1 + sin(x)/5", "0", "1/3"),
-        ("1 + t/10 + sin(x)/5", "x/7", "cos(x)/3"),
-    ])
+    @pytest.mark.parametrize("coeffs", REASSEMBLY_FIELDS)
     def test_reassembly(self, coeffs):
         rng = np.random.default_rng(5)
         field = CoefficientField.make(*coeffs, regularity=12)
@@ -325,6 +350,42 @@ class TestTaylorE:
                 (zbar - w)[0] ** nu[0] * (zbar - w)[1] ** nu[1]
                 * float(rem(w, z, zbar)) for (k, nu), rem in rems.items())
             assert abs(total - float(E(z, zbar))) <= 1e-6
+
+    def test_pinned_values(self):
+        # bit-for-bit the values of the per-combo implementation
+        dec = _e_decomposition(tuple(E_PINS["field"]), E_PINS["r"])
+        jets, rems = taylor_decompose_E(dec.field, E_PINS["r"])
+        for i, triple in enumerate(E_PINS["triples"]):
+            w, z, zbar = (np.array(p) for p in triple)
+            assert _hex(dec.reassemble(w, z, zbar)) == E_PINS["reassemble"][i]
+            assert {str(nu): _hex(jet(w, z - zbar))
+                    for nu, jet in jets.items()} == E_PINS["jets"][i]
+            assert {str(key): _hex(rem(w, z, zbar))
+                    for key, rem in rems.items()} == E_PINS["remainders"][i]
+        batch = E_PINS["jet_00_batch"]
+        vals = jets[(0, 0)](np.array(batch["w"]), np.array(batch["zeta"]))
+        assert [_hex(v) for v in vals] == batch["values"]
+
+    @settings(max_examples=6, deadline=None)
+    @given(coeffs=st.sampled_from(REASSEMBLY_FIELDS),
+           w=st.tuples(*[st.floats(-0.4, 0.4)] * 2),
+           dw=st.tuples(st.floats(-0.01, 0.01), st.floats(-0.05, 0.05)),
+           dz=st.tuples(st.floats(0.02, 0.4), st.floats(-0.5, 0.5)))
+    def test_reassemble_is_sum_of_views(self, coeffs, w, dw, dz):
+        dec = _e_decomposition(coeffs)
+        w = np.array(w)
+        zbar = w + np.array(dw)
+        z = zbar + np.array(dz)
+        got = float(dec.reassemble(w, z, zbar))
+        views = sum(
+            (zbar - w)[0] ** nu[0] * (zbar - w)[1] ** nu[1]
+            * float(jet(w, z - zbar)) for nu, jet in dec.jets().items())
+        views += sum(
+            (zbar - w)[0] ** nu[0] * (zbar - w)[1] ** nu[1]
+            * float(rem(w, z, zbar))
+            for (k, nu), rem in dec.remainders().items())
+        assert got == pytest.approx(views, rel=1e-12, abs=1e-14)
+        assert abs(got - float(e_kernel(dec.field)(z, zbar))) <= 1e-6
 
     def test_emitted_sets(self, gentle):
         jets, rems = taylor_decompose_E(gentle, 3)

@@ -278,6 +278,14 @@ class TestExpectationOracle:
         variance = float(np.sum(kr.values ** 2)) * grid.cell_volume
         assert abs(mean - variance) <= 3 * se
 
+    def test_single_sample_refused(self, quartic_sector, sampler, ts):
+        # one sample has no standard error
+        psi = plant(noise(ts, "Xi"), "I")
+        with pytest.raises(ValueError, match="at least 2 samples"):
+            expectation_oracle(quartic_sector, {"I": bump_kernel(order=8)},
+                               sampler, PreparationMap(lambda t: Fraction(0)),
+                               psi, samples=1)
+
     def test_bphz_centres_negative_trees(self, quartic_sector, sampler, ts):
         K = {"I": bump_kernel(order=8)}
 
