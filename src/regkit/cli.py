@@ -36,7 +36,7 @@ from .models import (
 )
 from .renorm import PreparationMap, age, bphz_functional, hist
 from .rules import Rule, generate
-from .trees import Degree, TypeSet
+from .trees import Degree, TypeSet, monomial
 
 DEFAULT_RULE = {
     "scaling": [2, 1],
@@ -98,6 +98,13 @@ class RunConfig:
             if key not in supplied:
                 used.append(key)
             elif isinstance(default, dict):
+                if not isinstance(supplied[key], dict):
+                    raise ConfigError("config-parse",
+                                      f"config key {key!r} must be an object")
+                unknown = set(supplied[key]) - set(default)
+                if unknown:
+                    raise ConfigError("config-parse", "unknown config keys: "
+                                      f"{sorted(f'{key}.{s}' for s in unknown)}")
                 for sub in default:
                     if sub not in supplied[key]:
                         used.append(f"{key}.{sub}")
@@ -338,12 +345,9 @@ def heat_report(config: RunConfig) -> dict:
             "all_valid": all(t["valid"] and t["roundtrip"] for t in terms)}
 
 
-def model_report(config: RunConfig) -> dict:
-    ts, sector = _sector(config)
-    grid, sampler, kernels = _model_ingredients(config, ts)
-    model = build_model(sector, kernels, sampler(0),
-                        PreparationMap(lambda t: Fraction(0)))
-    chain = check_chain(model)
+def _cocycle_and_scales(model) -> tuple[float, tuple[float, ...]]:
+    """Largest coefficient of the recentering cocycle defect over the three
+    base points, and the first four dyadic scales the grid resolves."""
     x, y, z = model.base_points
     gxy, gyz, gxz = model.gamma(x, y), model.gamma(y, z), model.gamma(x, z)
     cocycle = 0.0
@@ -353,7 +357,17 @@ def model_report(config: RunConfig) -> dict:
                                    default=0.0))
     lams = tuple(lam for lam in (0.5 ** m for m in range(1, 9))
                  if all(lam ** s >= h for s, h in
-                        zip(grid.scaling, grid.spacing)))[:4]
+                        zip(model.grid.scaling, model.grid.spacing)))[:4]
+    return cocycle, lams
+
+
+def model_report(config: RunConfig) -> dict:
+    ts, sector = _sector(config)
+    _grid, sampler, kernels = _model_ingredients(config, ts)
+    model = build_model(sector, kernels, sampler(0),
+                        PreparationMap(lambda t: Fraction(0)))
+    chain = check_chain(model)
+    cocycle, lams = _cocycle_and_scales(model)
     slopes = {}
     for t in model.basis:
         if t.is_unit:
@@ -416,19 +430,9 @@ def verify_report(config: RunConfig) -> dict:
                         PreparationMap(lambda t: Fraction(0)))
     check("chain_defect", check_chain(model)["max_defect"],
           config.tolerance("chain_defect"))
-    x, y, z = model.base_points
-    gxy, gyz, gxz = model.gamma(x, y), model.gamma(y, z), model.gamma(x, z)
-    cocycle = 0.0
-    for t in model.basis:
-        diff = gyz(t).bind(gxy) - gxz(t)
-        cocycle = max(cocycle, max((abs(float(c)) for _s, c in diff.items()),
-                                   default=0.0))
+    cocycle, lams = _cocycle_and_scales(model)
     check("cocycle_defect", cocycle, config.tolerance("cocycle_defect"))
 
-    from .trees import monomial
-    lams = tuple(lam for lam in (0.5 ** m for m in range(1, 9))
-                 if all(lam ** s >= h for s, h in
-                        zip(grid.scaling, grid.spacing)))[:4]
     slope, _res = recentering_exponent(model, monomial(ts, (0, 1)),
                                        model.base_points[1], lambdas=lams)
     check("monomial_slope_defect", abs(slope - 1.0),

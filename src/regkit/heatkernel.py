@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dfield
-from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
@@ -23,11 +22,12 @@ import numpy as np
 import sympy as sp
 from scipy.special import roots_jacobi, roots_legendre
 
+from .kernels import _down, _increment, lower_boundary
+
 __all__ = [
     "CoefficientField",
     "FiniteDifferenceField",
     "frozen_gaussian",
-    "z_value",
     "error_kernel",
     "HeatCalcKernel",
     "z_kernel",
@@ -60,13 +60,6 @@ def scaled_degree(k) -> int:
     return 2 * k[0] + k[1]
 
 
-@lru_cache(maxsize=None)
-def _jacobi_01(n_points: int, exponent: int):
-    """Nodes/weights for int_0^1 f(y) n (1-y)^{n-1} dy with n = exponent."""
-    nodes, wts = roots_jacobi(n_points, exponent - 1, 0)
-    return (nodes + 1.0) / 2.0, wts * exponent / 2.0 ** exponent
-
-
 def lower_indices(r: int) -> list[tuple[int, int]]:
     """Multi-indices (k_t, k_x) of parabolic degree below r."""
     return [(i, j) for i in range(r) for j in range(r)
@@ -75,23 +68,7 @@ def lower_indices(r: int) -> list[tuple[int, int]]:
 
 def boundary_indices(r: int) -> list[tuple[int, int]]:
     """Indices just outside {|k|_s < r} whose decrement is inside."""
-    A = set(lower_indices(r))
-    out = set()
-    for k in A:
-        for step in ((1, 0), (0, 1)):
-            cand = (k[0] + step[0], k[1] + step[1])
-            if cand not in A and _down(cand) in A:
-                out.add(cand)
-    return sorted(out)
-
-
-def _down(k):
-    return (k[0] - 1, k[1]) if k[0] else (k[0], k[1] - 1)
-
-
-def _m_of(k) -> int:
-    """Index (0 = time, 1 = space) of the first non-vanishing entry."""
-    return 0 if k[0] else 1
+    return lower_boundary(lower_indices(r))
 
 
 def _fact(k) -> int:
@@ -104,10 +81,6 @@ def _binom(k, l) -> int:
 
 def _sub(k, l):
     return (k[0] - l[0], k[1] - l[1])
-
-
-def _leq(l, k) -> bool:
-    return l[0] <= k[0] and l[1] <= k[1]
 
 
 def _mono(z, k):
@@ -276,13 +249,6 @@ def frozen_gaussian(field: CoefficientField, w, z):
     return np.where(t > 0,
                     np.exp(-x ** 2 / (4 * a0 * safe))
                     / np.sqrt(4 * np.pi * a0 * safe), 0.0)
-
-
-def z_value(field: CoefficientField, z, zbar):
-    """First parametrix term: the Gaussian frozen at the base point."""
-    z = np.asarray(z, dtype=float)
-    zbar = np.asarray(zbar, dtype=float)
-    return z_kernel(field)(z, zbar)
 
 
 def error_kernel(field: CoefficientField, z, zbar):
@@ -553,10 +519,6 @@ class LambdaTerm:
     coefficient: sp.Expr
     chain: tuple[sp.Expr, ...]
 
-    @property
-    def arity(self) -> int:
-        return len(self.chain) - 1
-
     def validate(self, r: int | None = None) -> bool:
         """Structural check against the admissible grammar."""
         u, v = sp.symbols("u v")
@@ -750,36 +712,6 @@ class ZRemainder:
             self.k, self.kd, w, zbar, self.quad)
         power = -0.5 - 0.5 * dv
         return np.where(mask, safe ** power * inc / _fact(self.kd), 0.0)
-
-
-def _increment(dval, k, kd, w, pt, quad: int = 24):
-    """int delta_k[dval(kd, .)](w + (pt-w) y) Q^{kd}(dy): the increment of
-    the kd-th derivative dval(kd, point) along the first non-vanishing
-    direction m of k, exact when kd[m] = 0 and by Gauss-Jacobi otherwise."""
-    w = np.asarray(w, dtype=float)
-    pt = np.asarray(pt, dtype=float)
-    m = _m_of(k)
-    if kd[m] == 0:
-        return dval(kd, _mix(pt, w, m + 1)) - dval(kd, _mix(pt, w, m))
-    nodes, wts = _jacobi_01(quad, kd[m])
-    lo = _mix(pt, w, m)
-    base = dval(kd, lo)
-    acc = 0.0
-    for node, wq in zip(nodes, wts):
-        p = np.array(lo, copy=True)
-        p[..., m] = w[..., m] + node * (pt[..., m] - w[..., m])
-        acc = acc + wq * (dval(kd, p) - base)
-    return acc
-
-
-def _mix(zbar, w, upto: int):
-    """First ``upto`` coordinates from zbar, the rest from w."""
-    zbar = np.asarray(zbar, dtype=float)
-    w = np.asarray(w, dtype=float)
-    out = np.array(np.broadcast_arrays(zbar, w)[1], copy=True)
-    if upto > 0:
-        out[..., :upto] = np.broadcast_arrays(zbar, w)[0][..., :upto]
-    return out
 
 
 def taylor_decompose_Z(field: CoefficientField, r: int):

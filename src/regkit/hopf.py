@@ -91,22 +91,6 @@ class TensorSum(FormalSum):
                     acc.append((key[:pos] + (sub,) + key[pos + 1:], c * c2))
         return TensorSum(acc)
 
-    def contract_slot(self, pos: int, fn: Callable):
-        """Pair slot ``pos`` with a scalar functional.
-
-        Returns a TensorSum on the remaining slots, or a plain scalar if no
-        slot remains.
-        """
-        if all(len(k) == 1 for k in self.keys()):
-            total = Fraction(0)
-            for key, c in self.items():
-                total += c * fn(key[pos])
-            return total
-        acc = []
-        for key, c in self.items():
-            acc.append((key[:pos] + key[pos + 1:], c * fn(key[pos])))
-        return TensorSum(acc)
-
     def mul(self, other: "TensorSum") -> "TensorSum":
         """Slotwise tree product."""
         acc = []

@@ -3,7 +3,8 @@
 Provides the smooth cutoff family used to chop a singular kernel into dyadic
 pieces, the graded norms measuring how fast those pieces regularise, weighted
 Hölder norm estimation on grids, and an anisotropic Taylor formula whose
-remainder is a sum of one-dimensional increments.
+remainder is a sum of one-dimensional increments (the same Gauss–Jacobi
+increment serves the heat-kernel Taylor splits).
 
 Points live in ℝ^d with an integer scaling s; the scaled distance is
 |z|_s = Σ_i |z_i|^{1/s_i} and dilation by λ acts as z_i ↦ λ^{s_i} z_i.
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product as iproduct
 from typing import Callable, Sequence
 
@@ -314,12 +316,14 @@ def is_lower_set(A) -> bool:
     return True
 
 
-def _first_support(k):
+def _m_of(k) -> int:
+    """Index of the first non-vanishing entry of k."""
     return min(i for i, v in enumerate(k) if v)
 
 
 def _down(k):
-    i = _first_support(k)
+    """k with its first non-vanishing entry lowered by one."""
+    i = _m_of(k)
     return tuple(v - (j == i) for j, v in enumerate(k))
 
 
@@ -333,6 +337,43 @@ def lower_boundary(A) -> list[tuple[int, ...]]:
             if cand not in A and _down(cand) in A:
                 out.add(cand)
     return sorted(out)
+
+
+@lru_cache(maxsize=None)
+def _jacobi_01(n_points: int, exponent: int):
+    """Nodes/weights for int_0^1 f(y) n (1-y)^{n-1} dy with n = exponent."""
+    nodes, wts = roots_jacobi(n_points, exponent - 1, 0)
+    return (nodes + 1.0) / 2.0, wts * exponent / 2.0 ** exponent
+
+
+def _increment(dval, k, kd, w, pt, quad: int = 24):
+    """int delta_k[dval(kd, .)](w + (pt-w) y) Q^{kd}(dy): the increment of
+    the kd-th derivative dval(kd, point) along the first non-vanishing
+    direction m of k, exact when kd[m] = 0 and by Gauss-Jacobi otherwise."""
+    w = np.asarray(w, dtype=float)
+    pt = np.asarray(pt, dtype=float)
+    m = _m_of(k)
+    if kd[m] == 0:
+        return dval(kd, _mix(pt, w, m + 1)) - dval(kd, _mix(pt, w, m))
+    nodes, wts = _jacobi_01(quad, kd[m])
+    lo = _mix(pt, w, m)
+    base = dval(kd, lo)
+    acc = 0.0
+    for node, wq in zip(nodes, wts):
+        p = np.array(lo, copy=True)
+        p[..., m] = w[..., m] + node * (pt[..., m] - w[..., m])
+        acc = acc + wq * (dval(kd, p) - base)
+    return acc
+
+
+def _mix(zbar, w, upto: int):
+    """First ``upto`` coordinates from zbar, the rest from w."""
+    zbar = np.asarray(zbar, dtype=float)
+    w = np.asarray(w, dtype=float)
+    out = np.array(np.broadcast_arrays(zbar, w)[1], copy=True)
+    if upto > 0:
+        out[..., :upto] = np.broadcast_arrays(zbar, w)[0][..., :upto]
+    return out
 
 
 def aniso_taylor(f: Callable, A, x, derivs: Callable, *,
@@ -358,16 +399,6 @@ def aniso_taylor(f: Callable, A, x, derivs: Callable, *,
         for k in A}
     boundary = lower_boundary(A)
 
-    def increment(k, g, u):
-        # g evaluated with the first m(k) coordinates of u kept, minus the
-        # same with one fewer coordinate kept
-        m = _first_support(k) + 1
-        hi = np.zeros(d)
-        hi[:m] = u[:m]
-        lo = np.zeros(d)
-        lo[:m - 1] = u[:m - 1]
-        return g(hi) - g(lo)
-
     def remainder(pt):
         pt = np.asarray(pt, dtype=float)
         total = 0.0
@@ -377,22 +408,7 @@ def aniso_taylor(f: Callable, A, x, derivs: Callable, *,
                      / np.prod([math.factorial(ki) for ki in kd]))
             if coeff == 0.0:
                 continue
-            g = lambda z, kk=kd: derivs(kk, z)
-            if not any(kd):
-                y = np.ones(d)
-                total += coeff * increment(k, g, pt * y)
-                continue
-            m = _first_support(kd)
-            ell = kd[m]
-            # ∫₀¹ h(t) ℓ(1-t)^{ℓ-1} dt by Gauss–Jacobi on (-1,1)
-            nodes, wts = roots_jacobi(quad_points, ell - 1, 0)
-            acc = 0.0
-            for t, wq in zip((nodes + 1) / 2, wts):
-                y = np.ones(d)
-                y[m] = t
-                y[m + 1:] = 0.0
-                acc += wq * increment(k, g, pt * y)
-            total += coeff * acc * ell / 2.0 ** ell
+            total += coeff * _increment(derivs, k, kd, origin, pt, quad_points)
         return total
 
     return jet_terms, remainder

@@ -7,7 +7,10 @@ point of a coarse lattice a grid field, built by the usual recursion:
 noises and monomials are given, products are pointwise, planted trees are
 kernel convolutions minus the Taylor jet at the base point, and the whole
 thing is twisted by a preparation map at every step.  The recentering maps
-come from characters evaluated on planted generators, stored lazily.
+come from characters evaluated on planted generators, stored lazily.  The
+same recursion without a base point is the un-recentred model (monomials
+about the origin, no jet subtracted); the Monte Carlo expectation oracle
+reads it at the origin, one noise sample at a time.
 
 Convolutions are direct summations of the sampled dyadic kernel components
 against the grid quadrature; no transform is used for them.  (The noise
@@ -23,7 +26,14 @@ from typing import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from .hopf import Character, character_inverse, convolve, gamma_action
-from .kernels import CutoffFamily, DyadicKernel, dilate, dyadic_decompose
+from .kernels import (
+    CutoffFamily,
+    DyadicKernel,
+    _down,
+    _m_of,
+    dilate,
+    dyadic_decompose,
+)
 from .renorm import HistoricSet, PreparationMap
 from .trees import (
     DecoratedTree,
@@ -141,7 +151,7 @@ class GridField:
         v = self.values
         for axis, (m, h) in enumerate(zip(k, self.spacing)):
             for _ in range(m):
-                v = (np.roll(v, -1, axis) - np.roll(v, 1, axis)) / (2.0 * h)
+                v = _central_difference(v, axis, h)
         return self._wrap(v)
 
     @property
@@ -158,6 +168,11 @@ class GridField:
 
 def _vals(other):
     return other.values if isinstance(other, GridField) else other
+
+
+def _central_difference(v: np.ndarray, axis: int, h: float) -> np.ndarray:
+    """One periodic central difference of step h along an axis."""
+    return (np.roll(v, -1, axis) - np.roll(v, 1, axis)) / (2.0 * h)
 
 
 def monomial_field(grid: Grid, base, k: MultiIndex) -> GridField:
@@ -204,12 +219,9 @@ class KernelOnGrid:
 
     def _window(self, m: MultiIndex) -> np.ndarray:
         if m not in self._windows:
-            down = (m[0] - 1, m[1]) if m[0] else (m[0], m[1] - 1)
-            axis = 0 if m[0] else 1
-            h = self.grid.spacing[axis]
-            w = self._window(down)
-            self._windows[m] = (np.roll(w, -1, axis) - np.roll(w, 1, axis)) \
-                / (2.0 * h)
+            axis = _m_of(m)
+            self._windows[m] = _central_difference(
+                self._window(_down(m)), axis, self.grid.spacing[axis])
         return self._windows[m]
 
     def stencil(self, m: MultiIndex = (0, 0)):
@@ -330,7 +342,9 @@ class ModelInstance:
     Per-tree evaluators are produced lazily and cached: ``pi_times`` is the
     multiplicative (un-twisted) half of the recursion, ``pi`` its composition
     with the preparation map, ``g`` the recentering character at a base point
-    and ``gamma`` the recentering map between two base points.
+    and ``gamma`` the recentering map between two base points.  Passing
+    ``x=None`` to ``pi_times``/``pi`` gives the un-recentred model, which
+    ``value`` evaluates at the origin.
     """
 
     historic: HistoricSet
@@ -351,31 +365,53 @@ class ModelInstance:
     # -- evaluators ----------------------------------------------------------
 
     def pi_times(self, tree: DecoratedTree, x) -> GridField:
-        key = (tree, tuple(x))
-        if key not in self._pit:
+        # one lookup per hit: every lookup hashes the whole tree
+        key = (tree, _point_key(x))
+        out = self._pit.get(key)
+        if out is None:
             root_nd, factors = tree.factor()
-            vals = monomial_field(self.grid, x, root_nd).values
+            base = (0.0, 0.0) if x is None else x
+            vals = monomial_field(self.grid, base, root_nd).values
             for et, ed, od, br in factors:
                 if od is not None:
                     raise ValueError("over-decorated trees have no realisation")
                 vals = vals * self._planted(et, ed, br, x).values
-            self._pit[key] = GridField(self.grid, vals)
-        return self._pit[key]
+            out = self._pit[key] = GridField(self.grid, vals)
+        return out
 
     def pi(self, tree: DecoratedTree, x) -> GridField:
-        key = (tree, tuple(x))
-        if key not in self._pi:
-            out = np.zeros(self.grid.shape)
+        key = (tree, _point_key(x))
+        out = self._pi.get(key)
+        if out is None:
+            vals = np.zeros(self.grid.shape)
             for s, c in self.prep(tree).items():
-                out += float(c) * self.pi_times(s, x).values
-            self._pi[key] = GridField(self.grid, out)
-        return self._pi[key]
+                vals += float(c) * self.pi_times(s, x).values
+            out = self._pi[key] = GridField(self.grid, vals)
+        return out
 
     def pi_sum(self, combo: FormalSum, x) -> GridField:
         out = np.zeros(self.grid.shape)
         for s, c in combo.items():
             out += float(c) * self.pi(s, x).values
         return GridField(self.grid, out)
+
+    def value(self, tree: DecoratedTree) -> float:
+        """The un-recentred model of a tree at the origin.  The root factors
+        are reduced to stencil sums there; full-grid fields are only built
+        below them."""
+        root_nd, factors = tree.factor()
+        if any(root_nd):
+            return 0.0
+        total = 1.0
+        for et, ed, _od, br in factors:
+            if et in tree.typeset.noise_types:
+                total *= self._noise_field(et, ed).at((0, 0))
+                if not br.is_unit:
+                    total *= self.pi_times(br, None).at((0, 0))
+            else:
+                total *= self.kernels[et].value_at(self.pi(br, None), ed,
+                                                   (0, 0))
+        return total
 
     def _noise_field(self, ntype: str, ed: MultiIndex) -> GridField:
         key = (ntype, ed)
@@ -395,6 +431,8 @@ class ModelInstance:
         K = self.kernels[et]
         f = self.pi(br, x)
         out = K.convolve(f, ed)
+        if x is None:
+            return out
         bound = (br.degree_value() + ts.degree_of(et).at(ts.kappa)
                  - ts.sdeg(ed))
         idx = self.grid.index_of(x)
@@ -436,6 +474,10 @@ class ModelInstance:
     def gamma(self, x, y) -> Callable[[DecoratedTree], FormalSum]:
         """Recentering map between base points, as a tree -> formal sum map."""
         return gamma_action(convolve(character_inverse(self.g(x)), self.g(y)))
+
+
+def _point_key(x):
+    return None if x is None else tuple(x)
 
 
 def build_model(historic: HistoricSet, kernel_assignment: Mapping[str, DyadicKernel],
@@ -553,63 +595,6 @@ def model_difference(a: ModelInstance, b: ModelInstance) -> float:
 # expectation oracle
 
 
-class _OriginEvaluator:
-    """Evaluates the un-recentred multiplicative model at the origin for one
-    noise realisation.  Full-grid fields are only materialised below kernel
-    edges; factors at the root are reduced to stencil sums."""
-
-    def __init__(self, kernels, noise_fields, prep):
-        self.kernels = kernels
-        self.noise = noise_fields
-        self.prep = prep
-        self._fields: dict[DecoratedTree, GridField] = {}
-        self._derivs: dict = {}
-
-    def _noise_field(self, et, ed):
-        key = (et, ed)
-        if key not in self._derivs:
-            self._derivs[key] = self.noise[et].derivative(ed)
-        return self._derivs[key]
-
-    def twisted_field(self, tree) -> GridField:
-        grid = next(iter(self.noise.values())).grid
-        out = np.zeros(grid.shape)
-        for s, c in self.prep(tree).items():
-            out += float(c) * self.field(s).values
-        return GridField(grid, out)
-
-    def field(self, tree) -> GridField:
-        if tree not in self._fields:
-            grid = next(iter(self.noise.values())).grid
-            root_nd, factors = tree.factor()
-            vals = monomial_field(grid, (0.0, 0.0), root_nd).values
-            for et, ed, _od, br in factors:
-                if et in tree.typeset.noise_types:
-                    vals = vals * self._noise_field(et, ed).values
-                    if not br.is_unit:
-                        vals = vals * self.field(br).values
-                else:
-                    vals = vals * self.kernels[et].convolve(
-                        self.twisted_field(br), ed).values
-            self._fields[tree] = GridField(grid, vals)
-        return self._fields[tree]
-
-    def value(self, tree) -> float:
-        root_nd, factors = tree.factor()
-        if any(root_nd):
-            return 0.0
-        total = 1.0
-        for et, ed, _od, br in factors:
-            if et in tree.typeset.noise_types:
-                total *= self._noise_field(et, ed).at((0, 0))
-                if not br.is_unit:
-                    total *= self.field(br).at((0, 0))
-            else:
-                total *= self.kernels[et].value_at(
-                    self.twisted_field(br), ed, (0, 0))
-        return total
-
-
 def expectation_oracle(historic: HistoricSet,
                        kernel_assignment: Mapping[str, DyadicKernel],
                        noise_sampler: Callable, prep: PreparationMap,
@@ -627,8 +612,9 @@ def expectation_oracle(historic: HistoricSet,
     vals = np.empty(samples)
     for i in range(samples):
         fields = first if i == 0 else noise_sampler(i)
-        ev = _OriginEvaluator(kernels, fields, prep)
-        vals[i] = sum(float(c) * ev.value(s) for s, c in combo.items())
+        # built directly: build_model's sector checks need not run per sample
+        model = ModelInstance(historic, kernels, fields, prep, (), grid)
+        vals[i] = sum(float(c) * model.value(s) for s, c in combo.items())
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(samples))
     return mean, stderr

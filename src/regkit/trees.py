@@ -731,10 +731,6 @@ class FormalSum:
     def __hash__(self):
         return hash(frozenset(self._terms.items()))
 
-    def map_keys(self, fn: Callable) -> "FormalSum":
-        """Apply a key -> key map, merging collisions."""
-        return type(self)(((fn(k), c) for k, c in self._terms.items()))
-
     def bind(self, fn: Callable) -> "FormalSum":
         """Linear extension of a key -> FormalSum map."""
         out = type(self)()

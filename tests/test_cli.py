@@ -43,6 +43,19 @@ class TestConfig:
         assert result.exit_code == 2
         assert report["error"]["kind"] == "config-parse"
 
+    def test_section_not_an_object_refused(self, runner, tmp_path):
+        result, report = invoke(runner, tmp_path, "trees", {"grid": 5})
+        assert result.exit_code == 2
+        assert report["error"]["kind"] == "config-parse"
+        assert "'grid'" in report["error"]["detail"]
+
+    def test_unknown_nested_key_refused(self, runner, tmp_path):
+        result, report = invoke(runner, tmp_path, "verify",
+                                {"tolerances": {"chain_defekt": 1}})
+        assert result.exit_code == 2
+        assert report["error"]["kind"] == "config-parse"
+        assert "tolerances.chain_defekt" in report["error"]["detail"]
+
     def test_single_mc_sample_refused(self, runner, tmp_path):
         result, report = invoke(runner, tmp_path, "bphz",
                                 {"budgets": {"mc_samples": 1}})

@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +33,8 @@ from regkit.trees import (
 )
 
 KAPPA = Fraction(1, 100)
+ORACLE_PINS = json.loads(
+    (Path(__file__).parent / "oracle_pins.json").read_text())
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +261,36 @@ def quartic_sector(ts):
     return hist([tree_product(psi, psi, psi)])
 
 
+def oracle_pin_cases(ts):
+    """Oracle calls pinned in ``oracle_pins.json``: three trees of the
+    default sector under a preparation map with a non-zero functional, on a
+    small grid with a few samples.  Returns the oracle arguments and, per
+    pin, the tree or formal sum evaluated."""
+    spec = ORACLE_PINS["setup"]
+    xi, x1 = noise(ts, "Xi"), monomial(ts, (0, 1))
+    psi = plant(xi, "I")
+    psi2 = tree_product(psi, psi)
+    xi_x = plant(x1, "Xi")
+    ell = {xi: 0.25, xi_x: 0.5, psi2: 1.5}
+    prep = PreparationMap(lambda t: ell.get(t, 0.0))
+    trees = {
+        # twisted I(Xi) branches: the functional enters below each kernel
+        "ell": psi2,
+        # a kernel edge above a noise edge that carries an X^(0,1) branch
+        "noise_branch": tree_product(psi, plant(xi_x, "I")),
+        # a formal sum: a tree plus the monomial its preparation adds
+        "formal_sum": prep(tree_product(psi, plant(tree_product(x1, xi),
+                                                   "I"))),
+    }
+    grid = Grid(tuple(spec["shape"]), (spec["dx"] ** 2, spec["dx"]))
+    sampler = mollified_noise_sampler(grid, ["Xi"], spec["mollifier_cells"],
+                                      seed=spec["seed"])
+    historic = hist([psi2, trees["noise_branch"]])
+    kernels = {"I": bump_kernel(levels=spec["levels"], order=8)}
+    args = (historic, kernels, sampler, prep)
+    return args, trees, spec["samples"]
+
+
 class TestExpectationOracle:
     def test_odd_tree_centred(self, quartic_sector, sampler, ts):
         psi = plant(noise(ts, "Xi"), "I")
@@ -285,6 +319,16 @@ class TestExpectationOracle:
             expectation_oracle(quartic_sector, {"I": bump_kernel(order=8)},
                                sampler, PreparationMap(lambda t: Fraction(0)),
                                psi, samples=1)
+
+    def test_pinned_values(self, ts):
+        # (mean, stderr) as float.hex, recorded with the evaluator that the
+        # model recursion replaced; both must be reproduced to the last bit
+        args, trees, samples = oracle_pin_cases(ts)
+        for name, tree in trees.items():
+            pin = ORACLE_PINS["pins"][name]
+            assert pin["tree"] == repr(tree)
+            mean, se = expectation_oracle(*args, tree, samples)
+            assert [mean.hex(), se.hex()] == pin["value"], name
 
     def test_bphz_centres_negative_trees(self, quartic_sector, sampler, ts):
         K = {"I": bump_kernel(order=8)}
