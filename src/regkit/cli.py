@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import click
@@ -80,6 +80,9 @@ class RunConfig:
     data: dict
     defaults_used: list
     path: str | None
+    # the universe and sector, built once and shared by every report
+    _built: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @classmethod
     def load(cls, path: str | None) -> "RunConfig":
@@ -197,9 +200,12 @@ def emit(report: dict) -> None:
 
 
 def _universe(config: RunConfig):
-    ts, rule = load_rule(config)
-    cap = Fraction(str(config.data["degree_cap"]))
-    return ts, generate(rule, cap, config.data["edge_cap"])
+    if "universe" not in config._built:
+        ts, rule = load_rule(config)
+        cap = Fraction(str(config.data["degree_cap"]))
+        config._built["universe"] = ts, generate(rule, cap,
+                                                 config.data["edge_cap"])
+    return config._built["universe"]
 
 
 def trees_report(config: RunConfig) -> dict:
@@ -232,12 +238,14 @@ def coproduct_report(config: RunConfig) -> dict:
 
 
 def _sector(config: RunConfig):
-    ts, uni = _universe(config)
-    seed = uni.negative()
-    if not seed:
-        raise ConfigError("empty-sector",
-                          "no negative trees under the configured caps")
-    return ts, hist(seed)
+    if "sector" not in config._built:
+        ts, uni = _universe(config)
+        seed = uni.negative()
+        if not seed:
+            raise ConfigError("empty-sector",
+                              "no negative trees under the configured caps")
+        config._built["sector"] = ts, hist(seed)
+    return config._built["sector"]
 
 
 def hist_report(config: RunConfig) -> dict:
@@ -444,18 +452,12 @@ def verify_report(config: RunConfig) -> dict:
 
 
 def tables_report(config: RunConfig) -> dict:
-    return {"meta": config.meta(),
-            "trees": {k: v for k, v in trees_report(config).items()
-                      if k != "meta"},
-            "coproduct_totals": coproduct_report(config)["totals"],
-            "bphz": {k: v for k, v in bphz_report(config).items()
-                     if k != "meta"},
-            "kernels": {k: v for k, v in kernels_report(config).items()
-                        if k != "meta"},
-            "model": {k: v for k, v in model_report(config).items()
-                      if k != "meta"},
-            "heat": {k: v for k, v in heat_report(config).items()
-                     if k != "meta"}}
+    report = {"meta": config.meta(),
+              "coproduct_totals": coproduct_report(config)["totals"]}
+    for name in ("trees", "bphz", "kernels", "model", "heat"):
+        report[name] = {k: v for k, v in _BUILDERS[name](config).items()
+                        if k != "meta"}
+    return report
 
 
 # ---------------------------------------------------------------------------

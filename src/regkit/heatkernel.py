@@ -22,7 +22,7 @@ import numpy as np
 import sympy as sp
 from scipy.special import roots_jacobi, roots_legendre
 
-from .kernels import _down, _increment, lower_boundary
+from .kernels import _down, _fd_derivative, _increment, lower_boundary
 
 __all__ = [
     "CoefficientField",
@@ -34,7 +34,6 @@ __all__ = [
     "e_kernel",
     "heat_convolve",
     "convolution_norm_report",
-    "monomial_times",
     "Volterra",
     "volterra",
     "apply_operator",
@@ -141,9 +140,10 @@ class CoefficientField:
     def c(self, z):
         return self.jet("c", (0, 0), z)
 
-    def check_parabolicity(self, radius: float = 2.0, n: int = 21) -> bool:
-        ts = np.linspace(-radius ** 2, radius ** 2, n)
-        xs = np.linspace(-radius, radius, n)
+    def check_parabolicity(self) -> bool:
+        """lam <= a <= 1/lam on a 21 x 21 lattice of |t| <= 4, |x| <= 2."""
+        ts = np.linspace(-4.0, 4.0, 21)
+        xs = np.linspace(-2.0, 2.0, 21)
         grid = np.stack(np.meshgrid(ts, xs, indexing="ij"), axis=-1)
         vals = self.a(grid.reshape(-1, 2))
         lam = self.ellipticity
@@ -186,15 +186,9 @@ class FiniteDifferenceField:
         self.steps = tuple(float(s) for s in steps)
 
     def _fn(self, name: str, k=(0, 0)) -> Callable:
-        fn = self._raw[name]
-        ht, hx = self.steps
-        for _ in range(k[0]):
-            fn = (lambda t, x, g=fn:
-                  (g(t + ht, x) - g(t - ht, x)) / (2 * ht))
-        for _ in range(k[1]):
-            fn = (lambda t, x, g=fn:
-                  (g(t, x + hx) - g(t, x - hx)) / (2 * hx))
-        return fn
+        raw = self._raw[name]
+        d = _fd_derivative(lambda z: raw(z[..., 0], z[..., 1]), k, self.steps)
+        return lambda t, x: d(np.stack(np.broadcast_arrays(t, x), -1))
 
     def jet(self, name: str, k, w) -> np.ndarray:
         """Finite-difference d^k of a coefficient; w of shape (..., 2) gives
@@ -268,9 +262,7 @@ class HeatCalcKernel:
 
     alpha: float
     ftilde: Callable
-    translation_invariant: bool = False
     label: str = ""
-    r: int = 0
 
     def __call__(self, z, zbar):
         z = np.asarray(z, dtype=float)
@@ -283,13 +275,14 @@ class HeatCalcKernel:
         vals = self.ftilde(zbar[..., 0], zbar[..., 1], u, v)
         return np.where(mask, safe ** ((self.alpha - 3.0) / 2.0) * vals, 0.0)
 
-    def seminorm(self, T: float = 1.0, n: int = 0, samples: int = 21,
-                 v_max: float = 10.0, base_radius: float = 1.5) -> float:
-        """Reported sup of (1+|v|)^n |Ftilde| over a sample grid."""
-        tb = np.linspace(-base_radius ** 2, base_radius ** 2, samples)
-        xb = np.linspace(-base_radius, base_radius, samples)
+    def seminorm(self, T: float = 1.0, n: int = 0, samples: int = 21
+                 ) -> float:
+        """Reported sup of (1+|v|)^n |Ftilde| over a sample grid of base
+        points |tb| <= 2.25, |xb| <= 1.5, 0 < u <= sqrt(T) and |v| <= 10."""
+        tb = np.linspace(-2.25, 2.25, samples)
+        xb = np.linspace(-1.5, 1.5, samples)
         u = np.linspace(1e-6, math.sqrt(T), samples)
-        v = np.linspace(-v_max, v_max, 4 * samples)
+        v = np.linspace(-10.0, 10.0, 4 * samples)
         grid = np.stack([m.ravel() for m in
                          np.meshgrid(tb, xb, u, v, indexing="ij")], axis=-1)
         best = 0.0
@@ -304,8 +297,7 @@ class HeatCalcKernel:
     def scaled(self, c: float) -> "HeatCalcKernel":
         return HeatCalcKernel(
             self.alpha,
-            lambda tb, xb, u, v: c * self.ftilde(tb, xb, u, v),
-            self.translation_invariant, self.label)
+            lambda tb, xb, u, v: c * self.ftilde(tb, xb, u, v), self.label)
 
 
 def z_kernel(field: CoefficientField) -> HeatCalcKernel:
@@ -340,35 +332,24 @@ def e_kernel(field: CoefficientField) -> HeatCalcKernel:
     return HeatCalcKernel(1.0, ftilde, label="E")
 
 
-def monomial_times(K: HeatCalcKernel, k) -> HeatCalcKernel:
-    """Multiply a kernel by (z - zbar)^k; raises the order by |k|_s."""
-    def ftilde(tb, xb, u, v):
-        u = np.asarray(u, dtype=float)
-        return (u ** (2 * k[0]) * (u * np.asarray(v)) ** k[1]
-                * K.ftilde(tb, xb, u, v))
-    return HeatCalcKernel(K.alpha + scaled_degree(k), ftilde,
-                          K.translation_invariant,
-                          f"(z)^{k}*{K.label}")
-
-
 def heat_convolve(F: HeatCalcKernel, G: HeatCalcKernel, *,
-                  n_s: int = 20, n_y: int = 24, y_half: float = 9.0,
-                  decay_tol: float = 1e-6) -> HeatCalcKernel:
+                  n_s: int = 20, n_y: int = 24) -> HeatCalcKernel:
     """Space-time convolution F*G inside the calculus.
 
     The time integral is reduced to s in (0,1) whose endpoint weights
     (1-s)^{alpha/2-1} s^{beta/2-1} are treated exactly by Gauss-Jacobi
-    nodes; the space integral uses Gauss-Legendre on [-y_half, y_half].
-    Refuses kernels whose profiles have not decayed at the edge of that
-    window.
+    nodes; the space integral uses Gauss-Legendre on [-9, 9].  Refuses
+    kernels whose profiles have not decayed to 1e-6 of their centre value
+    (or of 1, if larger) at the edge of that window.
     """
     alpha, beta = F.alpha, G.alpha
     if alpha <= 0 or beta <= 0:
         raise ValueError("convolution requires positive orders")
+    y_half = 9.0
     for K in (F, G):
         centre = np.max(np.abs(K.ftilde(0.0, 0.0, 0.5, np.array([0.0]))))
         edge = np.max(np.abs(K.ftilde(0.0, 0.0, 0.5, np.array([y_half]))))
-        if centre > 0 and edge > decay_tol * max(centre, 1.0):
+        if centre > 0 and edge > 1e-6 * max(centre, 1.0):
             raise ValueError(
                 f"kernel profile has not decayed at |v|={y_half}: "
                 f"|Ftilde|={edge:.3e} vs centre {centre:.3e}")
@@ -406,9 +387,7 @@ def heat_convolve(F: HeatCalcKernel, G: HeatCalcKernel, *,
                           v_ * np.sqrt(1 - S) - Y * np.sqrt(S))
         return np.sum(WSY * g_vals * f_vals, axis=(-2, -1))
 
-    return HeatCalcKernel(alpha + beta, ftilde,
-                          F.translation_invariant and G.translation_invariant,
-                          f"({F.label})*({G.label})")
+    return HeatCalcKernel(alpha + beta, ftilde, f"({F.label})*({G.label})")
 
 
 def convolution_norm_report(F: HeatCalcKernel, G: HeatCalcKernel,
@@ -452,8 +431,7 @@ class Volterra:
 
 
 def volterra(field: CoefficientField, N: int, *, n_s: int = 20,
-             n_y: int = 24, y_half: float = 9.0,
-             budget: float = 5e8) -> Volterra:
+             n_y: int = 24, budget: float = 5e8) -> Volterra:
     """Truncated parametrix series; each summand lives one order higher in
     the calculus.  Nested quadrature cost grows geometrically in the order,
     so the series is cut (and flagged partial) once the per-evaluation
@@ -473,14 +451,15 @@ def volterra(field: CoefficientField, N: int, *, n_s: int = 20,
             partial = True
             break
         summands.append(heat_convolve(summands[-1], neg_e,
-                                      n_s=n_s, n_y=n_y, y_half=y_half))
+                                      n_s=n_s, n_y=n_y))
     return Volterra(field, N, summands, partial, len(summands) - 1)
 
 
-def apply_operator(field: CoefficientField, G: Callable, z, zbar, *,
-                   ht: float = 2e-5, hx: float = 2e-4) -> float:
-    """(d_t - a d_x^2 - b d_x - c) G(., zbar) at z by central differences."""
+def apply_operator(field: CoefficientField, G: Callable, z, zbar) -> float:
+    """(d_t - a d_x^2 - b d_x - c) G(., zbar) at z by central differences
+    with steps 2e-5 in t and 2e-4 in x."""
     z = np.asarray(z, dtype=float)
+    ht, hx = 2e-5, 2e-4
     et = np.array([ht, 0.0])
     ex = np.array([0.0, hx])
     dt = (G(z + et, zbar) - G(z - et, zbar)) / (2 * ht)
@@ -560,7 +539,7 @@ class LambdaTerm:
                 vv = np.asarray(vv, dtype=float)
                 g = np.exp(-vv ** 2 / (4 * a0)) / np.sqrt(4 * np.pi * a0)
                 return qfn(uu, vv) * g * np.ones(np.shape(uu))
-            kernels.append(HeatCalcKernel(1.0, ftilde, True, "P*W"))
+            kernels.append(HeatCalcKernel(1.0, ftilde, "P*W"))
         out = kernels[0]
         for k in kernels[1:]:
             out = heat_convolve(out, k)
@@ -673,7 +652,7 @@ class ZJet:
     def kernel(self, w) -> HeatCalcKernel:
         def ftilde(tb, xb, u, v, self=self, w=tuple(w)):
             return self.profile(np.array(w), v) * np.ones(np.shape(u))
-        return HeatCalcKernel(2.0, ftilde, True, f"Z[{self.k}]")
+        return HeatCalcKernel(2.0, ftilde, f"Z[{self.k}]")
 
     def lambda_terms(self) -> list[LambdaTerm]:
         # the generic chain factor carries t^{-1} Q(u, v); the jet kernel is
@@ -693,11 +672,10 @@ class ZRemainder:
     """Increment-form remainder of the w-expansion of the frozen Gaussian,
     for a boundary index k."""
 
-    def __init__(self, k, field, quad_points: int = 24):
+    def __init__(self, k, field):
         self.k = tuple(k)
         self.field = field
         self.kd = _down(self.k)
-        self.quad = quad_points
 
     def __call__(self, w, z, zbar, dv: int = 0):
         w = np.asarray(w, dtype=float)
@@ -709,7 +687,7 @@ class ZRemainder:
         v = (z[..., 1] - zbar[..., 1]) / np.sqrt(safe)
         inc = _increment(
             lambda kd, p: _ZJETS.value(self.field, kd, p, v, dv),
-            self.k, self.kd, w, zbar, self.quad)
+            self.k, self.kd, w, zbar)
         power = -0.5 - 0.5 * dv
         return np.where(mask, safe ** power * inc / _fact(self.kd), 0.0)
 
@@ -740,9 +718,9 @@ class _SlotTerm:
     value: Callable                # (w, z, zbar) -> array
 
 
-def _coeff_slot_terms(field, name: str, r: int, at_z: bool, sign: float):
-    """Expansion of a coefficient evaluated at z (at_z) or of the increment
-    a(zbar)-a(z) (not at_z), as slot terms in powers of (zbar-w)."""
+def _coeff_slot_terms(field, name: str, r: int, at_z: bool):
+    """Expansion of minus a coefficient evaluated at z (at_z) or of the
+    increment a(zbar)-a(z) (not at_z), as slot terms in powers of (zbar-w)."""
     deriv = lambda kd, pt: field.jet(name, kd, pt)
     terms = []
     for k in lower_indices(r):
@@ -751,9 +729,7 @@ def _coeff_slot_terms(field, name: str, r: int, at_z: bool, sign: float):
             if not at_z and l == (0, 0):
                 continue
             nu = _sub(k, l)
-            c = sign / (_fact(nu) * _fact(l))
-            if not at_z:
-                c = -c
+            c = -1.0 / (_fact(nu) * _fact(l))
 
             def val(w, z, zbar, k=k, l=l, c=c):
                 jet = field.jet(name, k, np.asarray(w, dtype=float))
@@ -769,18 +745,14 @@ def _coeff_slot_terms(field, name: str, r: int, at_z: bool, sign: float):
                                    / _fact(kd)))
         else:
             terms.append(_SlotTerm(kd, k,
-                                   lambda w, z, zbar, k=k, kd=kd, s=sign:
-                                   s * _increment(deriv, k, kd, w, z)
+                                   lambda w, z, zbar, k=k, kd=kd:
+                                   -_increment(deriv, k, kd, w, z)
                                    / _fact(kd)))
         # the part of (z-w)^{k_down} carrying (z-zbar) powers
         for eta in [(i, j) for i in range(kd[0] + 1)
                     for j in range(kd[1] + 1) if (i, j) != (0, 0)]:
             nu = _sub(kd, eta)
-            c = _binom(kd, eta) / _fact(kd)
-            if not at_z:
-                c = -c
-            else:
-                c = sign * c
+            c = -(_binom(kd, eta) / _fact(kd))
 
             def val_b(w, z, zbar, k=k, kd=kd, eta=eta, c=c):
                 return (c * _mono(np.asarray(z) - np.asarray(zbar), eta)
@@ -877,11 +849,11 @@ class EDecomposition:
                          lambda w, z, zbar, rem=self.zrems[k], dv=dv:
                          rem(w, z, zbar, dv=dv))
                for k in self.zrems]) for dv in (0, 1))
-        ida = add(_coeff_slot_terms(field, "a", r, at_z=False, sign=1.0))
+        ida = add(_coeff_slot_terms(field, "a", r, at_z=False))
         bracket = _bracket_slot_terms(field, r)
         ibr = add([s for s, _v2 in bracket])
-        ib = add(_coeff_slot_terms(field, "b", r, at_z=True, sign=-1.0))
-        ic = add(_coeff_slot_terms(field, "c", r, at_z=True, sign=-1.0))
+        ib = add(_coeff_slot_terms(field, "b", r, at_z=True))
+        ic = add(_coeff_slot_terms(field, "c", r, at_z=True))
 
         # leading part: (a(zbar)-a(z)) * [v^2/4a^2 - 1/2a](zbar)
         #   * s^{-1} * Z-slot, with the v^2 factor realised as v^2 = x^2/s
@@ -941,9 +913,11 @@ class EDecomposition:
     def reassemble(self, w, z, zbar) -> float:
         w, z, zbar = (np.asarray(p, dtype=float) for p in (w, z, zbar))
         offset = zbar - w
+        # the rows share few powers of the offset (16 for r = 3)
+        mono = {nu: _mono(offset, nu) for nu in {row.nu for row in self.rows}}
         total = 0.0
         for row, value in zip(self.rows, self._values(self.rows, w, z, zbar)):
-            total = total + _mono(offset, row.nu) * value
+            total = total + mono[row.nu] * value
         return total
 
 
@@ -987,8 +961,7 @@ class GreenDecomposition:
     at the base point and carries term-by-term certificates of that form."""
 
     def __init__(self, field: CoefficientField, r: int, M: int, cutoff,
-                 N: int = 1, *, levels: int = 8, upper: str = "zbar",
-                 n_s: int = 16, n_y: int = 24):
+                 N: int = 1, *, levels: int = 8, upper: str = "zbar"):
         if field.regularity < 3 * r:
             raise ValueError(
                 f"coefficient regularity {field.regularity} below the "
@@ -1000,7 +973,7 @@ class GreenDecomposition:
         self.cutoff = cutoff
         self.levels = levels
         self.upper = upper
-        self._quad = dict(n_s=n_s, n_y=n_y)
+        self._quad = dict(n_s=16, n_y=24)
         self._zjets, _ = taylor_decompose_Z(field, r)
         if N >= 1 and not field.is_constant():
             self._ejets = taylor_decompose_E(field, max(r, 3))[0]
@@ -1033,7 +1006,7 @@ class GreenDecomposition:
                         return vals * s * v ** k0[1]
 
                     ek = HeatCalcKernel(1.0 + scaled_degree(k0), e_ftilde,
-                                        True, f"(z)^{k0}*(-E[0])")
+                                        f"(z)^{k0}*(-E[0])")
                     conv = heat_convolve(zk, ek, **self._quad)
                     parts.append(lambda zeta, conv=conv:
                                  conv(zeta, np.zeros(2)))

@@ -105,14 +105,11 @@ class TensorSum(FormalSum):
 # cut engine
 
 
-def _planted_factor_degree(tree: DecoratedTree, e: int, extra: MultiIndex | None
-                           = None) -> Fraction:
-    """Degree of the planted branch above edge e, with `extra` added to the
-    trunk decoration."""
+def _planted_factor_degree(tree: DecoratedTree, e: int) -> Fraction:
+    """Degree of the branch above edge e planted by that edge."""
     ts = tree.typeset
-    deco = tree.edeco[e] if extra is None else mi_add(tree.edeco[e], extra)
     return (tree.branch(e).degree_value()
-            + ts.degree_of(tree.etype[e]).at(ts.kappa) - ts.sdeg(deco))
+            + ts.degree_of(tree.etype[e]).at(ts.kappa) - ts.sdeg(tree.edeco[e]))
 
 
 def _quotient(tree: DecoratedTree, cut: Iterable[int], eps: Mapping[int, MultiIndex],
@@ -158,13 +155,7 @@ def _left_tree(tree: DecoratedTree, keep: set[int], n_map: Mapping[int, MultiInd
 def is_positive_product(tree: DecoratedTree) -> bool:
     """Membership in the image of the positive projection: every planted
     factor has positive degree (polynomial factors are unrestricted)."""
-    ts = tree.typeset
-    for c in tree.children(0):
-        deg = (tree.branch(c).degree_value()
-               + ts.degree_of(tree.etype[c]).at(ts.kappa) - ts.sdeg(tree.edeco[c]))
-        if deg <= 0:
-            return False
-    return True
+    return all(_planted_factor_degree(tree, c) > 0 for c in tree.children(0))
 
 
 @lru_cache(maxsize=None)

@@ -1,8 +1,8 @@
 """Translation-invariant regularising kernels and anisotropic calculus.
 
 Provides the smooth cutoff family used to chop a singular kernel into dyadic
-pieces, the graded norms measuring how fast those pieces regularise, weighted
-Hölder norm estimation on grids, and an anisotropic Taylor formula whose
+pieces, the graded norms measuring how fast those pieces regularise, Hölder
+norm estimation on grids, and an anisotropic Taylor formula whose
 remainder is a sum of one-dimensional increments (the same Gauss–Jacobi
 increment serves the heat-kernel Taylor splits).
 
@@ -12,7 +12,7 @@ Points live in ℝ^d with an integer scaling s; the scaled distance is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
@@ -86,9 +86,7 @@ class DyadicKernel:
 
     The n-th component is supported in B_s(0, 2^{-n}); ``beta`` is the
     regularising order and ``order`` the number 𝔬 of controlled derivative
-    levels (norms measure |k|_s ≤ 2𝔬).  ``derivative``, when supplied, maps
-    a multi-index and component index to a closed-form evaluator; otherwise
-    norms fall back to finite differences and say so.
+    levels (norms measure |k|_s ≤ 2𝔬, by finite differences).
     """
 
     beta: Fraction
@@ -96,8 +94,6 @@ class DyadicKernel:
     scaling: tuple[int, ...]
     components: tuple[Callable, ...]
     remainder: Callable | None = None
-    derivative: Callable[[tuple[int, ...], int], Callable] | None = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def d(self) -> int:
@@ -115,18 +111,13 @@ class DyadicKernel:
 
     def scaled(self, c: float) -> "DyadicKernel":
         comps = tuple((lambda z, k=k: c * k(z)) for k in self.components)
-        deriv = None
-        if self.derivative is not None:
-            deriv = lambda k, n: (lambda z, e=self.derivative(k, n): c * e(z))
         rem = None if self.remainder is None else (
             lambda z: c * self.remainder(z))
-        return DyadicKernel(self.beta, self.order, self.scaling, comps,
-                            rem, deriv, dict(self.meta))
+        return DyadicKernel(self.beta, self.order, self.scaling, comps, rem)
 
 
 def dyadic_decompose(F: Callable, cutoff: CutoffFamily, N: int, *,
-                     beta: Fraction, order: int = 0,
-                     derivative: Callable | None = None) -> DyadicKernel:
+                     beta: Fraction, order: int = 0) -> DyadicKernel:
     """Chop an evaluator into F = R + Σ_{n≤N} φ_n·F.
 
     The far-field part R = (1−χ)F is stored as the kernel's remainder, so the
@@ -141,12 +132,7 @@ def dyadic_decompose(F: Callable, cutoff: CutoffFamily, N: int, *,
 
     comps = tuple(component(n) for n in range(N + 1))
     rem = lambda z: (1.0 - cutoff.chi(z)) * F(z)
-    deriv = None
-    if derivative is not None:
-        # product rule is the caller's burden; closed forms are per component
-        deriv = derivative
-    return DyadicKernel(Fraction(beta), order, cutoff.scaling, comps, rem,
-                        deriv, {"levels": N})
+    return DyadicKernel(Fraction(beta), order, cutoff.scaling, comps, rem)
 
 
 # ---------------------------------------------------------------------------
@@ -196,13 +182,13 @@ def _sample_box(radius, scaling, per_axis):
     return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def _sup_abs(fn, radius, scaling, per_axis, zooms=4):
-    """Supremum of |fn| over B_s(0, radius) by grid search with iterative
-    zooming around the running argmax."""
+def _sup_abs(fn, radius, scaling, per_axis):
+    """Supremum of |fn| over B_s(0, radius) by grid search with four
+    zooms around the running argmax."""
     centre = np.zeros(len(scaling))
     halves = np.array([float(radius) ** s for s in scaling])
     best = 0.0
-    for _ in range(zooms + 1):
+    for _ in range(5):
         axes = [np.linspace(c - h, c + h, per_axis)
                 for c, h in zip(centre, halves)]
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -215,30 +201,26 @@ def _sup_abs(fn, radius, scaling, per_axis, zooms=4):
     return best
 
 
-def kernel_norm(K: DyadicKernel, *, samples_per_axis: int = 17,
-                fd_step: float | None = None) -> NormReport:
+def kernel_norm(K: DyadicKernel, *, samples_per_axis: int = 17) -> NormReport:
     """sup over components of sup_{|k|_s ≤ 2𝔬} |∂^k K_n| / 2^{(|s|-β+|k|_s)n}.
 
-    Uses the kernel's closed-form derivatives when present; otherwise
-    centered finite differences with a scale-adapted step, flagged as a
-    degraded estimate rather than hidden.
+    Derivatives are centered finite differences with a scale-adapted step,
+    so any norm with 𝔬 > 0 is flagged as a degraded estimate rather than
+    hidden; with 𝔬 = 0 only the components themselves are sampled.
     """
     scaling = K.scaling
     abs_s = sum(scaling)
     beta = float(K.beta)
     kset = _multi_indices_upto(scaling, 2 * K.order)
-    degraded = K.derivative is None and any(any(k) for k in kset)
+    degraded = any(any(k) for k in kset)
     mode = "finite-difference" if degraded else "closed-form"
     per = []
     for n, comp in enumerate(K.components):
         r = K.support_radius(n)
+        steps = [r ** s / 40.0 for s in scaling]
         best = 0.0
         for k in kset:
-            if K.derivative is not None:
-                dk = K.derivative(k, n) if any(k) else comp
-            else:
-                steps = [(fd_step or r ** s / 40.0) for s in scaling]
-                dk = _fd_derivative(comp, k, steps) if any(k) else comp
+            dk = _fd_derivative(comp, k, steps) if any(k) else comp
             ksd = sum(ki * s for ki, s in zip(k, scaling))
             weight = 2.0 ** ((abs_s - beta + ksd) * n)
             best = max(best, _sup_abs(dk, r, scaling, samples_per_axis)
@@ -249,26 +231,24 @@ def kernel_norm(K: DyadicKernel, *, samples_per_axis: int = 17,
 
 
 def holder_norm_estimate(fieldfn: Callable, alpha: float,
-                         scaling: Sequence[int], *, weight_power: int = 0,
-                         lattice_radius: float = 1.0, per_axis: int = 9,
-                         levels: int = 4, cutoff: CutoffFamily | None = None,
-                         ) -> float:
-    """Weighted Hölder norm over a lattice of base points and dyadic scales.
+                         scaling: Sequence[int], *, per_axis: int = 9,
+                         levels: int = 4) -> float:
+    """Hölder norm over a lattice of base points in the unit box and dyadic
+    scales.
 
     Negative exponents pair the field against rescaled bumps φ_x^λ and take
-    sup of |⟨f, φ_x^λ⟩| / (w(x) λ^α); positive non-integer exponents use the
-    increment form sup |f(y) − jet_x(y)| / (w(x) |y−x|_s^α) with the jet
-    taken by centered finite differences.  The weight is w(x)=(1+|x|_s)^l.
+    sup of |⟨f, φ_x^λ⟩| / λ^α; positive non-integer exponents use the
+    increment form sup |f(y) − jet_x(y)| / |y−x|_s^α with the jet taken by
+    centered finite differences.
     """
     if float(alpha) == int(alpha) and alpha >= 0:
         raise ValueError("integer exponents are not Hölder exponents")
     scaling = tuple(int(s) for s in scaling)
-    xs = _sample_box(lattice_radius, scaling, per_axis)
-    weights = (1.0 + snorm(xs, scaling)) ** weight_power
+    xs = _sample_box(1.0, scaling, per_axis)
     lambdas = [2.0 ** (-j) for j in range(1, levels + 1)]
     best = 0.0
     if alpha < 0:
-        cutoff = cutoff or CutoffFamily(scaling)
+        cutoff = CutoffFamily(scaling)
         # quadrature grid for one bump, reused for every (x, λ) by rescaling
         base = _sample_box(1.0, scaling, 33)
         vol = np.prod([2.0 * 1.0 ** s / 32 for s in scaling])
@@ -276,16 +256,16 @@ def holder_norm_estimate(fieldfn: Callable, alpha: float,
         for lam in lambdas:
             # substituting y = x + D_λu absorbs the λ^{-|s|} normalisation
             pts = dilate(base, lam, scaling)
-            for x, w in zip(xs, weights):
+            for x in xs:
                 pairing = np.sum(bump_vals * fieldfn(pts + x)) * vol
-                best = max(best, abs(pairing) / (w * lam ** alpha))
+                best = max(best, abs(pairing) / lam ** alpha)
         return best
     # positive exponent: increment form against the finite-difference jet
-    h = lattice_radius / max(per_axis - 1, 1)
+    h = 1.0 / max(per_axis - 1, 1)
     jet_orders = [k for k in _multi_indices_upto(scaling, math.ceil(alpha))
                   if sum(ki * s for ki, s in zip(k, scaling)) < alpha]
     fx = fieldfn(xs)
-    sup_part = float(np.max(np.abs(fx) / weights))
+    sup_part = float(np.max(np.abs(fx)))
     for lam in lambdas:
         for axis in range(len(scaling)):
             off = np.zeros(len(scaling))
@@ -298,7 +278,7 @@ def holder_norm_estimate(fieldfn: Callable, alpha: float,
                 mono = np.prod((ys - xs) ** np.array(k), axis=-1)
                 jet = jet + dk * mono / np.prod(
                     [math.factorial(ki) for ki in k])
-            inc = np.abs(fieldfn(ys) - jet) / (weights * lam ** alpha)
+            inc = np.abs(fieldfn(ys) - jet) / lam ** alpha
             best = max(best, float(np.max(inc)))
     return max(best, sup_part)
 
@@ -376,16 +356,15 @@ def _mix(zbar, w, upto: int):
     return out
 
 
-def aniso_taylor(f: Callable, A, x, derivs: Callable, *,
-                 quad_points: int = 40):
+def aniso_taylor(A, x, derivs: Callable):
     """Split f(x) into the jet over a lower set of multi-indices plus
     increment-form remainders.
 
-    ``derivs(k, point)`` evaluates ∂^k f.  Returns ``(jet_terms, remainder)``
-    where ``jet_terms[k] = ∂^k f(0) x^k / k!`` and ``remainder(x)`` sums, for
-    each boundary index, a one-dimensional quadrature of an increment of the
-    corresponding derivative — so jet_terms total plus remainder(x)
-    reproduces f(x).
+    ``derivs(k, point)`` evaluates ∂^k f, so f itself is ``derivs(0, .)``.
+    Returns ``(jet_terms, remainder)`` where ``jet_terms[k] = ∂^k f(0) x^k /
+    k!`` and ``remainder(x)`` sums, for each boundary index, a
+    one-dimensional 40-point quadrature of an increment of the corresponding
+    derivative — so jet_terms total plus remainder(x) reproduces f(x).
     """
     A = sorted(map(tuple, A))
     if not A or not is_lower_set(A):
@@ -408,7 +387,7 @@ def aniso_taylor(f: Callable, A, x, derivs: Callable, *,
                      / np.prod([math.factorial(ki) for ki in kd]))
             if coeff == 0.0:
                 continue
-            total += coeff * _increment(derivs, k, kd, origin, pt, quad_points)
+            total += coeff * _increment(derivs, k, kd, origin, pt, 40)
         return total
 
     return jet_terms, remainder

@@ -198,7 +198,7 @@ class KernelOnGrid:
     labels additively, which keeps its algebraic identities exact on the grid.
     """
 
-    def __init__(self, kernel: DyadicKernel, grid: Grid, *, margin: int = 6):
+    def __init__(self, kernel: DyadicKernel, grid: Grid):
         self.kernel = kernel
         self.grid = grid
         self.order = kernel.order
@@ -207,7 +207,7 @@ class KernelOnGrid:
         r = kernel.support_radius(0)
         it = min(int(math.ceil(r * r / dt)), grid.shape[0] // 2 - 1)
         ix = min(int(math.ceil(r / dx)), grid.shape[1] // 2 - 1)
-        self._half = (it + margin, ix + margin)
+        self._half = (it + 6, ix + 6)  # six cells of margin
         ti = np.arange(-self._half[0], self._half[0] + 1) * dt
         xi = np.arange(-self._half[1], self._half[1] + 1) * dx
         pts = np.stack(np.meshgrid(ti, xi, indexing="ij"), axis=-1)
@@ -250,20 +250,20 @@ class KernelOnGrid:
         return float(np.dot(vals, samples)) * self.grid.cell_volume
 
 
-def bump_kernel(*, radius: float = 0.25, levels: int = 4,
-                beta=Fraction(2), order: int = 8) -> DyadicKernel:
-    """A smooth compactly supported kernel split into dyadic components.
+def bump_kernel(*, levels: int = 4, order: int = 8) -> DyadicKernel:
+    """A smooth compactly supported kernel of regularising order 2 split into
+    dyadic components.
 
     The profile is the radial cutoff bump squeezed into the parabolic ball of
-    the given radius, so the far-field remainder vanishes identically.
+    radius 1/4, so the far-field remainder vanishes identically.
     """
     cutoff = CutoffFamily((2, 1))
-    lam = 1.0 / radius
 
     def profile(z):
-        return cutoff.chi(dilate(z, lam, (2, 1)))
+        return cutoff.chi(dilate(z, 4.0, (2, 1)))
 
-    return dyadic_decompose(profile, cutoff, levels, beta=beta, order=order)
+    return dyadic_decompose(profile, cutoff, levels, beta=Fraction(2),
+                            order=order)
 
 
 def mollifier(grid: Grid, epsilon: int, *, profile: Callable | None = None
@@ -428,18 +428,23 @@ class ModelInstance:
             if not br.is_unit:
                 field = field * self.pi(br, x)
             return field
-        K = self.kernels[et]
-        f = self.pi(br, x)
-        out = K.convolve(f, ed)
+        out = self.kernels[et].convolve(self.pi(br, x), ed)
         if x is None:
             return out
-        bound = (br.degree_value() + ts.degree_of(et).at(ts.kappa)
-                 - ts.sdeg(ed))
-        idx = self.grid.index_of(x)
-        for j in mi_below(ts.scaling, bound):
-            cj = K.value_at(f, mi_add(ed, j), idx) / mi_factorial(j)
+        for j, cj in self._jet(et, ed, br, x):
             out = out - cj * monomial_field(self.grid, x, j)
         return out
+
+    def _jet(self, et, ed, br, x) -> list[tuple[MultiIndex, float]]:
+        """Taylor coefficients (j, (D^{ed+j} K * Pi_x br)(x) / j!) at the
+        base point x of the tree planted on br by a kernel edge (et, ed), for
+        |j|_s below that tree's degree."""
+        ts = br.typeset
+        K, f, idx = self.kernels[et], self.pi(br, x), self.grid.index_of(x)
+        bound = (br.degree_value() + ts.degree_of(et).at(ts.kappa)
+                 - ts.sdeg(ed))
+        return [(j, K.value_at(f, mi_add(ed, j), idx) / mi_factorial(j))
+                for j in mi_below(ts.scaling, bound)]
 
     # -- recentering ---------------------------------------------------------
 
@@ -448,22 +453,16 @@ class ModelInstance:
         x = tuple(x)
         if x not in self._g:
             cache: dict[DecoratedTree, float] = {}
-            idx = self.grid.index_of(x)
 
             def on_planted(tree: DecoratedTree) -> float:
                 if tree in cache:
                     return cache[tree]
-                ts = tree.typeset
                 e = tree.children(0)[0]
                 et = tree.etype[e]
-                if et not in ts.kernel_types:
+                if et not in tree.typeset.kernel_types:
                     return 0.0
-                K = self.kernels[et]
-                br, ed = tree.branch(e), tree.edeco[e]
-                f = self.pi(br, x)
                 total = 0.0
-                for j in mi_below(ts.scaling, tree.degree_value()):
-                    cj = K.value_at(f, mi_add(ed, j), idx) / mi_factorial(j)
+                for j, cj in self._jet(et, tree.edeco[e], tree.branch(e), x):
                     total += cj * (-x[0]) ** j[0] * (-x[1]) ** j[1]
                 cache[tree] = -total
                 return cache[tree]
@@ -481,9 +480,11 @@ def _point_key(x):
 
 
 def build_model(historic: HistoricSet, kernel_assignment: Mapping[str, DyadicKernel],
-                noise: Mapping[str, GridField], prep: PreparationMap, *,
-                base_points: Sequence | None = None) -> ModelInstance:
-    """Realise a historic sector on the grid of the supplied noise fields.
+                noise: Mapping[str, GridField], prep: PreparationMap
+                ) -> ModelInstance:
+    """Realise a historic sector on the grid of the supplied noise fields,
+    with base points at the origin and a quarter and half way along the
+    grid's diagonal.
 
     The kernel order must exceed the sector order (the recursion would
     otherwise consult derivative levels the kernel does not control) and the
@@ -501,16 +502,14 @@ def build_model(historic: HistoricSet, kernel_assignment: Mapping[str, DyadicKer
     if len(grids) != 1:
         raise ValueError("noise fields live on different grids")
     grid = next(iter(noise.values())).grid
-    if base_points is None:
-        nt, nx = grid.shape
-        dt, dx = grid.spacing
-        base_points = [(0.0, 0.0),
-                       (nt // 4 * dt, nx // 4 * dx),
-                       (nt // 2 * dt, nx // 2 * dx)]
+    nt, nx = grid.shape
+    dt, dx = grid.spacing
+    base_points = ((0.0, 0.0), (nt // 4 * dt, nx // 4 * dx),
+                   (nt // 2 * dt, nx // 2 * dx))
     kernels = {name: KernelOnGrid(K, grid)
                for name, K in kernel_assignment.items()}
-    return ModelInstance(historic, kernels, dict(noise), prep,
-                         tuple(tuple(p) for p in base_points), grid)
+    return ModelInstance(historic, kernels, dict(noise), prep, base_points,
+                         grid)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as _iproduct
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .trees import (
     DecoratedTree,
@@ -21,7 +21,6 @@ from .trees import (
     leaf,
     mi_below,
     mi_leq_iter,
-    mi_zero,
     plant,
     tree_product,
 )
@@ -133,9 +132,9 @@ class Rule:
 
     # -- subcriticality -------------------------------------------------------
 
-    def subcritical_witness(self, grid: Sequence[Fraction] | None = None
-                            ) -> dict[str, Fraction] | None:
-        """Search for a rational regularity assignment on a candidate grid.
+    def subcritical_witness(self) -> dict[str, Fraction] | None:
+        """Search for a rational regularity assignment on the candidate grid
+        of eighths in [-4, 4].
 
         An assignment ``reg`` witnesses subcriticality if ``reg(t) <= |t|`` for
         noise types and, for every kernel type t,
@@ -143,9 +142,7 @@ class Rule:
         Returns the witness or None.
         """
         ts = self.typeset
-        if grid is None:
-            grid = [Fraction(n, 8) for n in range(-32, 33)]
-        grid = sorted(Fraction(g) for g in grid)
+        grid = [Fraction(n, 8) for n in range(-32, 33)]
         names = ts.type_names
         for values in _iproduct(grid, repeat=len(names)):
             reg = dict(zip(names, values))
@@ -283,14 +280,13 @@ def _decorate(skeleton: DecoratedTree, degree_cap: Fraction) -> list[DecoratedTr
     return sorted(out, key=DecoratedTree.sort_key)
 
 
-def generate(rule: Rule, degree_cap, edge_cap: int,
-             reg_grid: Sequence[Fraction] | None = None) -> TreeUniverse:
+def generate(rule: Rule, degree_cap, edge_cap: int) -> TreeUniverse:
     """Enumerate the universe of strongly conforming trees with degree and
     edge caps.  Refuses rules without a subcriticality witness."""
     if edge_cap is None or degree_cap is None:
         raise ValueError("degree_cap and edge_cap are mandatory")
     degree_cap = Fraction(degree_cap)
-    witness = rule.subcritical_witness(reg_grid)
+    witness = rule.subcritical_witness()
     if witness is None:
         raise ValueError("no subcriticality witness found on the candidate grid")
     trees: set[DecoratedTree] = set()

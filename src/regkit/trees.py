@@ -8,7 +8,7 @@ kappa whose value is fixed on the :class:`TypeSet`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as _iproduct
@@ -25,7 +25,6 @@ __all__ = [
     "mi_zero",
     "mi_add",
     "mi_sub",
-    "mi_leq",
     "mi_factorial",
     "mi_binom",
     "mi_below",
@@ -60,10 +59,6 @@ def mi_sub(a: MultiIndex, b: MultiIndex) -> MultiIndex:
     if any(x < 0 for x in out):
         raise ValueError(f"multi-index subtraction {a} - {b} is negative")
     return out
-
-
-def mi_leq(a: MultiIndex, b: MultiIndex) -> bool:
-    return all(x <= y for x, y in zip(a, b, strict=True))
 
 
 def mi_factorial(a: MultiIndex) -> int:
@@ -224,10 +219,6 @@ class TypeSet:
 
     def zero(self) -> MultiIndex:
         return mi_zero(self.d)
-
-    def lt(self, a: Degree, b: Degree | Fraction | int) -> bool:
-        bv = b.at(self.kappa) if isinstance(b, Degree) else Fraction(b)
-        return a.at(self.kappa) < bv
 
 
 # ---------------------------------------------------------------------------
@@ -579,13 +570,12 @@ def root_part_nodes(tree: DecoratedTree, cut: frozenset[int]) -> set[int]:
 
 
 def restrict(tree: DecoratedTree, keep: set[int],
-             ndeco_map: Mapping[int, MultiIndex],
-             keep_colour: bool = True) -> DecoratedTree:
+             ndeco_map: Mapping[int, MultiIndex]) -> DecoratedTree:
     """Tree induced on a root-containing node set, with node decorations replaced."""
     def rec(v):
         return (tuple(ndeco_map[v]),
                 [(tree.etype[c], tree.edeco[c], tree.odeco[c],
-                  tree.coloured[c] if keep_colour else False, rec(c))
+                  tree.coloured[c], rec(c))
                  for c in tree.children(v) if c in keep])
     if 0 not in keep:
         raise ValueError("restriction must contain the root")

@@ -393,10 +393,9 @@ def test_09_anisotropic_taylor():
     rng = np.random.default_rng(3)
     for _ in range(100):
         x = rng.uniform(-1, 1, 2)
-        jet, rem = aniso_taylor(p, A, x, pderiv)
+        jet, rem = aniso_taylor(A, x, pderiv)
         assert abs(p(x) - sum(jet.values()) - rem(x)) <= 1e-10
 
-    f = lambda z: math.sin(z[0] + z[1])  # noqa: E731
     derivs = lambda k, z: math.sin(z[0] + z[1]  # noqa: E731
                                    + (k[0] + k[1]) * math.pi / 2)
     lower = [(0, 0), (0, 1)]  # scaled degree below two under (2, 1)
@@ -404,7 +403,7 @@ def test_09_anisotropic_taylor():
     errs = []
     for h in hs:
         x = (h ** 2, h)
-        _jet, rem = aniso_taylor(f, lower, x, derivs)
+        _jet, rem = aniso_taylor(lower, x, derivs)
         errs.append(abs(rem(x)))
     assert fit_exponent(np.asarray(hs), errs) == pytest.approx(2.0, abs=0.2)
 

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -10,6 +11,9 @@ FAST = {
     "budgets": {"mc_samples": 50},
     "edge_cap": 3,
 }
+
+CLI_PINS = json.loads(
+    (Path(__file__).parent / "cli_report_pins.json").read_text())
 
 
 @pytest.fixture()
@@ -173,3 +177,21 @@ class TestVerify:
         result, report = invoke(runner, tmp_path, "verify", strict)
         assert result.exit_code == 1
         assert report["passed"] is False
+
+
+class TestPinnedReports:
+    """Every subcommand on FAST reproduces the report pinned in
+    ``cli_report_pins.json`` exactly, apart from the timestamp and the path
+    of the config file (a refactor of the library must not move them)."""
+
+    def test_pins_cover_every_command_on_fast(self):
+        assert CLI_PINS["config"] == FAST
+        assert set(CLI_PINS["reports"]) == set(main.commands)
+
+    @pytest.mark.parametrize("command", sorted(CLI_PINS["reports"]))
+    def test_report_matches_pin(self, runner, tmp_path, command):
+        result, report = invoke(runner, tmp_path, command, FAST)
+        assert result.exit_code == 0
+        report.pop("timestamp")
+        report["meta"].pop("config")
+        assert report == CLI_PINS["reports"][command]
