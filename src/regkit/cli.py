@@ -22,7 +22,7 @@ import click
 import numpy as np
 
 from .hopf import delta, delta_plus, delta_r_minus, delta_r_minus_reduced
-from .kernels import CutoffFamily, dilate, kernel_norm, snorm
+from .kernels import CutoffFamily, kernel_norm, snorm
 from .models import (
     Grid,
     bump_kernel,
@@ -75,6 +75,24 @@ class ConfigError(Exception):
         self.payload = {"error": {"kind": kind, "detail": detail}}
 
 
+def _matches(value, default) -> bool:
+    """Whether a supplied config value has the JSON type of its default: an
+    int may stand for a float, a number for a string (a number or an
+    expression, read through ``str``), and the rule path may be null."""
+    if isinstance(default, list):
+        return (type(value) is list and len(value) == len(default)
+                and all(map(_matches, value, default)))
+    allowed = {type(None): (type(None), str), float: (int, float),
+               str: (str, int, float)}
+    return type(value) in allowed.get(type(default), (type(default),))
+
+
+def _check_leaf(name: str, value, default) -> None:
+    if not _matches(value, default):
+        raise ConfigError("config-value", f"config key {name!r} must look "
+                          f"like its default {default!r}, got {value!r}")
+
+
 @dataclass
 class RunConfig:
     data: dict
@@ -112,8 +130,11 @@ class RunConfig:
                     if sub not in supplied[key]:
                         used.append(f"{key}.{sub}")
                         supplied[key][sub] = default[sub]
+                    _check_leaf(f"{key}.{sub}", supplied[key][sub],
+                                default[sub])
                 data[key] = supplied[key]
             else:
+                _check_leaf(key, supplied[key], default)
                 data[key] = supplied[key]
         unknown = set(supplied) - set(DEFAULTS)
         if unknown:
@@ -305,13 +326,11 @@ def _reassembly_defect(config: RunConfig) -> float:
     from the residual bump below the finest level."""
     levels = config.budget("dyadic_levels")
     K = bump_kernel(levels=levels, order=config.budget("kernel_order"))
-    cutoff = CutoffFamily((2, 1))
     rng = np.random.default_rng(config.seed("noise"))
     pts = rng.uniform(-1.0, 1.0, size=(4000, 2))
     pts = pts[snorm(pts, (2, 1)) >= 2.0 ** (-levels)]
-    original = cutoff.chi(dilate(pts, 4.0, (2, 1)))
-    rebuilt = K(pts) + K.remainder(pts)
-    return float(np.max(np.abs(rebuilt - original)))
+    rebuilt = sum(K.parts(pts))
+    return float(np.max(np.abs(rebuilt - K.profile(pts))))
 
 
 def kernels_report(config: RunConfig) -> dict:
@@ -323,7 +342,7 @@ def kernels_report(config: RunConfig) -> dict:
     return {"meta": config.meta(),
             "beta": str(K.beta),
             "order": config.budget("kernel_order"),
-            "levels": len(K.components) - 1,
+            "levels": K.levels,
             "norm": {"value": report.value, "mode": report.mode,
                      "degraded": report.degraded,
                      "per_component": list(report.per_component)},

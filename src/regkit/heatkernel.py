@@ -22,7 +22,8 @@ import numpy as np
 import sympy as sp
 from scipy.special import roots_jacobi, roots_legendre
 
-from .kernels import _down, _fd_derivative, _increment, lower_boundary
+from .kernels import (_down, _fd_derivative, _increment, dyadic_decompose,
+                      lower_boundary)
 
 __all__ = [
     "CoefficientField",
@@ -190,15 +191,7 @@ class FiniteDifferenceField:
         d = _fd_derivative(lambda z: raw(z[..., 0], z[..., 1]), k, self.steps)
         return lambda t, x: d(np.stack(np.broadcast_arrays(t, x), -1))
 
-    def jet(self, name: str, k, w) -> np.ndarray:
-        """Finite-difference d^k of a coefficient; w of shape (..., 2) gives
-        values of shape (...), as in CoefficientField.jet."""
-        if scaled_degree(k) > self.regularity:
-            raise ValueError("jet order exceeds the field's regularity")
-        w = np.asarray(w, dtype=float)
-        return (self._fn(name, tuple(k))(w[..., 0], w[..., 1])
-                * np.ones(w.shape[:-1]))
-
+    jet = CoefficientField.jet
     a = CoefficientField.a
     b = CoefficientField.b
     c = CoefficientField.c
@@ -803,6 +796,13 @@ class _Row(NamedTuple):
     k_label: tuple[int, int] | None   # first remainder's index; None = jet
 
 
+def _plan(rows) -> list:
+    """Pair each row with the slots that no later row in ``rows`` uses."""
+    last = {i: n for n, row in enumerate(rows) for i in row.slots}
+    return [(row, [i for i in row.slots if last[i] == n])
+            for n, row in enumerate(rows)]
+
+
 class EDecomposition:
     """Jet/remainder split of the error kernel in the base-point slot.
 
@@ -868,10 +868,11 @@ class EDecomposition:
             nu = tuple(sum(s.nu[c] for s in slots) for c in (0, 1))
             rows.append(_Row(nu, idx, lead, v2, rems[0] if rems else None))
         self.rows = sorted(rows, key=lambda row: row.k_label is not None)
+        self.plan = _plan(self.rows)
 
-    def _values(self, rows, w, z, zbar):
-        """Yield the value of each row at (w, z, zbar), evaluating every
-        slot the rows use once."""
+    def _values(self, plan, w, z, zbar):
+        """Yield the value of each row of a _plan at (w, z, zbar); each slot
+        is evaluated once and dropped after the last row that uses it."""
         w, z, zbar = (np.asarray(p, dtype=float) for p in (w, z, zbar))
         s_t = z[..., 0] - zbar[..., 0]
         mask = s_t > 0
@@ -879,12 +880,13 @@ class EDecomposition:
         lead = {False: 1.0 / safe,
                 True: 1.0 / safe * (z[..., 1] - zbar[..., 1]) ** 2 / safe}
         slot_values: dict = {}
-        for row in rows:
+        for row, done in plan:
             out = 1.0
             for i in row.slots:
                 if i not in slot_values:
                     slot_values[i] = self.slots[i].value(w, z, zbar)
-                out = out * slot_values[i]
+                out = out * (slot_values.pop(i) if i in done
+                             else slot_values[i])
             if row.lead:
                 out = np.where(mask, out * lead[row.v2], 0.0)
             yield out
@@ -895,20 +897,20 @@ class EDecomposition:
             if (row.k_label is None) == jet:
                 key = row.nu if jet else (row.k_label, row.nu)
                 groups.setdefault(key, []).append(row)
-        return groups
+        return {key: _plan(rows) for key, rows in groups.items()}
 
     # -- public views ---------------------------------------------------
     def jets(self) -> dict:
         """Jet kernels (w, z - zbar) -> value, keyed by nu."""
-        return {nu: lambda w, zeta, rows=rows:
-                sum(self._values(rows, w, zeta, np.zeros(2)))
-                for nu, rows in self._groups(jet=True).items()}
+        return {nu: lambda w, zeta, plan=plan:
+                sum(self._values(plan, w, zeta, np.zeros(2)))
+                for nu, plan in self._groups(jet=True).items()}
 
     def remainders(self) -> dict:
         """Remainder kernels (w, z, zbar) -> value, keyed by (k, nu)."""
-        return {key: lambda w, z, zbar, rows=rows:
-                sum(self._values(rows, w, z, zbar))
-                for key, rows in self._groups(jet=False).items()}
+        return {key: lambda w, z, zbar, plan=plan:
+                sum(self._values(plan, w, z, zbar))
+                for key, plan in self._groups(jet=False).items()}
 
     def reassemble(self, w, z, zbar) -> float:
         w, z, zbar = (np.asarray(p, dtype=float) for p in (w, z, zbar))
@@ -916,7 +918,7 @@ class EDecomposition:
         # the rows share few powers of the offset (16 for r = 3)
         mono = {nu: _mono(offset, nu) for nu in {row.nu for row in self.rows}}
         total = 0.0
-        for row, value in zip(self.rows, self._values(self.rows, w, z, zbar)):
+        for row, value in zip(self.rows, self._values(self.plan, w, z, zbar)):
             total = total + mono[row.nu] * value
         return total
 
@@ -1030,7 +1032,6 @@ class GreenDecomposition:
         return lambda zeta: self.cutoff.chi(zeta) * inner(zeta)
 
     def dyadic(self, w):
-        from .kernels import dyadic_decompose
         return dyadic_decompose(self.local(w), self.cutoff, self.levels,
                                 beta=Fraction(2), order=self.M)
 

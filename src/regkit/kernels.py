@@ -82,57 +82,39 @@ class CutoffFamily:
 
 @dataclass(frozen=True)
 class DyadicKernel:
-    """A kernel given by dyadic components, K = Σ_n K_n + far-field rest.
+    """K = Σ_{n≤N} φ_n·F, stored as the profile F, the cutoff and N only.
 
-    The n-th component is supported in B_s(0, 2^{-n}); ``beta`` is the
+    K_n = φ_n·F is supported in B_s(0, 2^{-n}), and K plus the far-field rest
+    R = (1−χ)·F reassembles F off B_s(0, 2^{-(N+1)}).  ``beta`` is the
     regularising order and ``order`` the number 𝔬 of controlled derivative
     levels (norms measure |k|_s ≤ 2𝔬, by finite differences).
     """
 
+    profile: Callable
+    cutoff: CutoffFamily
+    levels: int
     beta: Fraction
     order: int
-    scaling: tuple[int, ...]
-    components: tuple[Callable, ...]
-    remainder: Callable | None = None
 
-    @property
-    def d(self) -> int:
-        return len(self.scaling)
+    def component(self, n: int) -> Callable:
+        """The n-th dyadic piece z ↦ φ_n(z)·F(z)."""
+        return lambda z: self.cutoff.phi_n(z, n) * self.profile(z)
 
-    def support_radius(self, n: int) -> float:
-        return 2.0 ** (-n)
-
-    def __call__(self, z):
+    def parts(self, z) -> list:
+        """[K_0(z), …, K_N(z), R(z)] from one evaluation of the profile."""
         z = np.asarray(z, dtype=float)
-        total = np.zeros(z.shape[:-1])
-        for comp in self.components:
-            total = total + comp(z)
-        return total
-
-    def scaled(self, c: float) -> "DyadicKernel":
-        comps = tuple((lambda z, k=k: c * k(z)) for k in self.components)
-        rem = None if self.remainder is None else (
-            lambda z: c * self.remainder(z))
-        return DyadicKernel(self.beta, self.order, self.scaling, comps, rem)
+        f = self.profile(z)
+        return ([self.cutoff.phi_n(z, n) * f for n in range(self.levels + 1)]
+                + [(1.0 - self.cutoff.chi(z)) * f])
 
 
 def dyadic_decompose(F: Callable, cutoff: CutoffFamily, N: int, *,
                      beta: Fraction, order: int = 0) -> DyadicKernel:
-    """Chop an evaluator into F = R + Σ_{n≤N} φ_n·F.
-
-    The far-field part R = (1−χ)F is stored as the kernel's remainder, so the
-    kernel plus its remainder reassembles F away from the residual bump at
-    scale 2^{-(N+1)} (and exactly once F is supported in B_s(0,1)).
-    """
+    """Split the profile F into N + 1 dyadic components and the far-field
+    rest: F = R + Σ_{n≤N} φ_n·F (see DyadicKernel)."""
     if N <= 0:
         raise ValueError("need at least one dyadic level")
-
-    def component(n):
-        return lambda z: cutoff.phi_n(z, n) * F(z)
-
-    comps = tuple(component(n) for n in range(N + 1))
-    rem = lambda z: (1.0 - cutoff.chi(z)) * F(z)
-    return DyadicKernel(Fraction(beta), order, cutoff.scaling, comps, rem)
+    return DyadicKernel(F, cutoff, N, Fraction(beta), order)
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +190,16 @@ def kernel_norm(K: DyadicKernel, *, samples_per_axis: int = 17) -> NormReport:
     so any norm with 𝔬 > 0 is flagged as a degraded estimate rather than
     hidden; with 𝔬 = 0 only the components themselves are sampled.
     """
-    scaling = K.scaling
+    scaling = K.cutoff.scaling
     abs_s = sum(scaling)
     beta = float(K.beta)
     kset = _multi_indices_upto(scaling, 2 * K.order)
     degraded = any(any(k) for k in kset)
-    mode = "finite-difference" if degraded else "closed-form"
+    mode = "finite-difference" if degraded else "sampled"
     per = []
-    for n, comp in enumerate(K.components):
-        r = K.support_radius(n)
+    for n in range(K.levels + 1):
+        comp = K.component(n)
+        r = 2.0 ** (-n)
         steps = [r ** s / 40.0 for s in scaling]
         best = 0.0
         for k in kset:
@@ -226,8 +209,7 @@ def kernel_norm(K: DyadicKernel, *, samples_per_axis: int = 17) -> NormReport:
             best = max(best, _sup_abs(dk, r, scaling, samples_per_axis)
                        / weight)
         per.append(best)
-    value = max(per) if per else 0.0
-    return NormReport(value, mode, tuple(per), degraded)
+    return NormReport(max(per), mode, tuple(per), degraded)
 
 
 def holder_norm_estimate(fieldfn: Callable, alpha: float,

@@ -190,7 +190,9 @@ def monomial_field(grid: Grid, base, k: MultiIndex) -> GridField:
 
 
 class KernelOnGrid:
-    """A translation-invariant kernel sampled at grid offsets.
+    """A translation-invariant kernel sampled at grid offsets: the window
+    holds the dyadic components plus the far-field rest, K + R, from one
+    evaluation of the kernel's profile.
 
     Derivative kernels are produced by iterated central differences of the
     sampled window, so that every derivative label is realised by a fixed
@@ -199,21 +201,16 @@ class KernelOnGrid:
     """
 
     def __init__(self, kernel: DyadicKernel, grid: Grid):
-        self.kernel = kernel
         self.grid = grid
-        self.order = kernel.order
-        self.beta = kernel.beta
         dt, dx = grid.spacing
-        r = kernel.support_radius(0)
-        it = min(int(math.ceil(r * r / dt)), grid.shape[0] // 2 - 1)
-        ix = min(int(math.ceil(r / dx)), grid.shape[1] // 2 - 1)
+        # sized for the coarsest component, supported in B_s(0, 1)
+        it = min(int(math.ceil(1.0 / dt)), grid.shape[0] // 2 - 1)
+        ix = min(int(math.ceil(1.0 / dx)), grid.shape[1] // 2 - 1)
         self._half = (it + 6, ix + 6)  # six cells of margin
         ti = np.arange(-self._half[0], self._half[0] + 1) * dt
         xi = np.arange(-self._half[1], self._half[1] + 1) * dx
         pts = np.stack(np.meshgrid(ti, xi, indexing="ij"), axis=-1)
-        window = kernel(pts)
-        if kernel.remainder is not None:
-            window = window + kernel.remainder(pts)
+        window = sum(kernel.parts(pts))
         self._windows: dict[MultiIndex, np.ndarray] = {(0, 0): window}
         self._stencils: dict[MultiIndex, tuple] = {}
 

@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from regkit.cli import DEFAULT_RULE, RunConfig, load_rule, main
+from regkit.heatkernel import CoefficientField
 
 FAST = {
     "grid": {"shape": [128, 128], "dx": "1/8"},
@@ -66,6 +67,30 @@ class TestConfig:
         assert result.exit_code == 2
         assert report["error"]["kind"] == "config-value"
         assert "mc_samples" in report["error"]["detail"]
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"edge_cap": "four"}, "edge_cap"),
+        ({"budgets": {"mc_samples": "many"}}, "budgets.mc_samples"),
+        ({"grid": {"shape": 5}}, "grid.shape"),
+    ])
+    def test_mistyped_value_refused(self, runner, tmp_path, overrides, key):
+        result, report = invoke(runner, tmp_path, "trees", overrides)
+        assert result.exit_code == 2
+        assert report["error"]["kind"] == "config-value"
+        assert repr(key) in report["error"]["detail"]
+
+    def test_number_for_numeric_string_accepted(self, runner, tmp_path):
+        result, report = invoke(runner, tmp_path, "trees",
+                                {"degree_cap": 2, "edge_cap": 3})
+        assert result.exit_code == 0
+        assert report["degree_cap"] == "2"
+        path = tmp_path / "numbers.json"
+        path.write_text(json.dumps({"grid": {"dx": 0.0625},
+                                    "heat_field": {"b": 0}}))
+        cfg = RunConfig.load(str(path))
+        assert cfg.grid() == RunConfig.load(None).grid()
+        fld = CoefficientField.make(**cfg.data["heat_field"])
+        assert fld.b_expr == 0
 
     def test_corrupted_rule_is_structured_error(self, runner, tmp_path):
         bad = tmp_path / "rule.json"

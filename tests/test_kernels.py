@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from regkit.kernels import (
     CutoffFamily,
@@ -15,6 +16,7 @@ from regkit.kernels import (
     lower_boundary,
     snorm,
 )
+from regkit.models import bump_kernel
 
 SCALING = (2, 1)
 
@@ -62,24 +64,39 @@ class TestDyadicDecompose:
         with pytest.raises(ValueError):
             dyadic_decompose(lambda z: 1.0, cutoff, 0, beta=Fraction(2))
 
-    def test_partition_of_unity(self, cutoff, points):
+    @settings(max_examples=40, deadline=None)
+    @given(N=st.integers(1, 10),
+           pts=st.lists(st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+                        min_size=1, max_size=40))
+    def test_partition_of_unity(self, cutoff, N, pts):
+        # the components and the rest sum to 1 off B_s(0, 2^{-N})
+        pts = np.array(pts)
+        pts = pts[snorm(pts, SCALING) >= 2.0 ** -N]
+        assume(len(pts))
         one = lambda z: np.ones(z.shape[:-1])
-        K = dyadic_decompose(one, cutoff, 8, beta=Fraction(2))
-        pts = points[snorm(points, SCALING) > 2.0 ** -8]
-        reassembled = K(pts) + K.remainder(pts)
-        assert np.max(np.abs(reassembled - 1.0)) < 1e-12
+        K = dyadic_decompose(one, cutoff, N, beta=Fraction(2))
+        assert np.max(np.abs(sum(K.parts(pts)) - 1.0)) < 1e-12
+
+    def test_parts_match_components(self, cutoff, points):
+        K = dyadic_decompose(heat_gaussian, cutoff, 6, beta=Fraction(2))
+        parts = K.parts(points)
+        assert len(parts) == 8
+        for n in range(7):
+            assert np.array_equal(parts[n], K.component(n)(points))
+        rest = (1.0 - cutoff.chi(points)) * heat_gaussian(points)
+        assert np.array_equal(parts[-1], rest)
 
     def test_component_supports(self, cutoff, points):
         K = dyadic_decompose(heat_gaussian, cutoff, 8, beta=Fraction(2))
         for n in (0, 2, 5):
             outside = points[snorm(points, SCALING) > 2.0 ** -n]
-            assert np.all(K.components[n](outside) == 0.0)
+            assert np.all(K.component(n)(outside) == 0.0)
 
     def test_reassembly_off_origin(self, cutoff, points):
         K = dyadic_decompose(heat_gaussian, cutoff, 10, beta=Fraction(2))
         pts = points[snorm(points, SCALING) > 0.01]
         direct = heat_gaussian(pts)
-        assert np.max(np.abs(K(pts) + K.remainder(pts) - direct)) < 1e-10
+        assert np.max(np.abs(sum(K.parts(pts)) - direct)) < 1e-10
 
 
 class TestKernelNorm:
@@ -90,8 +107,10 @@ class TestKernelNorm:
 
     def test_homogeneity(self, cutoff):
         K = dyadic_decompose(heat_gaussian, cutoff, 5, beta=Fraction(2))
+        K8 = dyadic_decompose(lambda z: 8.0 * heat_gaussian(z), cutoff, 5,
+                              beta=Fraction(2))
         base = kernel_norm(K, samples_per_axis=9).value
-        scaled = kernel_norm(K.scaled(8.0), samples_per_axis=9).value
+        scaled = kernel_norm(K8, samples_per_axis=9).value
         assert scaled == pytest.approx(8.0 * base, rel=1e-12)
 
     def test_heat_kernel_norm_stable(self, cutoff):
@@ -103,12 +122,17 @@ class TestKernelNorm:
         assert abs(fine.value - coarse.value) <= 0.01 * fine.value
         assert coarse.degraded and coarse.mode == "finite-difference"
 
+    def test_order_zero_only_samples(self):
+        report = kernel_norm(bump_kernel(levels=2, order=0))
+        assert report.mode == "sampled"
+        assert report.degraded is False
+
     def test_subadditive(self, cutoff):
+        wave = lambda z: np.cos(3.0 * z[..., 1]) * cutoff.chi(z)
         K1 = dyadic_decompose(heat_gaussian, cutoff, 5, beta=Fraction(2))
-        K2 = K1.scaled(0.5)
-        comps = tuple((lambda z, a=a, b=b: a(z) + b(z))
-                      for a, b in zip(K1.components, K2.components))
-        Ksum = type(K1)(K1.beta, K1.order, K1.scaling, comps)
+        K2 = dyadic_decompose(wave, cutoff, 5, beta=Fraction(2))
+        Ksum = dyadic_decompose(lambda z: heat_gaussian(z) + wave(z), cutoff,
+                                5, beta=Fraction(2))
         n1 = kernel_norm(K1, samples_per_axis=9).value
         n2 = kernel_norm(K2, samples_per_axis=9).value
         ns = kernel_norm(Ksum, samples_per_axis=9).value

@@ -6,9 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from regkit.kernels import CutoffFamily, dilate, dyadic_decompose
 from regkit.models import (
     Grid,
     GridField,
+    KernelOnGrid,
     build_model,
     bump_kernel,
     check_chain,
@@ -91,6 +93,22 @@ class TestGrid:
         # central differences are exact on quadratics away from the wrap
         inner = df.values[:, 1:-1] - 2.0 * grid.axes()[1][1:-1]
         assert np.max(np.abs(inner)) < 1e-10
+
+
+class TestKernelOnGrid:
+    def test_profile_evaluated_once(self, grid):
+        cutoff = CutoffFamily((2, 1))
+        calls = []
+
+        def profile(z):
+            calls.append(z.shape)
+            return cutoff.chi(dilate(z, 4.0, (2, 1)))
+
+        K = dyadic_decompose(profile, cutoff, 4, beta=Fraction(2), order=8)
+        window = KernelOnGrid(K, grid).stencil()
+        assert calls == [(267, 45, 2)]
+        ref = KernelOnGrid(bump_kernel(order=8), grid).stencil()
+        assert all(np.array_equal(a, b) for a, b in zip(window, ref))
 
 
 class TestBuildModel:
@@ -301,7 +319,6 @@ class TestExpectationOracle:
 
     def test_squared_tree_matches_wick_variance(self, quartic_sector, grid,
                                                 sampler, ts):
-        from regkit.models import KernelOnGrid
         psi = plant(noise(ts, "Xi"), "I")
         psi2 = tree_product(psi, psi)
         K = bump_kernel(order=8)
