@@ -87,10 +87,34 @@ def _matches(value, default) -> bool:
     return type(value) in allowed.get(type(default), (type(default),))
 
 
+def _field_expression(value) -> None:
+    """Parse a coefficient as ``CoefficientField.make`` does; it must be an
+    expression in t and x."""
+    import sympy as sp
+    from .heatkernel import T_SYM, X_SYM
+    expr = sp.sympify(value, locals={"t": T_SYM, "x": X_SYM})
+    if not isinstance(expr, sp.Expr) or expr.free_symbols - {T_SYM, X_SYM}:
+        raise ValueError("not an expression in t and x")
+
+
+# leaves that a report parses later, with the parser it uses
+_PARSED = {"degree_cap": lambda v: Fraction(str(v)),
+           "grid.dx": lambda v: Fraction(str(v)),
+           **{f"heat_field.{c}": _field_expression for c in "abc"}}
+
+
 def _check_leaf(name: str, value, default) -> None:
     if not _matches(value, default):
         raise ConfigError("config-value", f"config key {name!r} must look "
                           f"like its default {default!r}, got {value!r}")
+    parse = _PARSED.get(name)
+    if parse is None:
+        return
+    try:
+        parse(value)
+    except Exception as exc:  # sympify evaluates the string: anything can fail
+        raise ConfigError("config-value", f"config key {name!r} does not "
+                          f"parse: {value!r} ({exc})") from exc
 
 
 @dataclass

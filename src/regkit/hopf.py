@@ -1,21 +1,25 @@
 """Coproducts, characters and the antipode for decorated trees.
 
-Three coproducts are implemented on top of a shared cut engine:
+One cut engine, ``_cut_terms``, sums over kernel cuts, decoration transfers
+onto the cut edges, lowerings of the root part's uncoloured kernel edges and
+node splits; its callers supply the bounds and a filter on the left slot:
 
-* ``delta`` -- the recentering coaction.  The right slot collects the planted
-  branches above a cut (projected onto positive-degree products), the left
-  slot keeps the root part.
-* ``delta_plus`` -- restriction of ``delta`` whose left slot is also projected
-  onto positive products; this is the coproduct of the structure-group Hopf
-  algebra and the one used by the antipode and character convolution.
-* ``delta_r_minus`` -- root extraction.  The left slot is the root part,
-  projected onto negative trees (the unit is kept), the right slot is the
-  unprojected quotient in which the root part is collapsed to the new root.
+* ``delta`` -- the recentering coaction: root part tensor the planted
+  branches above the cut, each transfer bounded by the positivity of its
+  planted factor, no lowerings.  ``delta_plus`` also projects the left slot
+  onto positive products; it is the coproduct of the structure-group Hopf
+  algebra, used by the antipode and character convolution.
+* ``delta_tilde_explicit`` / ``delta_tilde_coloured`` -- the non-recursive
+  jet coproduct on plain and coloured trees: transfers and lowerings below
+  the derivative budget, the left slot below the jet exponent.
 
-On top of these sit the character group (``Character``, ``convolve``,
-``character_inverse``, ``gamma_action``) and the jet coproduct
-``delta_tilde`` with its non-recursive form and its extension to coloured
-trees, plus the derivative-redistribution map ``d_map``.
+``delta_r_minus`` (root extraction: negative root part or the unit, tensor
+the quotient with the root part collapsed to the new root) keeps its own
+loop over all cuts, because it bounds the transfer jointly over the cut
+edges.  ``d_map`` makes no cut and lowers every kernel edge.  All of them
+build the root part with ``_left``.  On top sit the character group
+(``Character``, ``convolve``, ``character_inverse``, ``gamma_action``) and
+the recursive jet coproduct ``delta_tilde``.
 
 All coefficients are exact rationals.
 """
@@ -41,7 +45,6 @@ from .trees import (
     mi_sub,
     monomial,
     plant,
-    restrict,
     root_part_nodes,
     tree_product,
 )
@@ -124,32 +127,100 @@ def _quotient(tree: DecoratedTree, cut: Iterable[int], eps: Mapping[int, MultiIn
     return tree_product(*factors)
 
 
+def _weighted_choices(keys: list, options: list[list[tuple]]):
+    """Every choice of one ``(value, coeff)`` option per key; yields the
+    choice as a ``{key: value}`` map with the product of its coefficients."""
+    for combo in _iproduct(*options):
+        coeff = Fraction(1)
+        for _v, c in combo:
+            coeff *= c
+        yield {k: v for k, (v, _c) in zip(keys, combo)}, coeff
+
+
 def _node_splits(tree: DecoratedTree, nodes: list[int]):
     """All ways of splitting off part of the node decorations on `nodes`;
     yields (split map, binomial coefficient, leftover total)."""
-    options = []
-    for v in nodes:
-        options.append([(v, n, mi_binom(tree.ndeco[v], n))
-                        for n in mi_leq_iter(tree.ndeco[v])])
-    for combo in _iproduct(*options):
-        n_map = {v: n for (v, n, _b) in combo}
-        coeff = 1
+    options = [[(n, mi_binom(tree.ndeco[v], n)) for n in mi_leq_iter(tree.ndeco[v])]
+               for v in nodes]
+    for n_map, coeff in _weighted_choices(nodes, options):
         leftover = tree.typeset.zero()
-        for (v, n, b) in combo:
-            coeff *= b
-            leftover = mi_add(leftover, mi_sub(tree.ndeco[v], n))
+        for v in nodes:
+            leftover = mi_add(leftover, mi_sub(tree.ndeco[v], n_map[v]))
         yield n_map, coeff, leftover
 
 
-def _left_tree(tree: DecoratedTree, keep: set[int], n_map: Mapping[int, MultiIndex],
-               eps: Mapping[int, MultiIndex]) -> DecoratedTree:
-    """Root part of the tree with decorations n + (cut decorations pushed onto
-    their lower node)."""
+def _lowerings(tree: DecoratedTree, e: int, bound: Fraction) -> list[tuple]:
+    """Ways of lowering the decoration of kernel edge e by ``low`` while
+    pushing k onto its lower node, with |k|_s + |low|_s < bound; each option
+    is ``((low, k), binom(edeco, low) / k!)``."""
+    ts = tree.typeset
+    return [((low, k), Fraction(mi_binom(tree.edeco[e], low), mi_factorial(k)))
+            for low in mi_leq_iter(tree.edeco[e])
+            for k in mi_below(ts.scaling, bound - ts.sdeg(low))]
+
+
+def _left(tree: DecoratedTree, keep: set[int], n_map: Mapping[int, MultiIndex],
+          pushed: Mapping[int, MultiIndex],
+          lowered: Mapping[int, tuple[MultiIndex, MultiIndex]]) -> DecoratedTree:
+    """Root part of the tree on the nodes ``keep``, with node decorations
+    ``n_map``.  Each ``pushed`` decoration on a cut edge goes onto the edge's
+    lower node; each ``lowered`` edge e with ``(low, k)`` loses ``low`` from
+    its decoration, pushes k onto its lower node and gets the
+    over-decoration k + low."""
     ndeco = dict(n_map)
-    for e, k in eps.items():
-        v = tree.parent[e]
-        ndeco[v] = mi_add(ndeco[v], k)
-    return restrict(tree, keep, ndeco)
+    for e, k in list(pushed.items()) + [(e, k) for e, (_l, k) in lowered.items()]:
+        ndeco[tree.parent[e]] = mi_add(ndeco[tree.parent[e]], k)
+
+    def rec(v):
+        out = []
+        for c in tree.children(v):
+            if c not in keep:
+                continue
+            ed, od = tree.edeco[c], tree.odeco[c]
+            if c in lowered:
+                low, k = lowered[c]
+                ed, od = mi_sub(ed, low), mi_add(k, low)
+            out.append((tree.etype[c], ed, od, tree.coloured[c], rec(c)))
+        return (ndeco[v], out)
+
+    return DecoratedTree._from_nested(tree.typeset, rec(0))
+
+
+def _cut_terms(tree: DecoratedTree, transfer_bound: Callable[[int], Fraction],
+               lower_bound: Fraction | None,
+               keep_left: Callable[[DecoratedTree], bool]):
+    """The cut engine: yields ``((left, right), coeff)`` over kernel cuts.
+
+    For each cut, each cut edge e takes on a decoration k with
+    |k|_s < ``transfer_bound(e)`` that the right slot plants with it and the
+    left slot pushes onto e's lower node.  With a ``lower_bound``, every
+    uncoloured kernel edge of the root part is also lowered (see
+    ``_lowerings``); without one (``None``) no edge is lowered.  Node
+    decorations of the root part are split between the left slot and a
+    monomial in the right slot.  Terms whose left slot fails ``keep_left``
+    are dropped.
+    """
+    ts = tree.typeset
+    for cut in cuts(tree, kernel_only=True):
+        keep = root_part_nodes(tree, cut)
+        cut_edges = sorted(cut)
+        eps_opts = [[(k, Fraction(1, mi_factorial(k)))
+                     for k in mi_below(ts.scaling, transfer_bound(e))]
+                    for e in cut_edges]
+        if not all(eps_opts):
+            continue
+        inner = [] if lower_bound is None else [
+            e for e in sorted(keep - {0})
+            if ts.is_kernel(tree.etype[e]) and not tree.coloured[e]]
+        low_opts = [_lowerings(tree, e, lower_bound) for e in inner]
+        split_data = list(_node_splits(tree, sorted(keep)))
+        for eps, c_eps in _weighted_choices(cut_edges, eps_opts):
+            for lowered, c_low in _weighted_choices(inner, low_opts):
+                for n_map, c_bin, leftover in split_data:
+                    left = _left(tree, keep, n_map, eps, lowered)
+                    if keep_left(left):
+                        right = _quotient(tree, cut_edges, eps, leftover)
+                        yield (left, right), c_eps * c_low * c_bin
 
 
 def is_positive_product(tree: DecoratedTree) -> bool:
@@ -167,30 +238,9 @@ def delta(tree: DecoratedTree) -> TensorSum:
     the decoration transfer onto the cut edges is truncated exactly by the
     positivity requirement on each planted factor.
     """
-    ts = tree.typeset
-    acc: list = []
-    for cut in cuts(tree, kernel_only=True):
-        keep = root_part_nodes(tree, cut)
-        cut_edges = sorted(cut)
-        eps_opts = []
-        for e in cut_edges:
-            bound = _planted_factor_degree(tree, e)
-            opts = [(e, k, Fraction(1, mi_factorial(k)))
-                    for k in mi_below(ts.scaling, bound)]
-            eps_opts.append(opts)
-        if any(not o for o in eps_opts):
-            continue
-        split_data = list(_node_splits(tree, sorted(keep)))
-        for combo in _iproduct(*eps_opts):
-            eps = {e: k for (e, k, _c) in combo}
-            eps_coeff = Fraction(1)
-            for (_e, _k, c) in combo:
-                eps_coeff *= c
-            for n_map, bin_coeff, leftover in split_data:
-                left = _left_tree(tree, keep, n_map, eps)
-                right = _quotient(tree, cut_edges, eps, leftover)
-                acc.append(((left, right), eps_coeff * bin_coeff))
-    return TensorSum(acc)
+    return TensorSum(_cut_terms(
+        tree, lambda e: _planted_factor_degree(tree, e), lower_bound=None,
+        keep_left=lambda _left: True))
 
 
 @lru_cache(maxsize=None)
@@ -201,14 +251,15 @@ def delta_plus(tree: DecoratedTree) -> TensorSum:
 
 
 def _rminus_terms(tree: DecoratedTree):
+    """Root extraction over all cuts.  The decoration transfer is bounded
+    jointly over the cut edges, by the negativity of the root part."""
     ts = tree.typeset
     d = ts.d
     for cut in cuts(tree):
         keep = root_part_nodes(tree, cut)
         cut_edges = sorted(cut)
         for n_map, bin_coeff, leftover in _node_splits(tree, sorted(keep)):
-            zero_eps = {e: ts.zero() for e in cut_edges}
-            base = _left_tree(tree, keep, n_map, zero_eps)
+            base = _left(tree, keep, n_map, {}, {})
             base_deg = base.degree_value()
             eps_choices: list[dict] = []
             if base_deg < 0:
@@ -218,13 +269,13 @@ def _rminus_terms(tree: DecoratedTree):
                         {e: flat[i * d:(i + 1) * d]
                          for i, e in enumerate(cut_edges)})
             elif base.is_unit:
-                eps_choices.append(zero_eps)
+                eps_choices.append({e: ts.zero() for e in cut_edges})
             for eps in eps_choices:
-                coeff = Fraction(bin_coeff)
+                coeff = bin_coeff
                 for k in eps.values():
                     coeff /= mi_factorial(k)
                 left = base if all(not any(k) for k in eps.values()) \
-                    else _left_tree(tree, keep, n_map, eps)
+                    else _left(tree, keep, n_map, eps, {})
                 right = _quotient(tree, cut_edges, eps, leftover)
                 yield (left, right), coeff
 
@@ -427,13 +478,6 @@ def m_star(gamma: GammaMap, trees: Iterable[DecoratedTree]) -> Fraction:
 # jet coproduct
 
 
-def _plantk(tree: DecoratedTree, etype: str, edeco: MultiIndex,
-            odeco: MultiIndex | None) -> DecoratedTree:
-    if odeco is not None and not any(odeco):
-        odeco = None
-    return plant(tree, etype, edeco=edeco, odeco=odeco)
-
-
 def delta_tilde(tree: DecoratedTree, gamma: GammaMap,
                 m: Fraction) -> TensorSum:
     """Jet coproduct, computed by structural recursion.
@@ -470,11 +514,10 @@ def _delta_tilde_atom(tree: DecoratedTree, gamma: GammaMap,
     if et in ts.noise_types:
         # no cut is possible through a noise trunk; only the polynomial
         # decorations get redistributed
-        acc = []
-        for n_map, coeff, leftover in _node_splits(tree, list(range(tree.n_nodes))):
-            acc.append(((restrict(tree, set(range(tree.n_nodes)), n_map),
-                         monomial(ts, leftover)), Fraction(coeff)))
-        return TensorSum(acc)
+        nodes = list(range(tree.n_nodes))
+        return TensorSum(
+            ((_left(tree, set(nodes), n_map, {}, {}), monomial(ts, leftover)), coeff)
+            for n_map, coeff, leftover in _node_splits(tree, nodes))
     g = gamma.of(tree)
     br_gamma = gamma._of(br)
     acc = []
@@ -485,7 +528,7 @@ def _delta_tilde_atom(tree: DecoratedTree, gamma: GammaMap,
             kl = mi_add(k, l)
             coeff = Fraction(mi_binom(j, l), mi_factorial(k))
             for (il, ir), c in inner.items():
-                left = tree_product(monomial(ts, k), _plantk(il, et, jl, kl))
+                left = tree_product(monomial(ts, k), plant(il, et, jl, kl))
                 acc.append(((left, ir), coeff * c))
     # polynomial part: the branch is frozen into the right slot
     for k in mi_below(ts.scaling, m - ts.sdeg(j)):
@@ -499,83 +542,19 @@ def _delta_tilde_atom(tree: DecoratedTree, gamma: GammaMap,
 
 def _explicit_terms(tree: DecoratedTree, gamma: GammaMap, m: Fraction,
                     gamma_cut: Fraction, left_degree: Callable):
-    """Shared engine for the non-recursive jet coproduct (plain and coloured
-    input). Cuts avoid coloured edges; decoration transfer runs over the
-    uncoloured kernel edges of the root part."""
+    """The cut engine with the jet bounds (plain and coloured input): the
+    decoration on a cut edge keeps the planted factor's jet exponent
+    positive and stays below the derivative budget ``m``, lowerings stay
+    below ``m``, and the left slot's degree below ``gamma_cut``."""
     ts = tree.typeset
-    for cut in cuts(tree, kernel_only=True):
-        keep = root_part_nodes(tree, cut)
-        cut_edges = sorted(cut)
-        inner_edges = [e for e in sorted(keep - {0})
-                       if ts.is_kernel(tree.etype[e]) and not tree.coloured[e]]
-        # trailing decoration on the cut edges: bounded by the positivity of
-        # the resulting planted factor and by the derivative budget
-        eps_opts = []
-        for e in cut_edges:
-            base_g = (gamma._of(tree.branch(e).strip_odeco())
-                      + ts.degree_of(tree.etype[e]).at(ts.kappa))
-            opts = []
-            for k in mi_below(ts.scaling, base_g - ts.sdeg(tree.edeco[e])):
-                if ts.sdeg(mi_add(tree.edeco[e], k)) >= m:
-                    continue
-                opts.append((e, k, Fraction(1, mi_factorial(k))))
-            eps_opts.append(opts)
-        if any(not o for o in eps_opts):
-            continue
-        # lowering/raising on the interior kernel edges of the root part
-        edge_opts = []
-        for e in inner_edges:
-            opts = []
-            for low in mi_leq_iter(tree.edeco[e]):
-                for k in mi_below(ts.scaling, m - ts.sdeg(low)):
-                    opts.append((e, low, k,
-                                 Fraction(mi_binom(tree.edeco[e], low),
-                                          mi_factorial(k))))
-            edge_opts.append(opts)
-        split_data = list(_node_splits(tree, sorted(keep)))
-        for eps_combo in _iproduct(*eps_opts):
-            eps = {e: k for (e, k, _c) in eps_combo}
-            c_eps = Fraction(1)
-            for (_e, _k, c) in eps_combo:
-                c_eps *= c
-            for edge_combo in _iproduct(*edge_opts):
-                c_edge = Fraction(1)
-                for (_e, _l, _k, c) in edge_combo:
-                    c_edge *= c
-                for n_map, c_bin, leftover in split_data:
-                    ndeco = dict(n_map)
-                    for e, k in eps.items():
-                        ndeco[tree.parent[e]] = mi_add(ndeco[tree.parent[e]], k)
-                    for (e, _l, k, _c) in edge_combo:
-                        ndeco[tree.parent[e]] = mi_add(ndeco[tree.parent[e]], k)
-                    low = {e: l for (e, l, _k, _c) in edge_combo}
-                    over = {e: mi_add(k, l)
-                            for (e, l, k, _c) in edge_combo}
-                    left = _rebuild_left(tree, keep, ndeco, low, over)
-                    if left_degree(left) >= gamma_cut:
-                        continue
-                    right = _quotient(tree, cut_edges, eps, leftover)
-                    yield (left, right), c_eps * c_edge * c_bin
 
+    def transfer_bound(e: int) -> Fraction:
+        base_g = (gamma._of(tree.branch(e).strip_odeco())
+                  + ts.degree_of(tree.etype[e]).at(ts.kappa))
+        return min(base_g, m) - ts.sdeg(tree.edeco[e])
 
-def _rebuild_left(tree: DecoratedTree, keep: set[int],
-                  ndeco: Mapping[int, MultiIndex],
-                  lowered: Mapping[int, MultiIndex],
-                  over: Mapping[int, MultiIndex]) -> DecoratedTree:
-    def rec(v):
-        out = []
-        for c in tree.children(v):
-            if c not in keep:
-                continue
-            ed = tree.edeco[c]
-            od = tree.odeco[c]
-            if c in lowered:
-                ed = mi_sub(ed, lowered[c])
-                od = over[c] if any(over[c]) else None
-            out.append((tree.etype[c], ed, od, tree.coloured[c], rec(c)))
-        return (tuple(ndeco[v]), out)
-
-    return DecoratedTree._from_nested(tree.typeset, rec(0))
+    return _cut_terms(tree, transfer_bound, lower_bound=m,
+                      keep_left=lambda left: left_degree(left) < gamma_cut)
 
 
 def delta_tilde_explicit(tree: DecoratedTree, gamma: GammaMap,
@@ -611,34 +590,18 @@ def d_map(tree: DecoratedTree, m: Fraction) -> FormalSum:
     in the over-decoration) and an extra derivative may be pushed onto the
     edge's lower node, weighted by inverse factorials.
     """
-    ts = tree.typeset
     if tree.degree_value() >= 0:
         # lowering edge decorations or pushing derivatives onto nodes can only
         # raise the degree, so nothing survives the negativity projection
         return FormalSum.zero()
-    headroom = -tree.degree_value()
-    edge_opts = []
-    for e in tree.kernel_edges():
-        opts = []
-        for low in mi_leq_iter(tree.edeco[e]):
-            for k in mi_below(ts.scaling, headroom - ts.sdeg(low)):
-                if ts.sdeg(mi_add(k, low)) >= m:
-                    continue
-                opts.append((e, low, k,
-                             Fraction(mi_binom(tree.edeco[e], low),
-                                      mi_factorial(k))))
-        edge_opts.append(opts)
-    acc = []
+    edges = tree.kernel_edges()
+    bound = min(-tree.degree_value(), m)
     keep = set(range(tree.n_nodes))
-    for combo in _iproduct(*edge_opts):
-        coeff = Fraction(1)
-        ndeco = {v: tree.ndeco[v] for v in keep}
-        for (e, _l, k, c) in combo:
-            coeff *= c
-            ndeco[tree.parent[e]] = mi_add(ndeco[tree.parent[e]], k)
-        lowered = {e: l for (e, l, _k, _c) in combo}
-        over = {e: mi_add(k, l) for (e, l, k, _c) in combo}
-        out = _rebuild_left(tree, keep, ndeco, lowered, over)
+    n_map = dict(enumerate(tree.ndeco))
+    acc = []
+    for lowered, coeff in _weighted_choices(
+            edges, [_lowerings(tree, e, bound) for e in edges]):
+        out = _left(tree, keep, n_map, {}, lowered)
         if out.degree_value() < 0:
             acc.append((out, coeff))
     return FormalSum(acc)

@@ -232,8 +232,9 @@ _NO_ODECO = (-1,)  # sort placeholder for "no over-decoration"
 
 
 def _edge_key(etype, edeco, odeco, coloured, child_enc):
-    return (etype, edeco, odeco if odeco is not None else _NO_ODECO,
-            coloured, child_enc)
+    # a zero over-decoration is the same as none, also for the sibling order
+    return (etype, edeco, odeco if odeco is not None and any(odeco)
+            else _NO_ODECO, coloured, child_enc)
 
 
 def _encode(node) -> tuple:
@@ -567,19 +568,6 @@ def root_part_nodes(tree: DecoratedTree, cut: frozenset[int]) -> set[int]:
     for e in cut:
         mark(e)
     return set(range(tree.n_nodes)) - removed
-
-
-def restrict(tree: DecoratedTree, keep: set[int],
-             ndeco_map: Mapping[int, MultiIndex]) -> DecoratedTree:
-    """Tree induced on a root-containing node set, with node decorations replaced."""
-    def rec(v):
-        return (tuple(ndeco_map[v]),
-                [(tree.etype[c], tree.edeco[c], tree.odeco[c],
-                  tree.coloured[c], rec(c))
-                 for c in tree.children(v) if c in keep])
-    if 0 not in keep:
-        raise ValueError("restriction must contain the root")
-    return DecoratedTree._from_nested(tree.typeset, rec(0))
 
 
 def colour_nodes(tree: DecoratedTree) -> set[int]:

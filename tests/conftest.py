@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from regkit.rules import Rule
+from regkit.rules import Rule, generate
 from regkit.trees import Degree, TypeSet
 
 
@@ -23,3 +23,9 @@ def quartic_rule(ts):
     noise leaf or above (up to) three further I-edges."""
     z = ts.zero()
     return Rule.make(ts, {"I": [[("Xi", z)], [("I", z), ("I", z), ("I", z)]]})
+
+
+@pytest.fixture(scope="session")
+def uni(quartic_rule):
+    """Quartic universe to degree 2 and five edges (115 trees)."""
+    return generate(quartic_rule, Fraction(2), 5)

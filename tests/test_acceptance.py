@@ -30,7 +30,6 @@ from regkit.hopf import (
 from regkit.kernels import (
     CutoffFamily,
     aniso_taylor,
-    dilate,
     dyadic_decompose,
     kernel_norm,
     snorm,

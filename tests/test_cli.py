@@ -79,6 +79,19 @@ class TestConfig:
         assert report["error"]["kind"] == "config-value"
         assert repr(key) in report["error"]["detail"]
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"degree_cap": "abc"}, "degree_cap"),
+        ({"grid": {"dx": "1/0"}}, "grid.dx"),
+        ({"heat_field": {"a": "1+"}}, "heat_field.a"),
+        ({"heat_field": {"b": "x.real_part"}}, "heat_field.b"),
+        ({"heat_field": {"c": "y"}}, "heat_field.c"),
+    ])
+    def test_unparsable_value_refused(self, runner, tmp_path, overrides, key):
+        result, report = invoke(runner, tmp_path, "trees", overrides)
+        assert result.exit_code == 2
+        assert report["error"]["kind"] == "config-value"
+        assert repr(key) in report["error"]["detail"]
+
     def test_number_for_numeric_string_accepted(self, runner, tmp_path):
         result, report = invoke(runner, tmp_path, "trees",
                                 {"degree_cap": 2, "edge_cap": 3})

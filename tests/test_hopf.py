@@ -1,5 +1,8 @@
+import hashlib
+import json
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +26,6 @@ from regkit.hopf import (
     gamma_action,
     m_star,
 )
-from regkit.rules import generate
 from regkit.trees import (
     FormalSum,
     contract,
@@ -44,11 +46,6 @@ def xi(ts):
 
 def I(t, edeco=None):  # noqa: E743
     return plant(t, "I", edeco=edeco)
-
-
-@pytest.fixture(scope="module")
-def uni(quartic_rule):
-    return generate(quartic_rule, Fraction(2), 5)
 
 
 class TestCoaction:
@@ -270,3 +267,51 @@ class TestDerivativeRedistribution:
         for t in uni.negative():
             out = d_map(t, Fraction(4))
             assert out.coeff(t) == Fraction(1)
+
+
+ORDER_PINS = json.loads(
+    (Path(__file__).parent / "coproduct_order_pins.json").read_text())
+
+
+def order_digest(coproduct, trees) -> str:
+    """SHA-256 of the ordered ``items()`` of ``coproduct`` on each tree.
+
+    Term order, not just the term set, is pinned: ``PreparationMap`` walks
+    ``delta_r_minus(...).items()`` in order, and that order fixes the float
+    summation order of the renormalised model."""
+    h = hashlib.sha256()
+    for t in trees:
+        h.update(repr(list(coproduct(t).items())).encode() + b"\n")
+    return h.hexdigest()
+
+
+def order_pin_cases(uni, jet_setup):
+    """The pinned coproducts, each with the trees it is pinned on.  The jet
+    coproducts skip the two 5-edge trees uncoloured (about 10 s each), but
+    ``delta_tilde_coloured`` sees every painting of them with a non-empty
+    colour."""
+    base, gm, m = jet_setup
+    jet = [t for t in sorted(base) if t.n_edges <= 4]
+    painted = [paint(t, set(sub)) for t in sorted(base)
+               for r in range(1, t.n_edges + 1)
+               for sub in combinations(t.edges(), r)
+               if all(t.parent[e] == 0 or t.parent[e] in sub for e in sub)]
+    return {
+        "delta": (delta, uni.trees),
+        "delta_r_minus": (delta_r_minus, uni.trees),
+        "d_map": (lambda t: d_map(t, Fraction(4)), uni.trees),
+        "delta_tilde_explicit": (
+            lambda t: delta_tilde_explicit(t, gm, m), jet),
+        "delta_tilde_coloured": (
+            lambda t: delta_tilde_coloured(t, gm, m), jet + painted),
+    }
+
+
+class TestTermOrder:
+    """Ordered ``items()`` of the coproducts match the digests in
+    ``coproduct_order_pins.json``."""
+
+    @pytest.mark.parametrize("name", sorted(ORDER_PINS["pins"]))
+    def test_order_matches_pin(self, name, uni, jet_setup):
+        coproduct, trees = order_pin_cases(uni, jet_setup)[name]
+        assert order_digest(coproduct, trees) == ORDER_PINS["pins"][name]

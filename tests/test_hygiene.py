@@ -1,12 +1,15 @@
-"""Source checks that need no import of the package: every name a module
-imports at its top level is used somewhere in that module."""
+"""Source checks that need no import of the package: every name a module of
+the package or of the test suite imports at its top level is used somewhere
+in that module."""
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "regkit"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "regkit"
+MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted(TESTS.glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:

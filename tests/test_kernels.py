@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings, strategies as st
 from regkit.kernels import (
     CutoffFamily,
     aniso_taylor,
-    dilate,
     dyadic_decompose,
     holder_norm_estimate,
     is_lower_set,

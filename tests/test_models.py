@@ -1,5 +1,4 @@
 import json
-import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,7 +8,6 @@ import pytest
 from regkit.kernels import CutoffFamily, dilate, dyadic_decompose
 from regkit.models import (
     Grid,
-    GridField,
     KernelOnGrid,
     build_model,
     bump_kernel,

@@ -4,7 +4,6 @@ import pytest
 
 from regkit.hopf import delta_r_minus, delta_r_minus_reduced
 from regkit.renorm import (
-    HistoricSet,
     PreparationMap,
     age,
     bphz_functional,

@@ -1,14 +1,12 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from regkit.trees import (
     DecoratedTree,
     Degree,
     FormalSum,
-    TypeSet,
     contract,
     cuts,
     leaf,
@@ -146,6 +144,17 @@ def test_json_roundtrip(ts):
     assert DecoratedTree.from_dict(ts, d) == t
 
 
+def test_zero_over_decoration_is_none(ts):
+    # the zero over-decoration must not decide the order of the siblings
+    z = ts.zero()
+    children = [("I", z, None, False, i_of(ts, xi(ts))),
+                ("I", z, None, False, leaf(ts))]
+    plain = DecoratedTree.build(ts, None, children)
+    children[1] = ("I", z, (0, 0), False, leaf(ts))
+    assert DecoratedTree.build(ts, None, children) == plain
+    assert plain.parent == (-1, 0, 0, 2, 3)
+
+
 def test_mi_below(ts):
     got = mi_below(ts.scaling, Fraction(2))
     # |k|_s < 2 with s = (2,1): (0,0), (0,1)
@@ -196,3 +205,17 @@ def test_product_order_invariance_property(ts, data):
 def test_json_roundtrip_property(ts, data):
     t = tree_product(*data.draw(random_tree(ts)))
     assert DecoratedTree.from_dict(ts, t.to_dict()) == t
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_universe_roundtrip_property(ts, uni, data):
+    """``from_dict(to_dict(t)) == t`` on the universe, also after a zero
+    over-decoration is put on any of the kernel edges."""
+    t = data.draw(st.sampled_from(uni.trees))
+    d = t.to_dict()
+    assert DecoratedTree.from_dict(ts, d) == t
+    for e in d["edges"]:
+        if ts.is_kernel(e["type"]) and data.draw(st.booleans()):
+            e["over_deco"] = [0, 0]
+    assert DecoratedTree.from_dict(ts, d) == t
