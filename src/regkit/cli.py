@@ -21,6 +21,8 @@ from fractions import Fraction
 import click
 import numpy as np
 
+from .heatkernel import (CoefficientField, decompose_green,
+                         parse_coefficient, parse_lambda_term)
 from .hopf import delta, delta_plus, delta_r_minus, delta_r_minus_reduced
 from .kernels import CutoffFamily, kernel_norm, snorm
 from .models import (
@@ -87,34 +89,35 @@ def _matches(value, default) -> bool:
     return type(value) in allowed.get(type(default), (type(default),))
 
 
-def _field_expression(value) -> None:
-    """Parse a coefficient as ``CoefficientField.make`` does; it must be an
-    expression in t and x."""
-    import sympy as sp
-    from .heatkernel import T_SYM, X_SYM
-    expr = sp.sympify(value, locals={"t": T_SYM, "x": X_SYM})
-    if not isinstance(expr, sp.Expr) or expr.free_symbols - {T_SYM, X_SYM}:
-        raise ValueError("not an expression in t and x")
-
-
 # leaves that a report parses later, with the parser it uses
 _PARSED = {"degree_cap": lambda v: Fraction(str(v)),
            "grid.dx": lambda v: Fraction(str(v)),
-           **{f"heat_field.{c}": _field_expression for c in "abc"}}
+           **{f"heat_field.{c}": parse_coefficient for c in "abc"}}
+# leaves whose (parsed) value a report can only use in a range; heat_order
+# is capped by the 3r <= regularity (12) of the heat field's expansion
+_RANGES = {"grid.dx": ("positive", lambda v: v > 0),
+           "grid.shape": ("positive in each entry", lambda v: min(v) > 0),
+           "mollifier_cells": ("positive", lambda v: v > 0),
+           "budgets.dyadic_levels": ("positive", lambda v: v > 0),
+           "budgets.mc_samples": ("at least 2, for a standard error",
+                                  lambda v: v >= 2),
+           "budgets.heat_order": ("between 1 and 4", lambda v: 1 <= v <= 4)}
 
 
 def _check_leaf(name: str, value, default) -> None:
     if not _matches(value, default):
         raise ConfigError("config-value", f"config key {name!r} must look "
                           f"like its default {default!r}, got {value!r}")
-    parse = _PARSED.get(name)
-    if parse is None:
-        return
-    try:
-        parse(value)
-    except Exception as exc:  # sympify evaluates the string: anything can fail
-        raise ConfigError("config-value", f"config key {name!r} does not "
-                          f"parse: {value!r} ({exc})") from exc
+    parsed = value
+    if name in _PARSED:
+        try:
+            parsed = _PARSED[name](value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ConfigError("config-value", f"config key {name!r} does not "
+                              f"parse: {value!r} ({exc})") from exc
+    if name in _RANGES and not _RANGES[name][1](parsed):
+        raise ConfigError("config-value", f"config key {name!r} must be "
+                          f"{_RANGES[name][0]}, got {value!r}")
 
 
 @dataclass
@@ -327,9 +330,6 @@ def _model_ingredients(config: RunConfig, ts):
 
 def bphz_report(config: RunConfig) -> dict:
     samples = config.budget("mc_samples")
-    if samples < 2:
-        raise ConfigError("config-value", "budgets.mc_samples must be at "
-                          f"least 2 for a standard error, got {samples}")
     ts, sector = _sector(config)
     _grid, sampler, kernels = _model_ingredients(config, ts)
 
@@ -374,8 +374,6 @@ def kernels_report(config: RunConfig) -> dict:
 
 
 def heat_report(config: RunConfig) -> dict:
-    from .heatkernel import CoefficientField, decompose_green, \
-        parse_lambda_term
     spec = config.data["heat_field"]
     fld = CoefficientField.make(spec["a"], spec["b"], spec["c"])
     r = config.budget("heat_order")

@@ -9,13 +9,24 @@ kernel into a singular part that depends on the coefficients only through
 their jet at the base point (with a machine-checkable certificate of that
 form) plus a smooth remainder.
 
+The expansions in the base point zbar about w of the frozen Gaussian, its
+x-derivative and the bracket factors of E are built by one function,
+``_taylor_slots``: jets d^k g(w)/k! for |k|_s < r plus one
+Gauss-Jacobi increment remainder per boundary index, with the derivatives
+d^k g taken from one cached table of lambdified a-jets, ``_a_jet_fn``.
+Coefficient strings are read by ``parse_coefficient``, which lets only
+numbers, t, x, arithmetic and a fixed set of elementary functions reach
+sympy.
+
 Points are z = (t, x); the parabolic scaling is (2, 1), |z|_s = sqrt|t|+|x|.
 """
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
+from functools import cache
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -27,6 +38,7 @@ from .kernels import (_down, _fd_derivative, _increment, dyadic_decompose,
 
 __all__ = [
     "CoefficientField",
+    "parse_coefficient",
     "FiniteDifferenceField",
     "frozen_gaussian",
     "error_kernel",
@@ -91,6 +103,36 @@ def _mono(z, k):
 # ---------------------------------------------------------------------------
 # coefficient fields
 
+# a coefficient string holds numbers, the names below, + - * / ** and
+# parentheses; sympify runs Python, so a string with any other token is
+# refused before sympy sees it
+_NAMES = {"t", "x", "sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh",
+          "tanh", "atan"}
+_TOKEN = re.compile(r"\s*(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
+                    r"|([A-Za-z_]\w*)|\*\*|[-+*/()])", re.ASCII)
+
+
+def parse_coefficient(value) -> sp.Expr:
+    """A coefficient, given as a number or a string, as an expression in the
+    module's t and x (so that differentiation sees them); ValueError for
+    anything else."""
+    text = str(value)
+    pos = 0
+    while pos < len(text.rstrip()):
+        m = _TOKEN.match(text, pos)
+        if m is None or m.group(1) not in (None, *_NAMES):
+            raise ValueError(f"unexpected {text[pos:].strip()[:20]!r} in "
+                             f"coefficient {text!r}")
+        pos = m.end()
+    try:
+        expr = sp.sympify(text, locals={"t": T_SYM, "x": X_SYM})
+    except (sp.SympifyError, TypeError) as exc:
+        raise ValueError(f"coefficient {text!r} does not parse") from exc
+    if not isinstance(expr, sp.Expr) or expr.free_symbols - {T_SYM, X_SYM}:
+        raise ValueError(f"coefficient {text!r} is not an expression in t "
+                         "and x")
+    return expr
+
 
 @dataclass(frozen=True)
 class CoefficientField:
@@ -108,10 +150,8 @@ class CoefficientField:
 
     @classmethod
     def make(cls, a="1", b="0", c="0", *, ellipticity=0.25, regularity=12):
-        # parse against the module's own t, x so differentiation sees them
-        env = {"t": T_SYM, "x": X_SYM}
-        return cls(sp.sympify(a, locals=env), sp.sympify(b, locals=env),
-                   sp.sympify(c, locals=env), ellipticity, regularity)
+        return cls(parse_coefficient(a), parse_coefficient(b),
+                   parse_coefficient(c), ellipticity, regularity)
 
     def _fn(self, name: str, k=(0, 0)) -> Callable:
         key = (name, k)
@@ -293,10 +333,14 @@ class HeatCalcKernel:
             lambda tb, xb, u, v: c * self.ftilde(tb, xb, u, v), self.label)
 
 
+def _gauss(v, a):
+    """Profile of the Gaussian with diffusion a: t^{1/2} Z at v = x/sqrt t."""
+    return np.exp(-np.asarray(v) ** 2 / (4 * a)) / np.sqrt(4 * np.pi * a)
+
+
 def z_kernel(field: CoefficientField) -> HeatCalcKernel:
     def ftilde(tb, xb, u, v):
-        a = field._fn("a")(tb, xb) * np.ones(np.shape(u))
-        return np.exp(-np.asarray(v) ** 2 / (4 * a)) / np.sqrt(4 * np.pi * a)
+        return _gauss(v, field._fn("a")(tb, xb) * np.ones(np.shape(u)))
     return HeatCalcKernel(2.0, ftilde, label="Z")
 
 
@@ -312,7 +356,7 @@ def e_kernel(field: CoefficientField) -> HeatCalcKernel:
             np.asarray(tb, dtype=float), np.asarray(xb, dtype=float),
             np.asarray(u, dtype=float), np.asarray(v, dtype=float))
         a = afn(tb, xb) * np.ones_like(u)
-        g = np.exp(-v ** 2 / (4 * a)) / np.sqrt(4 * np.pi * a)
+        g = _gauss(v, a)
         gp = -v / (2 * a) * g
         gpp = (v ** 2 / (4 * a ** 2) - 1 / (2 * a)) * g
         t_z, x_z = tb + u ** 2, xb + u * v
@@ -530,8 +574,7 @@ class LambdaTerm:
             def ftilde(tb, xb, uu, vv, qfn=qfn, a0=a0):
                 uu = np.asarray(uu, dtype=float)
                 vv = np.asarray(vv, dtype=float)
-                g = np.exp(-vv ** 2 / (4 * a0)) / np.sqrt(4 * np.pi * a0)
-                return qfn(uu, vv) * g * np.ones(np.shape(uu))
+                return qfn(uu, vv) * _gauss(vv, a0) * np.ones(np.shape(uu))
             kernels.append(HeatCalcKernel(1.0, ftilde, "P*W"))
         out = kernels[0]
         for k in kernels[1:]:
@@ -564,11 +607,19 @@ def parse_lambda_term(data: dict) -> LambdaTerm:
 
 
 # ---------------------------------------------------------------------------
-# Taylor decomposition of Z in the coefficient field
+# Taylor expansion in the base point
 
 
-def _ztilde_expr():
+@cache
+def _gauss_expr() -> sp.Expr:
+    # built on first use: sympy's first exp and sqrt take 80 ms and 1 MB
     return sp.exp(-_V ** 2 / (4 * _AFUN)) / sp.sqrt(4 * sp.pi * _AFUN)
+
+
+# the second-derivative factor v^2/(4a^2) - 1/(2a) of E as its two parts,
+# each flagged with whether it carries the v^2
+_BRACKET = ((sp.Rational(1, 4) / _AFUN ** 2, True),
+            (-sp.Rational(1, 2) / _AFUN, False))
 
 
 def _jetify(expr: sp.Expr) -> sp.Expr:
@@ -583,41 +634,78 @@ def _jetify(expr: sp.Expr) -> sp.Expr:
     return expr.xreplace({_AFUN: _jet_symbol("a", (0, 0))})
 
 
-class _ZtildeJets:
-    """Symbolic w-derivatives of the profile of the frozen Gaussian, exposed
-    as callables of (field jets at a point, v)."""
-
-    def __init__(self):
-        self._exprs = {}
-        self._fns = {}
-
-    def expr(self, k, dv: int = 0) -> sp.Expr:
-        key = (tuple(k), dv)
-        if key not in self._exprs:
-            e = sp.diff(_ztilde_expr(), _WT, k[0], _WX, k[1], _V, dv)
-            self._exprs[key] = _jetify(sp.expand(e))
-        return self._exprs[key]
-
-    def fn(self, k, dv: int = 0) -> tuple[Callable, list]:
-        """The lambdified derivative and the jet indices of its arguments,
-        parsed from the symbol names once."""
-        key = (tuple(k), dv)
-        if key not in self._fns:
-            e = self.expr(k, dv)
-            syms = sorted((s for s in e.free_symbols if s is not _V),
-                          key=str)
-            self._fns[key] = (sp.lambdify([*syms, _V], e, "numpy"),
-                              [_parse_jet(s)[1] for s in syms])
-        return self._fns[key]
-
-    def value(self, field, k, point, v, dv: int = 0):
-        fn, ks = self.fn(k, dv)
-        point = np.asarray(point, dtype=float)
-        return fn(*(field.jet("a", j, point) for j in ks),
-                  np.asarray(v, dtype=float))
+@cache
+def _a_jet_expr(g, k, dv: int) -> sp.Expr:
+    """d_w^k d_v^dv of an expression g in a(w) and v (the frozen Gaussian's
+    profile, a bracket factor of E), with a-derivatives as jet symbols."""
+    return _jetify(sp.expand(sp.diff(g, _WT, k[0], _WX, k[1], _V, dv)))
 
 
-_ZJETS = _ZtildeJets()
+@cache
+def _a_jet_fn(g, k, dv: int) -> tuple[Callable, list]:
+    """_a_jet_expr lambdified, with the jet indices of its arguments: the
+    one table of callables behind every base-point expansion."""
+    e = _a_jet_expr(g, k, dv)
+    syms = sorted((s for s in e.free_symbols if s is not _V), key=str)
+    return (sp.lambdify([*syms, _V], e, "numpy"),
+            [_parse_jet(s)[1] for s in syms])
+
+
+def _a_jet(field, g, k, point, v, dv: int):
+    """d_w^k d_v^dv g at the field's a-jets at a point and at v."""
+    fn, ks = _a_jet_fn(g, tuple(k), dv)
+    point = np.asarray(point, dtype=float)
+    return fn(*(field.jet("a", j, point) for j in ks),
+              np.asarray(v, dtype=float))
+
+
+def _parabolic(zeta, dv: int, profile):
+    """t^{-1/2-dv/2} profile(x/sqrt t) at the offsets zeta = (t, x), and 0
+    where t <= 0: the frame of the frozen Gaussian (dv = 0) and of its
+    x-derivative (dv = 1)."""
+    zeta = np.asarray(zeta, dtype=float)
+    t, x = zeta[..., 0], zeta[..., 1]
+    mask = t > 0
+    safe = np.where(mask, t, 1.0)
+    return np.where(mask, safe ** (-0.5 - 0.5 * dv)
+                    * profile(x / np.sqrt(safe)), 0.0)
+
+
+@dataclass(frozen=True)
+class _SlotTerm:
+    nu: tuple[int, int]           # exponent of (zbar - w)
+    k_label: tuple[int, int] | None  # boundary index; None = jet term
+    value: Callable                # (w, z, zbar) -> array
+
+
+def _taylor_slots(dval, r: int, frame) -> list[_SlotTerm]:
+    """The expansion of g(zbar) in its base point about w, as slot terms:
+
+        g(zbar) = sum_{|k|_s < r} (zbar-w)^k d^k g(w) / k!
+                + sum_{k in boundary} (zbar-w)^{k_down} inc_k(w, zbar)/k_down!
+
+    with inc_k the Gauss-Jacobi increment of d^{k_down} g.  ``dval(k, point,
+    v)`` is d^k g at a point and profile variable v, and ``frame(z, zbar,
+    f)`` turns a profile f(v) into the slot value.  Jets divide by k!
+    inside the frame, remainders outside it."""
+    slots = [_SlotTerm(k, None, lambda w, z, zbar, k=k: frame(
+        z, zbar, lambda v: dval(k, w, v) / _fact(k)))
+        for k in lower_indices(r)]
+    for k in boundary_indices(r):
+        kd = _down(k)
+        slots.append(_SlotTerm(kd, k, lambda w, z, zbar, k=k, kd=kd: frame(
+            z, zbar, lambda v: _increment(lambda j, p: dval(j, p, v),
+                                          k, kd, w, zbar)) / _fact(kd)))
+    return slots
+
+
+def _z_slots(field: CoefficientField, r: int, dv: int) -> list[_SlotTerm]:
+    """Base-point slots of the frozen Gaussian (dv = 0) or of its
+    x-derivative (dv = 1)."""
+    return _taylor_slots(
+        lambda k, p, v: _a_jet(field, _gauss_expr(), k, p, v, dv), r,
+        lambda z, zbar, f: _parabolic(np.asarray(z, dtype=float)
+                                      - np.asarray(zbar, dtype=float), dv, f))
 
 
 @dataclass(frozen=True)
@@ -628,32 +716,25 @@ class ZJet:
     k: tuple[int, int]
     field: CoefficientField
 
-    def profile(self, w, v, dv: int = 0):
-        return (_ZJETS.value(self.field, self.k, w, v, dv)
+    def profile(self, w, v, dv: int):
+        return (_a_jet(self.field, _gauss_expr(), self.k, w, v, dv)
                 / _fact(self.k))
 
     def __call__(self, w, zeta, dv: int = 0):
-        zeta = np.asarray(zeta, dtype=float)
-        t, x = zeta[..., 0], zeta[..., 1]
-        mask = t > 0
-        safe = np.where(mask, t, 1.0)
-        v = x / np.sqrt(safe)
-        power = -0.5 - 0.5 * dv
-        return np.where(mask,
-                        safe ** power * self.profile(w, v, dv), 0.0)
+        return _parabolic(zeta, dv, lambda v: self.profile(w, v, dv))
 
     def kernel(self, w) -> HeatCalcKernel:
         def ftilde(tb, xb, u, v, self=self, w=tuple(w)):
-            return self.profile(np.array(w), v) * np.ones(np.shape(u))
+            return self.profile(np.array(w), v, 0) * np.ones(np.shape(u))
         return HeatCalcKernel(2.0, ftilde, f"Z[{self.k}]")
 
     def lambda_terms(self) -> list[LambdaTerm]:
         # the generic chain factor carries t^{-1} Q(u, v); the jet kernel is
         # t^{-1/2} f(v) W-shaped, so Q picks up one power of u
         u, v = sp.symbols("u v")
-        gauss = _jetify(_ztilde_expr())
+        gauss = _gauss_expr()
         ratio = sp.cancel(sp.together(
-            _ZJETS.expr(self.k) / gauss)) / _fact(self.k)
+            _a_jet_expr(gauss, self.k, 0) / _jetify(gauss))) / _fact(self.k)
         poly = sp.Poly(sp.expand(ratio), _V)
         terms = []
         for (deg,), coeff in poly.terms():
@@ -661,34 +742,11 @@ class ZJet:
         return terms
 
 
-class ZRemainder:
-    """Increment-form remainder of the w-expansion of the frozen Gaussian,
-    for a boundary index k."""
-
-    def __init__(self, k, field):
-        self.k = tuple(k)
-        self.field = field
-        self.kd = _down(self.k)
-
-    def __call__(self, w, z, zbar, dv: int = 0):
-        w = np.asarray(w, dtype=float)
-        z = np.asarray(z, dtype=float)
-        zbar = np.asarray(zbar, dtype=float)
-        s = z[..., 0] - zbar[..., 0]
-        mask = s > 0
-        safe = np.where(mask, s, 1.0)
-        v = (z[..., 1] - zbar[..., 1]) / np.sqrt(safe)
-        inc = _increment(
-            lambda kd, p: _ZJETS.value(self.field, kd, p, v, dv),
-            self.k, self.kd, w, zbar)
-        power = -0.5 - 0.5 * dv
-        return np.where(mask, safe ** power * inc / _fact(self.kd), 0.0)
-
-
 def taylor_decompose_Z(field: CoefficientField, r: int):
     """Expand the parametrix term in its base-point slot about w.
 
-    Returns (jets, remainders): jets[k] is a ZJet with
+    Returns (jets, remainders): jets[k] is a ZJet and remainders[k] the
+    remainder slot of _taylor_slots for the boundary index k, with
     Z(z, zbar) = sum_k (zbar-w)^k jets[k](w, z-zbar)
                + sum_{k in boundary} (zbar-w)^{k_down} remainders[k](w,z,zbar)
     """
@@ -696,19 +754,13 @@ def taylor_decompose_Z(field: CoefficientField, r: int):
         raise ValueError("insufficient coefficient regularity for this "
                          "expansion order")
     jets = {k: ZJet(k, field) for k in lower_indices(r)}
-    rems = {k: ZRemainder(k, field) for k in boundary_indices(r)}
+    rems = {s.k_label: s.value for s in _z_slots(field, r, 0)
+            if s.k_label is not None}
     return jets, rems
 
 
 # ---------------------------------------------------------------------------
 # Taylor decomposition of the error kernel
-
-
-@dataclass(frozen=True)
-class _SlotTerm:
-    nu: tuple[int, int]           # exponent of (zbar - w)
-    k_label: tuple[int, int] | None  # boundary index; None = jet term
-    value: Callable                # (w, z, zbar) -> array
 
 
 def _coeff_slot_terms(field, name: str, r: int, at_z: bool):
@@ -754,40 +806,6 @@ def _coeff_slot_terms(field, name: str, r: int, at_z: bool):
     return terms
 
 
-def _bracket_slot_terms(field, r: int):
-    """Expansion at w of the second-derivative profile factor
-    g(zbar) = v^2/(4 a(zbar)^2) - 1/(2 a(zbar)), split into its two parts;
-    the v^2 flag rides along with each term."""
-    terms = []
-    for expr, v2 in ((sp.Rational(1, 4) / _AFUN ** 2, True),
-                     (-sp.Rational(1, 2) / _AFUN, False)):
-        derivs = {}
-        for k in lower_indices(r) + [
-                _down(k) for k in boundary_indices(r)]:
-            if k not in derivs:
-                e = _jetify(sp.expand(sp.diff(expr, _WT, k[0], _WX, k[1])))
-                syms = sorted(e.free_symbols, key=str)
-                derivs[k] = (sp.lambdify(syms, e, "numpy"),
-                             [_parse_jet(s)[1] for s in syms])
-
-        def dval(k, pt, derivs=derivs):
-            fn, ks = derivs[k]
-            pt = np.asarray(pt, dtype=float)
-            return fn(*(field.jet("a", j, pt) for j in ks))
-
-        for k in lower_indices(r):
-            def val(w, z, zbar, k=k, dval=dval):
-                return dval(k, w) / _fact(k)
-            terms.append((_SlotTerm(k, None, val), v2))
-        for k in boundary_indices(r):
-            kd = _down(k)
-
-            def val_r(w, z, zbar, k=k, kd=kd, dval=dval):
-                return _increment(dval, k, kd, w, zbar) / _fact(kd)
-            terms.append((_SlotTerm(kd, k, val_r), v2))
-    return terms
-
-
 class _Row(NamedTuple):
     nu: tuple[int, int]               # total power of (zbar - w)
     slots: tuple[int, ...]            # indices into EDecomposition.slots
@@ -809,7 +827,9 @@ class EDecomposition:
     Each factor of E = (a(zbar)-a(z)) [v^2/4a^2 - 1/2a](zbar) s^{-1} Z
     - b(z) dx Z - c(z) Z is expanded in powers of (zbar - w) into slot
     terms: jets at w times powers of z - zbar, or increment-form
-    remainders.  ``slots`` holds the distinct slot terms (82 for r = 3:
+    remainders.  Z, dx Z and the two bracket parts come from
+    ``_taylor_slots``, the coefficient factors from ``_coeff_slot_terms``.
+    ``slots`` holds the distinct slot terms (82 for r = 3:
     8 of Z, 8 of dx Z, 14 of the a-increment, 16 of the bracket, 18 each of
     b and c) and ``rows`` their products (2,080 for r = 3), jet rows
     first.  A row is a remainder row if any of its slots is a remainder.
@@ -829,7 +849,6 @@ class EDecomposition:
                              "expansion order")
         self.field = field
         self.r = r
-        self.zjets, self.zrems = taylor_decompose_Z(field, r)
         self._build()
 
     def _build(self):
@@ -840,17 +859,12 @@ class EDecomposition:
             self.slots.extend(terms)
             return range(len(self.slots) - len(terms), len(self.slots))
 
-        iz, izx = (add(
-            [_SlotTerm(k, None,
-                       lambda w, z, zbar, jet=self.zjets[k], dv=dv:
-                       jet(w, np.asarray(z) - np.asarray(zbar), dv=dv))
-             for k in self.zjets]
-            + [_SlotTerm(_down(k), k,
-                         lambda w, z, zbar, rem=self.zrems[k], dv=dv:
-                         rem(w, z, zbar, dv=dv))
-               for k in self.zrems]) for dv in (0, 1))
+        iz, izx = (add(_z_slots(field, r, dv)) for dv in (0, 1))
         ida = add(_coeff_slot_terms(field, "a", r, at_z=False))
-        bracket = _bracket_slot_terms(field, r)
+        # the bracket factors carry no v: their frame is the profile itself
+        bracket = [(s, v2) for g, v2 in _BRACKET for s in _taylor_slots(
+            lambda k, p, v, g=g: _a_jet(field, g, k, p, v, 0), r,
+            lambda z, zbar, f: f(0.0))]
         ibr = add([s for s, _v2 in bracket])
         ib = add(_coeff_slot_terms(field, "b", r, at_z=True))
         ic = add(_coeff_slot_terms(field, "c", r, at_z=True))

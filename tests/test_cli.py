@@ -3,8 +3,10 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
-from regkit.cli import DEFAULT_RULE, RunConfig, load_rule, main
+from regkit.cli import (DEFAULT_RULE, DEFAULTS, ConfigError, RunConfig,
+                        load_rule, main)
 from regkit.heatkernel import CoefficientField
 
 FAST = {
@@ -36,7 +38,46 @@ def invoke(runner, tmp_path, command, overrides=None):
     return result, report
 
 
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6) | st.text("0123456789./-e", max_size=5),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=3), inner, max_size=2)),
+    max_leaves=5)
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """A config over the keys of DEFAULTS with arbitrary JSON leaves, each
+    key present or not; the heat field keeps its default, whose strings
+    would otherwise go to sympy."""
+    config = {}
+    for key, default in DEFAULTS.items():
+        if not draw(st.booleans()):
+            continue
+        if key == "heat_field":
+            config[key] = dict(default)
+        elif isinstance(default, dict):
+            config[key] = {sub: draw(JSON_VALUES | st.just(value))
+                           for sub, value in default.items()
+                           if draw(st.booleans())}
+        else:
+            config[key] = draw(JSON_VALUES | st.just(default))
+    return config
+
+
 class TestConfig:
+    @settings(max_examples=300, deadline=None)
+    @given(config=fuzzed_configs())
+    def test_load_returns_or_refuses(self, tmp_path_factory, config):
+        path = tmp_path_factory.getbasetemp() / "fuzzed.json"
+        path.write_text(json.dumps(config))
+        try:
+            RunConfig.load(str(path))
+        except ConfigError as exc:
+            assert exc.payload["error"]["kind"] in ("config-parse",
+                                                    "config-value")
+
     def test_defaults_logged(self, runner, tmp_path):
         result, report = invoke(runner, tmp_path, "trees", {"edge_cap": 3})
         assert result.exit_code == 0
@@ -88,6 +129,36 @@ class TestConfig:
     ])
     def test_unparsable_value_refused(self, runner, tmp_path, overrides, key):
         result, report = invoke(runner, tmp_path, "trees", overrides)
+        assert result.exit_code == 2
+        assert report["error"]["kind"] == "config-value"
+        assert repr(key) in report["error"]["detail"]
+
+    def test_code_in_coefficient_refused(self, runner, tmp_path):
+        # sympify would run this as Python and create the file
+        marker = tmp_path / "ran"
+        payload = f'1 + 0*len(open("{marker}", "w").name)'
+        result, report = invoke(runner, tmp_path, "heat",
+                                {"heat_field": {"a": payload}})
+        assert result.exit_code == 2
+        assert report["error"]["kind"] == "config-value"
+        assert "'heat_field.a'" in report["error"]["detail"]
+        with pytest.raises(ValueError, match="unexpected"):
+            CoefficientField.make(payload)
+        assert not marker.exists()
+
+    @pytest.mark.parametrize("command, overrides, key", [
+        ("model", {"grid": {"dx": "0"}}, "grid.dx"),
+        ("model", {"grid": {"dx": "-1/16"}}, "grid.dx"),
+        ("model", {"grid": {"shape": [0, 256]}}, "grid.shape"),
+        ("kernels", {"budgets": {"dyadic_levels": 0}},
+         "budgets.dyadic_levels"),
+        ("model", {"mollifier_cells": 0}, "mollifier_cells"),
+        ("heat", {"budgets": {"heat_order": 0}}, "budgets.heat_order"),
+        ("heat", {"budgets": {"heat_order": 5}}, "budgets.heat_order"),
+    ])
+    def test_out_of_range_value_refused(self, runner, tmp_path, command,
+                                        overrides, key):
+        result, report = invoke(runner, tmp_path, command, overrides)
         assert result.exit_code == 2
         assert report["error"]["kind"] == "config-value"
         assert repr(key) in report["error"]["detail"]

@@ -291,6 +291,20 @@ class TestTaylorZ:
         with pytest.raises(ValueError, match="regularity"):
             taylor_decompose_Z(shallow, 2)
 
+    @pytest.mark.parametrize("r", ["2", "4"])
+    def test_pinned_values(self, r):
+        # bit-for-bit the values of the per-kernel implementation; at r = 4
+        # the remainder (1, 3) tells (t^p inc) / kd! from t^p (inc / kd!)
+        pins = E_PINS["taylor_z"][r]
+        field = CoefficientField.make(*E_PINS["field"], regularity=12)
+        jets, rems = taylor_decompose_Z(field, int(r))
+        for i, triple in enumerate(E_PINS["triples"]):
+            w, z, zbar = (np.array(p) for p in triple)
+            assert {str(k): [_hex(jet(w, z - zbar, dv=dv)) for dv in (0, 1)]
+                    for k, jet in jets.items()} == pins["jets"][i]
+            assert {str(k): _hex(rem(w, z, zbar))
+                    for k, rem in rems.items()} == pins["remainders"][i]
+
     def test_jet_certificates(self, gentle):
         jets, _ = taylor_decompose_Z(gentle, 3)
         w, zeta = np.array([0.1, -0.2]), np.array([[0.2, 0.15]])

@@ -1,7 +1,11 @@
 """Source checks that need no import of the package: every name a module of
 the package or of the test suite imports at its top level is used somewhere
-in that module."""
+in that module, every module-level function and class of the package is
+referenced from the package, the tests or the benchmark, and every
+``__all__`` entry names something its module binds."""
 import ast
+from collections import Counter
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -10,6 +14,8 @@ TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "regkit"
 MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
            + sorted(TESTS.glob("*.py")))
+REFERRING = (sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+             + sorted((TESTS.parent / "perfbench").glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -36,3 +42,76 @@ def test_detector_flags_unused_name():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _names(node) -> list[str]:
+    """Every name a subtree reads: bare names, attributes and imports."""
+    out = []
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.append(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.append(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.extend(alias.name for alias in sub.names)
+    return out
+
+
+def reads(sources: list[str]) -> Counter:
+    """How often each name is read across ``sources``."""
+    return Counter(name for text in sources
+                   for name in _names(ast.parse(text)))
+
+
+def unreferenced(source: str, counts: Counter) -> list[str]:
+    """Module-level functions and classes of ``source`` whose name is read
+    (``counts``, by name) nowhere outside their own definition."""
+    return [f"{node.name} (line {node.lineno})"
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and counts[node.name] <= _names(node).count(node.name)]
+
+
+def unbound_exports(source: str) -> list[str]:
+    """``__all__`` entries that the module does not bind at its top level."""
+    tree = ast.parse(source)
+    bound, exported = set(), []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update((a.asname or a.name).split(".")[0]
+                         for a in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) \
+                else [node.target]
+            bound.update(t.id for t in targets if isinstance(t, ast.Name))
+            if any(getattr(t, "id", None) == "__all__" for t in targets):
+                exported = [e.value for e in node.value.elts]
+    return [name for name in exported if name not in bound]
+
+
+def test_detector_flags_orphans():
+    module = "def used():\n    pass\n\ndef alone(n):\n    return alone(n)\n"
+    caller = "from m import used\nused()\n"
+    assert unreferenced(module, reads([module, caller])) == [
+        "alone (line 4)"]
+    assert unbound_exports("__all__ = ['f', 'g']\ndef f():\n    pass\n") \
+        == ["g"]
+
+
+@cache
+def _referring_reads() -> Counter:
+    return reads([p.read_text() for p in REFERRING])
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_definition_is_referenced(path):
+    assert unreferenced(path.read_text(), _referring_reads()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_export_is_bound(path):
+    assert unbound_exports(path.read_text()) == []
