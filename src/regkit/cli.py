@@ -30,6 +30,7 @@ from .models import (
     bump_kernel,
     build_model,
     check_chain,
+    check_kernel_orders,
     expectation_oracle,
     mollified_noise_sampler,
     mollifier,
@@ -98,10 +99,15 @@ _PARSED = {"degree_cap": lambda v: Fraction(str(v)),
 _RANGES = {"grid.dx": ("positive", lambda v: v > 0),
            "grid.shape": ("positive in each entry", lambda v: min(v) > 0),
            "mollifier_cells": ("positive", lambda v: v > 0),
+           "edge_cap": ("positive", lambda v: v > 0),
            "budgets.dyadic_levels": ("positive", lambda v: v > 0),
+           "budgets.kernel_order": ("positive", lambda v: v > 0),
+           "budgets.norm_order": ("non-negative", lambda v: v >= 0),
            "budgets.mc_samples": ("at least 2, for a standard error",
                                   lambda v: v >= 2),
-           "budgets.heat_order": ("between 1 and 4", lambda v: 1 <= v <= 4)}
+           "budgets.heat_order": ("between 1 and 4", lambda v: 1 <= v <= 4),
+           **{f"tolerances.{name}": ("non-negative", lambda v: v >= 0)
+              for name in DEFAULTS["tolerances"]}}
 
 
 def _check_leaf(name: str, value, default) -> None:
@@ -316,22 +322,27 @@ def age_report(config: RunConfig) -> dict:
             "max_age": max(age(t) for t in sector)}
 
 
-def _model_ingredients(config: RunConfig, ts):
-    grid = config.grid()
-    sampler = mollified_noise_sampler(grid, list(ts.noise_types),
-                                      config.data["mollifier_cells"],
-                                      config.seed("noise"))
+def _model_ingredients(config: RunConfig, ts, sector):
     order = config.budget("kernel_order")
     kernels = {name: bump_kernel(levels=config.budget("dyadic_levels"),
                                  order=order)
                for name in ts.kernel_types}
+    try:
+        check_kernel_orders(sector, kernels)
+    except ValueError as exc:
+        raise ConfigError("config-value", "config key 'budgets.kernel_order' "
+                          f"is too low: {exc}") from exc
+    grid = config.grid()
+    sampler = mollified_noise_sampler(grid, list(ts.noise_types),
+                                      config.data["mollifier_cells"],
+                                      config.seed("noise"))
     return grid, sampler, kernels
 
 
 def bphz_report(config: RunConfig) -> dict:
     samples = config.budget("mc_samples")
     ts, sector = _sector(config)
-    _grid, sampler, kernels = _model_ingredients(config, ts)
+    _grid, sampler, kernels = _model_ingredients(config, ts, sector)
 
     def mc(tree, ell):
         prep = PreparationMap(lambda t: ell.get(t, 0.0))
@@ -412,7 +423,7 @@ def _cocycle_and_scales(model) -> tuple[float, tuple[float, ...]]:
 
 def model_report(config: RunConfig) -> dict:
     ts, sector = _sector(config)
-    _grid, sampler, kernels = _model_ingredients(config, ts)
+    _grid, sampler, kernels = _model_ingredients(config, ts, sector)
     model = build_model(sector, kernels, sampler(0),
                         PreparationMap(lambda t: Fraction(0)))
     chain = check_chain(model)
@@ -467,7 +478,7 @@ def verify_report(config: RunConfig) -> dict:
             age_bad += not (age(l) < age(t) and age(r) < age(t))
     check("age_decrease_violations", age_bad, 0)
 
-    grid, sampler, kernels = _model_ingredients(config, ts)
+    grid, sampler, kernels = _model_ingredients(config, ts, sector)
     rho = mollifier(grid, config.data["mollifier_cells"])
     mass = float(np.sum(rho.values)) * grid.cell_volume
     check("mollifier_mass_defect", abs(mass - 1.0),

@@ -22,6 +22,7 @@ Points are z = (t, x); the parabolic scaling is (2, 1), |z|_s = sqrt|t|+|x|.
 """
 from __future__ import annotations
 
+import ast
 import math
 import re
 from dataclasses import dataclass, field as dfield
@@ -112,6 +113,78 @@ _TOKEN = re.compile(r"\s*(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
                     r"|([A-Za-z_]\w*)|\*\*|[-+*/()])", re.ASCII)
 
 
+# sympy evaluates powers of numbers exactly, so "9**9**9" would never finish:
+# the exact rationals of a coefficient are bounded in bits before it does
+# (2**13 bits keeps them below Python's limit on converting long integers)
+_MAX_EXACT_BITS = 1 << 13
+_MATH = {name: getattr(math, name) for name in _NAMES - {"t", "x"}}
+_FLOAT_OPS = {ast.Add: float.__add__, ast.Sub: float.__sub__,
+              ast.Mult: float.__mul__, ast.Div: float.__truediv__,
+              ast.FloorDiv: float.__floordiv__, ast.Pow: math.pow}
+
+
+def _bound_exact_numbers(text: str) -> None:
+    """ValueError when evaluating the coefficient would build an exact
+    rational of more than ``_MAX_EXACT_BITS`` bits.  The bound comes from an
+    unevaluated (Python) parse: integers have their bit length, floats none,
+    and only a power multiplies its base's bits, by the size of its
+    exponent.  Floats estimate an exponent of numbers; one that holds t or x
+    is bounded by its bits, since sympy may cancel the names ("x - x + 99")
+    and evaluate what is left.  (sympy's own unevaluated parse nests each
+    sum, and recurses too deeply on a few hundred terms.)"""
+    try:
+        # as sympify reads it: newlines dropped
+        root = ast.parse(text.replace("\n", "").strip(), mode="eval").body
+    except (SyntaxError, RecursionError) as exc:
+        raise ValueError(f"coefficient {text!r} does not parse") from exc
+    bound = {}  # node -> (bits, value); the value is None if t or x occur
+    stack = [(root, False)]
+    while stack:  # post-order, without recursion
+        node, ready = stack.pop()
+        if isinstance(node, ast.Call) and not isinstance(node.func, ast.Name):
+            # sympy would evaluate the callee, "(9**9**9)(2)", unbounded
+            raise ValueError(f"coefficient {text!r} calls what is not a "
+                             "function")
+        kids = node.args if isinstance(node, ast.Call) else [
+            k for k in ast.iter_child_nodes(node) if isinstance(k, ast.expr)]
+        if not ready:
+            stack += [(node, True)] + [(k, False) for k in kids]
+            continue
+        bits = sum(bound[k][0] for k in kids)
+        values = [bound[k][1] for k in kids]
+        if isinstance(node, ast.Name):
+            value = None
+        elif isinstance(node, ast.Constant):
+            if isinstance(node.value, int):
+                bits = node.value.bit_length()
+            value = float(node.value) if bits < 1000 else math.inf
+        else:
+            value = None if None in values else _float_value(node, values)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            size = (2 ** bound[kids[1]][0] if values[1] is None
+                    else values[1])
+            if not abs(size) <= _MAX_EXACT_BITS:
+                raise ValueError(f"an exponent in {text!r} is too large "
+                                 "or not finite")
+            bits = bound[kids[0]][0] * max(1, math.ceil(abs(size)))
+        if bits > _MAX_EXACT_BITS:
+            raise ValueError(f"{text!r} holds numbers too large to evaluate "
+                             "exactly")
+        bound[node] = (bits, value)
+
+
+def _float_value(node, values) -> float:
+    """A float estimate of a node of numbers, given its operands' values."""
+    try:
+        if isinstance(node, ast.BinOp):
+            return _FLOAT_OPS[type(node.op)](*values)
+        if isinstance(node, ast.UnaryOp):
+            return -values[0] if isinstance(node.op, ast.USub) else values[0]
+        return _MATH[node.func.id](*values)
+    except (ArithmeticError, ValueError, KeyError, TypeError):
+        return math.nan
+
+
 def parse_coefficient(value) -> sp.Expr:
     """A coefficient, given as a number or a string, as an expression in the
     module's t and x (so that differentiation sees them); ValueError for
@@ -124,9 +197,12 @@ def parse_coefficient(value) -> sp.Expr:
             raise ValueError(f"unexpected {text[pos:].strip()[:20]!r} in "
                              f"coefficient {text!r}")
         pos = m.end()
+    if not text.strip():
+        raise ValueError("empty coefficient")
+    _bound_exact_numbers(text)
     try:
         expr = sp.sympify(text, locals={"t": T_SYM, "x": X_SYM})
-    except (sp.SympifyError, TypeError) as exc:
+    except (sp.SympifyError, TypeError, RecursionError) as exc:
         raise ValueError(f"coefficient {text!r} does not parse") from exc
     if not isinstance(expr, sp.Expr) or expr.free_symbols - {T_SYM, X_SYM}:
         raise ValueError(f"coefficient {text!r} is not an expression in t "

@@ -10,7 +10,10 @@ thing is twisted by a preparation map at every step.  The recentering maps
 come from characters evaluated on planted generators, stored lazily.  The
 same recursion without a base point is the un-recentred model (monomials
 about the origin, no jet subtracted); the Monte Carlo expectation oracle
-reads it at the origin, one noise sample at a time.
+reads it at the origin.  It draws each sample index once per sampler, keeps
+only the window of cells around the origin that the recursion reads, and
+evaluates the model on those windows a block of samples at a time, with the
+same bits as a full-grid evaluation of each sample.
 
 Convolutions are direct summations of the sampled dyadic kernel components
 against the grid quadrature; no transform is used for them.  (The noise
@@ -19,6 +22,7 @@ sampler does use an FFT, but only to mollify white noise.)
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
@@ -53,6 +57,7 @@ __all__ = [
     "mollifier",
     "mollified_noise_sampler",
     "sector_order",
+    "check_kernel_orders",
     "ModelInstance",
     "build_model",
     "check_chain",
@@ -148,11 +153,7 @@ class GridField:
 
     def derivative(self, k: MultiIndex) -> "GridField":
         """Iterated central differences, axis by axis."""
-        v = self.values
-        for axis, (m, h) in enumerate(zip(k, self.spacing)):
-            for _ in range(m):
-                v = _central_difference(v, axis, h)
-        return self._wrap(v)
+        return self._wrap(_derivative(self.values, k, self.spacing))
 
     @property
     def spacing(self):
@@ -175,14 +176,36 @@ def _central_difference(v: np.ndarray, axis: int, h: float) -> np.ndarray:
     return (np.roll(v, -1, axis) - np.roll(v, 1, axis)) / (2.0 * h)
 
 
+def _derivative(v: np.ndarray, k: MultiIndex, spacing) -> np.ndarray:
+    """Iterated central differences along the last two (time, space) axes,
+    so that leading sample axes ride along."""
+    for axis, (m, h) in enumerate(zip(k, spacing)):
+        for _ in range(m):
+            v = _central_difference(v, axis - 2, h)
+    return v
+
+
 def monomial_field(grid: Grid, base, k: MultiIndex) -> GridField:
     """(z - base)^k on the grid, with plain (unwrapped) coordinates."""
+    return GridField(grid, _monomial(grid.axes(), base, k))
+
+
+def _monomial(axes, base, k: MultiIndex) -> np.ndarray:
+    """(z - base)^k on the cells whose plain coordinates are the given time
+    and space axes."""
+    t, x = axes
     if not any(k):
-        return GridField(grid, np.ones(grid.shape))
-    t, x = grid.axes()
-    tv = (t - base[0]) ** k[0]
-    xv = (x - base[1]) ** k[1]
-    return GridField(grid, np.outer(tv, xv))
+        return np.ones((len(t), len(x)))
+    return np.outer((t - base[0]) ** k[0], (x - base[1]) ** k[1])
+
+
+def _axis_cells(length: int, n: int) -> tuple[np.ndarray, int]:
+    """Grid indices of the cells of an origin window of the given length
+    along a periodic axis of n cells, and the origin's place in it.  The
+    whole axis keeps its order (origin first); a window of odd length 2h+1 <
+    n runs from -h to h."""
+    h = 0 if length == n else length // 2
+    return (np.arange(length) - h) % n, h
 
 
 # ---------------------------------------------------------------------------
@@ -230,21 +253,40 @@ class KernelOnGrid:
                                  w[ti, xi])
         return self._stencils[m]
 
-    def convolve(self, f: GridField, m: MultiIndex = (0, 0)) -> GridField:
-        """(D^m K * f) on the whole grid, by direct summation of the sampled
-        offsets against the grid quadrature."""
-        ti, xi, vals = self.stencil(m)
-        out = np.zeros(self.grid.shape)
-        for i, j, v in zip(ti, xi, vals):
-            out += v * np.roll(np.roll(f.values, i, 0), j, 1)
-        return GridField(self.grid, out * self.grid.cell_volume)
+    def reach(self, m: MultiIndex) -> tuple[int, int]:
+        """Largest offset, in cells per axis, that the D^m stencil reads."""
+        ti, xi, _vals = self.stencil(m)
+        return (int(np.max(np.abs(ti), initial=0)),
+                int(np.max(np.abs(xi), initial=0)))
 
-    def value_at(self, f: GridField, m: MultiIndex, idx: tuple[int, int]) -> float:
-        """(D^m K * f)(z) at a single grid point."""
+    def convolve(self, f, m: MultiIndex = (0, 0)):
+        """(D^m K * f) by direct summation of the sampled offsets against the
+        grid quadrature.  ``f`` is a GridField, or an array whose last two
+        axes are periodic (the grid, or a window of it whose edge cells are
+        then wrong up to the stencil's reach) with leading sample axes."""
         ti, xi, vals = self.stencil(m)
-        nt, nx = self.grid.shape
-        samples = f.values[(idx[0] - ti) % nt, (idx[1] - xi) % nx]
-        return float(np.dot(vals, samples)) * self.grid.cell_volume
+        v = _vals(f)
+        out = np.zeros(v.shape)
+        for i, j, c in zip(ti, xi, vals):
+            out += c * np.roll(np.roll(v, i, -2), j, -1)
+        out = out * self.grid.cell_volume
+        return GridField(self.grid, out) if isinstance(f, GridField) else out
+
+    def value_at(self, f, m: MultiIndex, idx: tuple[int, int]):
+        """(D^m K * f)(z) at a single cell of a GridField, or of an array
+        laid out as for ``convolve`` with at most one sample axis, which
+        gives one value per sample."""
+        ti, xi, vals = self.stencil(m)
+        v = _vals(f)
+        nt, nx = v.shape[-2:]
+        samples = v[..., (idx[0] - ti) % nt, (idx[1] - xi) % nx]
+        if samples.ndim == 1:
+            return float(np.dot(vals, samples)) * self.grid.cell_volume
+        # one dot per sample over a contiguous row, as for a single sample:
+        # a matrix product, or a strided row, sums in another order
+        rows = np.ascontiguousarray(samples)
+        return (np.array([np.dot(vals, row) for row in rows])
+                * self.grid.cell_volume)
 
 
 def bump_kernel(*, levels: int = 4, order: int = 8) -> DyadicKernel:
@@ -328,6 +370,19 @@ def sector_order(historic: Iterable[DecoratedTree]) -> Fraction:
     return best
 
 
+def check_kernel_orders(historic: Iterable[DecoratedTree],
+                        kernel_assignment: Mapping[str, DyadicKernel]) -> None:
+    """ValueError unless every kernel order exceeds the sector order: the
+    recursion would otherwise consult derivative levels the kernel does not
+    control."""
+    ord_w = sector_order(historic)
+    for name, K in kernel_assignment.items():
+        if Fraction(K.order) <= ord_w:
+            raise ValueError(
+                f"kernel order {K.order} for type {name!r} does not exceed "
+                f"the sector order {ord_w}")
+
+
 # ---------------------------------------------------------------------------
 # the model
 
@@ -342,11 +397,17 @@ class ModelInstance:
     and ``gamma`` the recentering map between two base points.  Passing
     ``x=None`` to ``pi_times``/``pi`` gives the un-recentred model, which
     ``value`` evaluates at the origin.
+
+    ``noise`` maps each noise type to a GridField, or to an array whose last
+    two axes are the grid or an origin window of it (see ``_axis_cells``)
+    and whose leading axis, if any, runs over samples.  The x=None recursion
+    (``value``) works on either; base points and the GridField views need
+    one sample on the whole grid.
     """
 
     historic: HistoricSet
     kernels: Mapping[str, KernelOnGrid]
-    noise: Mapping[str, GridField]
+    noise: Mapping[str, GridField | np.ndarray]
     prep: PreparationMap
     base_points: tuple[tuple[float, float], ...]
     grid: Grid
@@ -355,6 +416,16 @@ class ModelInstance:
     _g: dict = field(default_factory=dict, repr=False)
     _noise_deriv: dict = field(default_factory=dict, repr=False)
 
+    def __post_init__(self):
+        # the cells the noise covers: their shape (with any sample axis),
+        # plain coordinates and the origin's place among them
+        self._shape = np.shape(_vals(next(iter(self.noise.values()))))
+        cells = [_axis_cells(length, n) for length, n
+                 in zip(self._shape[-2:], self.grid.shape)]
+        self._axes = tuple(idx * h for (idx, _c), h
+                           in zip(cells, self.grid.spacing))
+        self._origin = tuple(c for _idx, c in cells)
+
     @property
     def basis(self) -> tuple[DecoratedTree, ...]:
         return tuple(self.historic.trees)
@@ -362,74 +433,92 @@ class ModelInstance:
     # -- evaluators ----------------------------------------------------------
 
     def pi_times(self, tree: DecoratedTree, x) -> GridField:
+        return GridField(self.grid, self._times(tree, x))
+
+    def pi(self, tree: DecoratedTree, x) -> GridField:
+        return GridField(self.grid, self._prepared(tree, x))
+
+    def pi_sum(self, combo: FormalSum, x) -> GridField:
+        out = np.zeros(self.grid.shape)
+        for s, c in combo.items():
+            out += float(c) * self._prepared(s, x)
+        return GridField(self.grid, out)
+
+    def value(self, tree: DecoratedTree):
+        """The un-recentred model of a tree at the origin, one value per
+        sample.  The root factors are reduced to stencil sums there; fields
+        are only built below them."""
+        root_nd, factors = tree.factor()
+        if any(root_nd):
+            return 0.0
+        at = (..., *self._origin)
+        total = 1.0
+        for et, ed, _od, br in factors:
+            if et in tree.typeset.noise_types:
+                total = total * self._noise_field(et, ed)[at]
+                if not br.is_unit:
+                    total = total * self._times(br, None)[at]
+            else:
+                total = total * self.kernels[et].value_at(
+                    self._prepared(br, None), ed, self._origin)
+        return total
+
+    def _times(self, tree: DecoratedTree, x) -> np.ndarray:
         # one lookup per hit: every lookup hashes the whole tree
         key = (tree, _point_key(x))
         out = self._pit.get(key)
         if out is None:
             root_nd, factors = tree.factor()
             base = (0.0, 0.0) if x is None else x
-            vals = monomial_field(self.grid, base, root_nd).values
+            out = _monomial(self._axes, base, root_nd)
             for et, ed, od, br in factors:
                 if od is not None:
                     raise ValueError("over-decorated trees have no realisation")
-                vals = vals * self._planted(et, ed, br, x).values
-            out = self._pit[key] = GridField(self.grid, vals)
+                out = out * self._planted(et, ed, br, x)
+            self._pit[key] = out
         return out
 
-    def pi(self, tree: DecoratedTree, x) -> GridField:
+    def _prepared(self, tree: DecoratedTree, x) -> np.ndarray:
         key = (tree, _point_key(x))
         out = self._pi.get(key)
         if out is None:
-            vals = np.zeros(self.grid.shape)
-            for s, c in self.prep(tree).items():
-                vals += float(c) * self.pi_times(s, x).values
-            out = self._pi[key] = GridField(self.grid, vals)
+            terms = list(self.prep(tree).items())
+            if terms == [(tree, 1)]:
+                # a tree the preparation leaves alone shares its un-twisted
+                # field, which the sum below would copy bit for bit unless it
+                # holds a negative zero (0.0 + -0.0 is 0.0) or lacks the
+                # sample axis
+                out = self._times(tree, x)
+                if out.shape != self._shape or np.signbit(out[out == 0]).any():
+                    out = None
+            if out is None:
+                out = np.zeros(self._shape)
+                for s, c in terms:
+                    out += float(c) * self._times(s, x)
+            self._pi[key] = out
         return out
 
-    def pi_sum(self, combo: FormalSum, x) -> GridField:
-        out = np.zeros(self.grid.shape)
-        for s, c in combo.items():
-            out += float(c) * self.pi(s, x).values
-        return GridField(self.grid, out)
-
-    def value(self, tree: DecoratedTree) -> float:
-        """The un-recentred model of a tree at the origin.  The root factors
-        are reduced to stencil sums there; full-grid fields are only built
-        below them."""
-        root_nd, factors = tree.factor()
-        if any(root_nd):
-            return 0.0
-        total = 1.0
-        for et, ed, _od, br in factors:
-            if et in tree.typeset.noise_types:
-                total *= self._noise_field(et, ed).at((0, 0))
-                if not br.is_unit:
-                    total *= self.pi_times(br, None).at((0, 0))
-            else:
-                total *= self.kernels[et].value_at(self.pi(br, None), ed,
-                                                   (0, 0))
-        return total
-
-    def _noise_field(self, ntype: str, ed: MultiIndex) -> GridField:
+    def _noise_field(self, ntype: str, ed: MultiIndex) -> np.ndarray:
         key = (ntype, ed)
         if key not in self._noise_deriv:
-            self._noise_deriv[key] = self.noise[ntype].derivative(ed)
+            self._noise_deriv[key] = _derivative(_vals(self.noise[ntype]), ed,
+                                                 self.grid.spacing)
         return self._noise_deriv[key]
 
-    def _planted(self, et, ed, br, x) -> GridField:
+    def _planted(self, et, ed, br, x) -> np.ndarray:
         ts = br.typeset
         if et in ts.noise_types:
             # a noise edge does not integrate, so whatever hangs below it
             # (node decorations, in practice) multiplies at the same point
-            field = self._noise_field(et, ed)
+            out = self._noise_field(et, ed)
             if not br.is_unit:
-                field = field * self.pi(br, x)
-            return field
-        out = self.kernels[et].convolve(self.pi(br, x), ed)
+                out = out * self._prepared(br, x)
+            return out
+        out = self.kernels[et].convolve(self._prepared(br, x), ed)
         if x is None:
             return out
         for j, cj in self._jet(et, ed, br, x):
-            out = out - cj * monomial_field(self.grid, x, j)
+            out = out - cj * _monomial(self._axes, x, j)
         return out
 
     def _jet(self, et, ed, br, x) -> list[tuple[MultiIndex, float]]:
@@ -437,7 +526,8 @@ class ModelInstance:
         base point x of the tree planted on br by a kernel edge (et, ed), for
         |j|_s below that tree's degree."""
         ts = br.typeset
-        K, f, idx = self.kernels[et], self.pi(br, x), self.grid.index_of(x)
+        K, f, idx = self.kernels[et], self._prepared(br, x), \
+            self.grid.index_of(x)
         bound = (br.degree_value() + ts.degree_of(et).at(ts.kappa)
                  - ts.sdeg(ed))
         return [(j, K.value_at(f, mi_add(ed, j), idx) / mi_factorial(j))
@@ -483,18 +573,12 @@ def build_model(historic: HistoricSet, kernel_assignment: Mapping[str, DyadicKer
     with base points at the origin and a quarter and half way along the
     grid's diagonal.
 
-    The kernel order must exceed the sector order (the recursion would
-    otherwise consult derivative levels the kernel does not control) and the
-    tree set must actually be historic: both are checked up front.
+    The tree set must be historic and the kernel orders must exceed its
+    sector order (``check_kernel_orders``): both are checked up front.
     """
     if not isinstance(historic, HistoricSet) or not historic.is_closed():
         raise ValueError("the tree set is not a historic closure")
-    ord_w = sector_order(historic)
-    for name, K in kernel_assignment.items():
-        if Fraction(K.order) <= ord_w:
-            raise ValueError(
-                f"kernel order {K.order} for type {name!r} does not exceed "
-                f"the sector order {ord_w}")
+    check_kernel_orders(historic, kernel_assignment)
     grids = {f.grid.shape + f.grid.spacing for f in noise.values()}
     if len(grids) != 1:
         raise ValueError("noise fields live on different grids")
@@ -503,10 +587,8 @@ def build_model(historic: HistoricSet, kernel_assignment: Mapping[str, DyadicKer
     dt, dx = grid.spacing
     base_points = ((0.0, 0.0), (nt // 4 * dt, nx // 4 * dx),
                    (nt // 2 * dt, nx // 2 * dx))
-    kernels = {name: KernelOnGrid(K, grid)
-               for name, K in kernel_assignment.items()}
-    return ModelInstance(historic, kernels, dict(noise), prep, base_points,
-                         grid)
+    return ModelInstance(historic, _kernels_on_grid(kernel_assignment, grid),
+                         dict(noise), prep, base_points, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -591,26 +673,147 @@ def model_difference(a: ModelInstance, b: ModelInstance) -> float:
 # expectation oracle
 
 
+# bytes of origin windows kept per sampler, and cells per noise array of a
+# sample block (about 1 MB)
+_WINDOW_CACHE_BYTES = 64 << 20
+_BLOCK_CELLS = 1 << 17
+
+# per-sampler draws and per-kernel grid realisations, freed with their key
+_DRAWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_ON_GRID: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _kernels_on_grid(kernel_assignment: Mapping[str, DyadicKernel],
+                     grid: Grid) -> dict[str, KernelOnGrid]:
+    """One KernelOnGrid per (kernel, grid), shared by every model."""
+    out = {}
+    for name, K in kernel_assignment.items():
+        per_grid = _ON_GRID.setdefault(K, {})
+        if grid not in per_grid:
+            per_grid[grid] = KernelOnGrid(K, grid)
+        out[name] = per_grid[grid]
+    return out
+
+
+class _Draws:
+    """The origin windows of one sampler's draws, by sample index.
+
+    A window is cut from the full draw after its mollification, so its bits
+    are those of the full field.  Windows are kept for a prefix of indices
+    while they fit in ``_WINDOW_CACHE_BYTES``; the rest are drawn again on
+    every call.  The sampler is only ever called as ``sampler(i)``.
+    """
+
+    def __init__(self, sampler: Callable):
+        self._full = sampler(0)  # the grid is only known from a draw
+        self.grid = next(iter(self._full.values())).grid
+        self.half = (-1, -1)
+        self.windows: list[dict[str, np.ndarray]] = []
+
+    def cover(self, half: tuple[int, int]) -> None:
+        """Make the windows reach ``half`` cells from the origin per axis
+        (the whole axis once that reaches half the grid)."""
+        if all(h <= have for h, have in zip(half, self.half)):
+            return
+        self.half = tuple(map(max, half, self.half))
+        self.windows.clear()
+        self.cells = [_axis_cells(min(2 * h + 1, n), n)[0]
+                       for h, n in zip(self.half, self.grid.shape)]
+
+    def block(self, sampler: Callable, start: int, stop: int
+              ) -> dict[str, np.ndarray]:
+        """Windows of samples start..stop-1, stacked along a sample axis."""
+        rows = [self._window(sampler, i) for i in range(start, stop)]
+        return {ntype: np.stack([w[ntype] for w in rows]) for ntype in rows[0]}
+
+    def _window(self, sampler: Callable, i: int) -> dict[str, np.ndarray]:
+        if i < len(self.windows):
+            return self.windows[i]
+        full = self._full if i == 0 and self._full else sampler(i)
+        self._full = None
+        cut = np.ix_(*self.cells)
+        window = {ntype: f.values[cut] for ntype, f in full.items()}
+        size = sum(w.nbytes for w in window.values())
+        if i == len(self.windows) and (i + 1) * size <= _WINDOW_CACHE_BYTES:
+            self.windows.append(window)
+        return window
+
+
+def _origin_reach(kernels: Mapping[str, KernelOnGrid], prep: PreparationMap,
+                  trees: Iterable[DecoratedTree]) -> tuple[int, int]:
+    """Largest offset from the origin, in cells per axis, of the noise that
+    ``ModelInstance.value`` reads for any of the trees: stencil reaches add
+    up along nested kernel edges, and each noise derivative reads one cell
+    further along its axis.  A prepared tree is bounded by itself and by
+    every term of its preparation."""
+    memo: dict = {}
+
+    def prepared(tree):
+        if tree not in memo:
+            memo[tree] = _widest([times(tree)] + [
+                times(s) for s, _c in prep(tree).items()])
+        return memo[tree]
+
+    def times(tree):
+        reach = []
+        for et, ed, _od, br in tree.factor()[1]:
+            below = (0, 0) if br.is_unit else prepared(br)
+            if et in tree.typeset.noise_types:
+                reach += [ed, below]
+            else:
+                step = kernels[et].reach(ed)
+                reach.append((step[0] + below[0], step[1] + below[1]))
+        return _widest(reach)
+
+    return _widest([times(t) for t in trees])
+
+
+def _widest(reaches) -> tuple[int, int]:
+    return tuple(max((r[a] for r in reaches), default=0) for a in (0, 1))
+
+
+def _draws(sampler: Callable) -> _Draws:
+    try:
+        draws = _DRAWS.get(sampler)
+    except TypeError:  # not weakly referenceable: nothing is kept
+        return _Draws(sampler)
+    if draws is None:
+        draws = _DRAWS[sampler] = _Draws(sampler)
+    return draws
+
+
 def expectation_oracle(historic: HistoricSet,
                        kernel_assignment: Mapping[str, DyadicKernel],
                        noise_sampler: Callable, prep: PreparationMap,
                        tree, samples: int) -> tuple[float, float]:
     """Monte Carlo mean and standard error at the origin of the un-recentred
     multiplicative model of a tree (or a formal combination of trees).
-    The standard error needs at least two samples."""
+    The standard error needs at least two samples.
+
+    Each sample index is drawn once per sampler: the model is evaluated on
+    the origin's window of the draws (wide enough for every tree of the
+    sector and of the combination under ``prep``), one block of samples at
+    a time, with the bits of the full-grid evaluation."""
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    first = noise_sampler(0)
-    grid = next(iter(first.values())).grid
-    kernels = {name: KernelOnGrid(K, grid)
-               for name, K in kernel_assignment.items()}
+    check_kernel_orders(historic, kernel_assignment)
     combo = tree if isinstance(tree, FormalSum) else FormalSum.single(tree)
+    draws = _draws(noise_sampler)
+    grid = draws.grid
+    kernels = _kernels_on_grid(kernel_assignment, grid)
+    draws.cover(_origin_reach(kernels, prep, list(historic)
+                              + [s for s, _c in combo.items()]))
+    cells = math.prod(len(c) for c in draws.cells)
+    step = max(1, _BLOCK_CELLS // cells)
     vals = np.empty(samples)
-    for i in range(samples):
-        fields = first if i == 0 else noise_sampler(i)
-        # built directly: build_model's sector checks need not run per sample
-        model = ModelInstance(historic, kernels, fields, prep, (), grid)
-        vals[i] = sum(float(c) * model.value(s) for s, c in combo.items())
+    for start in range(0, samples, step):
+        stop = min(samples, start + step)
+        noise = draws.block(noise_sampler, start, stop)
+        model = ModelInstance(historic, kernels, noise, prep, (), grid)
+        total = 0.0
+        for s, c in combo.items():
+            total = total + float(c) * model.value(s)
+        vals[start:stop] = total
     mean = float(np.mean(vals))
     stderr = float(np.std(vals, ddof=1) / math.sqrt(samples))
     return mean, stderr

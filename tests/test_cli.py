@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,7 @@ class TestConfig:
         ({"heat_field": {"a": "1+"}}, "heat_field.a"),
         ({"heat_field": {"b": "x.real_part"}}, "heat_field.b"),
         ({"heat_field": {"c": "y"}}, "heat_field.c"),
+        ({"heat_field": {"a": " "}}, "heat_field.a"),
     ])
     def test_unparsable_value_refused(self, runner, tmp_path, overrides, key):
         result, report = invoke(runner, tmp_path, "trees", overrides)
@@ -155,6 +157,11 @@ class TestConfig:
         ("model", {"mollifier_cells": 0}, "mollifier_cells"),
         ("heat", {"budgets": {"heat_order": 0}}, "budgets.heat_order"),
         ("heat", {"budgets": {"heat_order": 5}}, "budgets.heat_order"),
+        ("kernels", {"budgets": {"norm_order": -3}}, "budgets.norm_order"),
+        ("model", {"budgets": {"kernel_order": 0}}, "budgets.kernel_order"),
+        ("trees", {"edge_cap": 0}, "edge_cap"),
+        ("verify", {"tolerances": {"chain_defect": -1e-6}},
+         "tolerances.chain_defect"),
     ])
     def test_out_of_range_value_refused(self, runner, tmp_path, command,
                                         overrides, key):
@@ -162,6 +169,31 @@ class TestConfig:
         assert result.exit_code == 2
         assert report["error"]["kind"] == "config-value"
         assert repr(key) in report["error"]["detail"]
+
+    @pytest.mark.parametrize("command", ["model", "verify", "bphz"])
+    def test_kernel_order_at_sector_order_refused(self, runner, tmp_path,
+                                                  command):
+        # the FAST sector has order 3: the kernel must control more levels
+        overrides = {**FAST, "budgets": {"mc_samples": 50, "kernel_order": 3}}
+        result, report = invoke(runner, tmp_path, command, overrides)
+        assert result.exit_code == 2
+        assert report["error"]["kind"] == "config-value"
+        assert "'budgets.kernel_order'" in report["error"]["detail"]
+        assert "sector order 3" in report["error"]["detail"]
+
+    @pytest.mark.parametrize("value", [
+        "1 + 0*9**9**9", "(0*x+9)**(9**9)", "9**(x-x+9**9)", "(9**9**9)(2)"])
+    def test_tower_of_powers_refused_quickly(self, runner, tmp_path, value):
+        # sympy would evaluate 9**9**9 or 9**387420489 exactly, which takes
+        # minutes or never finishes: a name that cancels or a call around
+        # the tower must not hide it
+        started = time.monotonic()
+        result, report = invoke(runner, tmp_path, "trees",
+                                {"heat_field": {"a": value}})
+        assert time.monotonic() - started < 1.0
+        assert result.exit_code == 2
+        assert report["error"]["kind"] == "config-value"
+        assert "'heat_field.a'" in report["error"]["detail"]
 
     def test_number_for_numeric_string_accepted(self, runner, tmp_path):
         result, report = invoke(runner, tmp_path, "trees",

@@ -21,6 +21,7 @@ from regkit.heatkernel import (
     error_kernel,
     frozen_gaussian,
     heat_convolve,
+    parse_coefficient,
     parse_lambda_term,
     scaled_degree,
     taylor_decompose_E,
@@ -58,7 +59,29 @@ def fit_exponent(hs, vals):
     return np.polyfit(np.log(hs), np.log(vals), 1)[0]
 
 
+COEFFICIENT_TOKENS = ["x", "t", "1", "9", "0.5", "99", " ", "+", "-", "*",
+                      "/", "**", "(", ")", "sin(", "exp("]
+
+
 class TestCoefficientField:
+    @settings(max_examples=300, deadline=None)
+    @given(parts=st.lists(st.sampled_from(COEFFICIENT_TOKENS), max_size=14))
+    def test_parse_returns_or_refuses(self, parts):
+        # towers of powers, long or broken strings: an expression in t and
+        # x, or a ValueError, never another exception or a stall
+        try:
+            expr = parse_coefficient("".join(parts))
+        except ValueError:
+            return
+        assert isinstance(expr, sp.Expr)
+
+    def test_long_sum_parses_or_refuses(self):
+        # 500 terms parse; 3000 nest too deeply for Python's and sympy's
+        # parsers, which is a refusal, not a RecursionError
+        assert str(parse_coefficient("+".join(["x"] * 500))) == "500*x"
+        with pytest.raises(ValueError, match="does not parse"):
+            parse_coefficient("+".join(["x"] * 3000))
+
     def test_parabolicity_sampled(self, gentle):
         assert gentle.check_parabolicity()
         bad = CoefficientField.make("sin(x)", ellipticity=0.25)

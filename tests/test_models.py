@@ -1,14 +1,21 @@
+import gc
 import json
+import math
+import weakref
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from regkit import models
 from regkit.kernels import CutoffFamily, dilate, dyadic_decompose
 from regkit.models import (
     Grid,
     KernelOnGrid,
+    ModelInstance,
     build_model,
     bump_kernel,
     check_chain,
@@ -359,3 +366,124 @@ class TestExpectationOracle:
             mean, se = expectation_oracle(quartic_sector, K, sampler, prep,
                                           prep(tree), samples=300)
             assert abs(mean) <= max(3 * se, 1e-12)
+
+
+def full_grid_oracle(historic, kernels, sampler, prep, tree, samples):
+    """The oracle as a loop over samples, each a model on the whole grid:
+    what the window and block evaluation must reproduce to the last bit."""
+    grid = next(iter(sampler(0).values())).grid
+    on_grid = {name: KernelOnGrid(K, grid) for name, K in kernels.items()}
+    combo = tree if isinstance(tree, FormalSum) else FormalSum.single(tree)
+    vals = np.empty(samples)
+    for i in range(samples):
+        model = ModelInstance(historic, on_grid, sampler(i), prep, (), grid)
+        total = 0.0
+        for s, c in combo.items():
+            total = total + float(c) * model.value(s)
+        vals[i] = total
+    return (float(np.mean(vals)),
+            float(np.std(vals, ddof=1) / math.sqrt(samples)))
+
+
+COEFFS = st.floats(-2.0, 2.0, allow_nan=False).filter(bool)
+
+
+@pytest.fixture(scope="module")
+def pin_case(ts):
+    return oracle_pin_cases(ts)
+
+
+class TestBlockOracle:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), single=st.booleans(), samples=st.integers(2, 6),
+           block_cells=st.sampled_from([1, 400, 1 << 17]))
+    def test_equals_full_grid_loop(self, pin_case, data, single, samples,
+                                   block_cells):
+        # on the 64x64 pin grid, with one sampler throughout so that later
+        # examples read cached windows; small blocks hold one sample each
+        (historic, kernels, sampler, _prep), _trees, _n = pin_case
+        trees = sorted(historic, key=repr)
+        ell = data.draw(st.dictionaries(st.sampled_from(trees), COEFFS,
+                                        max_size=6))
+        terms = data.draw(st.dictionaries(st.sampled_from(trees), COEFFS,
+                                          min_size=1, max_size=3))
+        prep = PreparationMap(lambda t: ell.get(t, 0.0))
+        tree = next(iter(terms)) if single else FormalSum(terms)
+        with mock.patch.object(models, "_BLOCK_CELLS", block_cells):
+            got = expectation_oracle(historic, kernels, sampler, prep, tree,
+                                     samples)
+        want = full_grid_oracle(historic, kernels, sampler, prep, tree,
+                                samples)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_whole_axis_window_equals_full_grid_loop(self, sector, mild_ts):
+        # nested kernels reach 30 time cells, more than half of 32: the
+        # window keeps the whole time axis and a part of the space axis
+        grid = Grid((32, 32), (1 / 256, 1 / 16))
+        sampler = mollified_noise_sampler(grid, ["Xi"], epsilon=4, seed=5)
+        kernels = {"I": bump_kernel(order=8)}
+        prep = PreparationMap(lambda t: Fraction(0))
+        psi = plant(noise(mild_ts, "Xi"), "I")
+        for tree in (plant(tree_product(psi, psi), "I"),
+                     tree_product(monomial(mild_ts, (0, 1)), psi)):
+            got = expectation_oracle(sector, kernels, sampler, prep, tree, 5)
+            want = full_grid_oracle(sector, kernels, sampler, prep, tree, 5)
+            assert got == want
+        cells = models._draws(sampler).cells
+        assert [len(c) for c in cells] == [32, 13]
+
+    def test_second_call_draws_nothing(self, ts):
+        (historic, kernels, sampler, prep), trees, samples = \
+            oracle_pin_cases(ts)
+        drawn = []
+
+        def counting(i):
+            drawn.append(i)
+            return sampler(i)
+
+        expectation_oracle(historic, kernels, counting, prep, trees["ell"],
+                           samples)
+        assert sorted(drawn) == list(range(samples))
+        drawn.clear()
+        for tree in trees.values():
+            expectation_oracle(historic, kernels, counting, prep, tree,
+                               samples)
+        assert drawn == []
+
+    def test_windows_past_the_cache_bound_are_redrawn(self, ts):
+        # the cache keeps the windows of samples 0-2 only; blocks of two
+        # samples mix a cached window with a redrawn one
+        (historic, kernels, sampler, prep), trees, _n = oracle_pin_cases(ts)
+        tree = trees["noise_branch"]
+        expectation_oracle(historic, kernels, sampler, prep, tree, 2)
+        probe = models._draws(sampler)
+        window_bytes = sum(w.nbytes for w in probe.windows[0].values())
+        cells = math.prod(len(c) for c in probe.cells)
+        drawn = []
+
+        def counting(i):
+            drawn.append(i)
+            return sampler(i)
+
+        with mock.patch.object(models, "_WINDOW_CACHE_BYTES",
+                               3 * window_bytes), \
+                mock.patch.object(models, "_BLOCK_CELLS", 2 * cells):
+            first = expectation_oracle(historic, kernels, counting, prep,
+                                       tree, 6)
+            assert sorted(drawn) == list(range(6))
+            assert len(models._draws(counting).windows) == 3
+            drawn.clear()
+            second = expectation_oracle(historic, kernels, counting, prep,
+                                        tree, 6)
+            assert drawn == [3, 4, 5]
+        want = full_grid_oracle(historic, kernels, sampler, prep, tree, 6)
+        assert [v.hex() for v in first] == [v.hex() for v in want]
+        assert [v.hex() for v in second] == [v.hex() for v in want]
+
+    def test_dropping_the_sampler_frees_its_windows(self, ts):
+        args, trees, samples = oracle_pin_cases(ts)
+        expectation_oracle(*args, trees["ell"], samples)
+        windows = weakref.ref(models._DRAWS[args[2]])
+        del args
+        gc.collect()
+        assert windows() is None
