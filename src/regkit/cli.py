@@ -57,7 +57,7 @@ DEFAULTS = {
     "grid": {"shape": [256, 256], "dx": "1/16"},
     "mollifier_cells": 8,
     "budgets": {"mc_samples": 400, "dyadic_levels": 4, "kernel_order": 8,
-                "norm_order": 1, "heat_order": 2, "heat_terms": 1},
+                "norm_order": 1, "heat_order": 2},
     "seeds": {"noise": 7},
     "heat_field": {"a": "1 + sin(x)/5", "b": "0", "c": "0"},
     "tolerances": {
@@ -388,7 +388,7 @@ def heat_report(config: RunConfig) -> dict:
     spec = config.data["heat_field"]
     fld = CoefficientField.make(spec["a"], spec["b"], spec["c"])
     r = config.budget("heat_order")
-    dec = decompose_green(fld, r, config.budget("heat_terms"),
+    dec = decompose_green(fld, r, config.budget("kernel_order"),
                           CutoffFamily((2, 1)), N=1, levels=4)
     cert = dec.certificate()
     terms = []

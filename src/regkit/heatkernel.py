@@ -19,6 +19,8 @@ numbers, t, x, arithmetic and a fixed set of elementary functions reach
 sympy.
 
 Points are z = (t, x); the parabolic scaling is (2, 1), |z|_s = sqrt|t|+|x|.
+Index sets {|k|_s < r}, k!, binomials and |k|_s come from the multi-index
+helpers of ``trees``, so the slot and row order follows ``mi_below``.
 """
 from __future__ import annotations
 
@@ -36,13 +38,14 @@ from scipy.special import roots_jacobi, roots_legendre
 
 from .kernels import (_down, _fd_derivative, _increment, dyadic_decompose,
                       lower_boundary)
+from .trees import (mi_below, mi_binom, mi_factorial, mi_leq_iter, mi_sdeg,
+                    mi_sub)
 
 __all__ = [
     "CoefficientField",
     "parse_coefficient",
     "FiniteDifferenceField",
     "frozen_gaussian",
-    "error_kernel",
     "HeatCalcKernel",
     "z_kernel",
     "e_kernel",
@@ -58,7 +61,6 @@ __all__ = [
     "GreenDecomposition",
     "decompose_green",
     "decompose_green_adjoint",
-    "scaled_degree",
     "boundary_indices",
 ]
 
@@ -69,31 +71,9 @@ _AFUN = sp.Function("a")(_WT, _WX)
 SCALING = (2, 1)
 
 
-def scaled_degree(k) -> int:
-    return 2 * k[0] + k[1]
-
-
-def lower_indices(r: int) -> list[tuple[int, int]]:
-    """Multi-indices (k_t, k_x) of parabolic degree below r."""
-    return [(i, j) for i in range(r) for j in range(r)
-            if scaled_degree((i, j)) < r]
-
-
 def boundary_indices(r: int) -> list[tuple[int, int]]:
     """Indices just outside {|k|_s < r} whose decrement is inside."""
-    return lower_boundary(lower_indices(r))
-
-
-def _fact(k) -> int:
-    return math.factorial(k[0]) * math.factorial(k[1])
-
-
-def _binom(k, l) -> int:
-    return math.comb(k[0], l[0]) * math.comb(k[1], l[1])
-
-
-def _sub(k, l):
-    return (k[0] - l[0], k[1] - l[1])
+    return lower_boundary(mi_below(SCALING, r))
 
 
 def _mono(z, k):
@@ -242,7 +222,7 @@ class CoefficientField:
         """Derivative d^k of a coefficient at the points w = (t, x): a batch
         w of shape (..., 2) gives values of shape (...), so one point passed
         as shape (1, 2) gives an array of shape (1,), not a scalar."""
-        if scaled_degree(k) > self.regularity:
+        if mi_sdeg(k, SCALING) > self.regularity:
             raise ValueError("jet order exceeds the field's regularity")
         w = np.asarray(w, dtype=float)
         return self._fn(name, tuple(k))(w[..., 0] + 0.0 * w[..., 1],
@@ -352,11 +332,6 @@ def frozen_gaussian(field: CoefficientField, w, z):
     return np.where(t > 0,
                     np.exp(-x ** 2 / (4 * a0 * safe))
                     / np.sqrt(4 * np.pi * a0 * safe), 0.0)
-
-
-def error_kernel(field: CoefficientField, z, zbar):
-    """L applied to the frozen-coefficient parametrix off the diagonal."""
-    return e_kernel(field)(z, zbar)
 
 
 # ---------------------------------------------------------------------------
@@ -539,9 +514,6 @@ class Volterra:
             total = total + s(z, zbar)
         return total
 
-    def summand(self, k: int) -> HeatCalcKernel:
-        return self.summands[k]
-
 
 def volterra(field: CoefficientField, N: int, *, n_s: int = 20,
              n_y: int = 24, budget: float = 5e8) -> Volterra:
@@ -627,7 +599,7 @@ class LambdaTerm:
             name = str(s)
             if not (name[0] in "abc" and "_" in name):
                 return False
-            if r is not None and scaled_degree(_parse_jet(s)[1]) > r:
+            if r is not None and mi_sdeg(_parse_jet(s)[1], SCALING) > r:
                 return False
         a00 = _jet_symbol("a", (0, 0))
         if not (den.is_polynomial() and den.free_symbols <= {a00}):
@@ -765,13 +737,13 @@ def _taylor_slots(dval, r: int, frame) -> list[_SlotTerm]:
     f)`` turns a profile f(v) into the slot value.  Jets divide by k!
     inside the frame, remainders outside it."""
     slots = [_SlotTerm(k, None, lambda w, z, zbar, k=k: frame(
-        z, zbar, lambda v: dval(k, w, v) / _fact(k)))
-        for k in lower_indices(r)]
+        z, zbar, lambda v: dval(k, w, v) / mi_factorial(k)))
+        for k in mi_below(SCALING, r)]
     for k in boundary_indices(r):
         kd = _down(k)
         slots.append(_SlotTerm(kd, k, lambda w, z, zbar, k=k, kd=kd: frame(
             z, zbar, lambda v: _increment(lambda j, p: dval(j, p, v),
-                                          k, kd, w, zbar)) / _fact(kd)))
+                                          k, kd, w, zbar)) / mi_factorial(kd)))
     return slots
 
 
@@ -794,7 +766,7 @@ class ZJet:
 
     def profile(self, w, v, dv: int):
         return (_a_jet(self.field, _gauss_expr(), self.k, w, v, dv)
-                / _fact(self.k))
+                / mi_factorial(self.k))
 
     def __call__(self, w, zeta, dv: int = 0):
         return _parabolic(zeta, dv, lambda v: self.profile(w, v, dv))
@@ -809,8 +781,8 @@ class ZJet:
         # t^{-1/2} f(v) W-shaped, so Q picks up one power of u
         u, v = sp.symbols("u v")
         gauss = _gauss_expr()
-        ratio = sp.cancel(sp.together(
-            _a_jet_expr(gauss, self.k, 0) / _jetify(gauss))) / _fact(self.k)
+        ratio = sp.cancel(sp.together(_a_jet_expr(gauss, self.k, 0)
+                                      / _jetify(gauss))) / mi_factorial(self.k)
         poly = sp.Poly(sp.expand(ratio), _V)
         terms = []
         for (deg,), coeff in poly.terms():
@@ -829,7 +801,7 @@ def taylor_decompose_Z(field: CoefficientField, r: int):
     if r > field.regularity:
         raise ValueError("insufficient coefficient regularity for this "
                          "expansion order")
-    jets = {k: ZJet(k, field) for k in lower_indices(r)}
+    jets = {k: ZJet(k, field) for k in mi_below(SCALING, r)}
     rems = {s.k_label: s.value for s in _z_slots(field, r, 0)
             if s.k_label is not None}
     return jets, rems
@@ -844,13 +816,12 @@ def _coeff_slot_terms(field, name: str, r: int, at_z: bool):
     increment a(zbar)-a(z) (not at_z), as slot terms in powers of (zbar-w)."""
     deriv = lambda kd, pt: field.jet(name, kd, pt)
     terms = []
-    for k in lower_indices(r):
-        ls = [(i, j) for i in range(k[0] + 1) for j in range(k[1] + 1)]
-        for l in ls:
+    for k in mi_below(SCALING, r):
+        for l in mi_leq_iter(k):
             if not at_z and l == (0, 0):
                 continue
-            nu = _sub(k, l)
-            c = -1.0 / (_fact(nu) * _fact(l))
+            nu = mi_sub(k, l)
+            c = -1.0 / (mi_factorial(nu) * mi_factorial(l))
 
             def val(w, z, zbar, k=k, l=l, c=c):
                 jet = field.jet(name, k, np.asarray(w, dtype=float))
@@ -863,17 +834,18 @@ def _coeff_slot_terms(field, name: str, r: int, at_z: bool):
                                    lambda w, z, zbar, k=k, kd=kd:
                                    (_increment(deriv, k, kd, w, zbar)
                                     - _increment(deriv, k, kd, w, z))
-                                   / _fact(kd)))
+                                   / mi_factorial(kd)))
         else:
             terms.append(_SlotTerm(kd, k,
                                    lambda w, z, zbar, k=k, kd=kd:
                                    -_increment(deriv, k, kd, w, z)
-                                   / _fact(kd)))
+                                   / mi_factorial(kd)))
         # the part of (z-w)^{k_down} carrying (z-zbar) powers
-        for eta in [(i, j) for i in range(kd[0] + 1)
-                    for j in range(kd[1] + 1) if (i, j) != (0, 0)]:
-            nu = _sub(kd, eta)
-            c = -(_binom(kd, eta) / _fact(kd))
+        for eta in mi_leq_iter(kd):
+            if eta == (0, 0):
+                continue
+            nu = mi_sub(kd, eta)
+            c = -(mi_binom(kd, eta) / mi_factorial(kd))
 
             def val_b(w, z, zbar, k=k, kd=kd, eta=eta, c=c):
                 return (c * _mono(np.asarray(z) - np.asarray(zbar), eta)
@@ -1027,9 +999,9 @@ def _e0_lambda_pieces(r: int) -> list[tuple[sp.Expr, sp.Expr]]:
     u, v = sp.symbols("u v")
     a0 = _jet_symbol("a", (0, 0))
     pieces = []
-    for l in lower_indices(r):
-        du = 2 * l[0] + l[1]
-        lf = _fact(l)
+    for l in mi_below(SCALING, r):
+        du = mi_sdeg(l, SCALING)
+        lf = mi_factorial(l)
         if l != (0, 0):
             al = _jet_symbol("a", l)
             pieces.append((al / (4 * a0 ** 2 * lf),
@@ -1097,7 +1069,7 @@ class GreenDecomposition:
                         s = np.where(u > 0, u ** 2, 1.0)
                         return vals * s * v ** k0[1]
 
-                    ek = HeatCalcKernel(1.0 + scaled_degree(k0), e_ftilde,
+                    ek = HeatCalcKernel(1.0 + mi_sdeg(k0, SCALING), e_ftilde,
                                         f"(z)^{k0}*(-E[0])")
                     conv = heat_convolve(zk, ek, **self._quad)
                     parts.append(lambda zeta, conv=conv:
@@ -1134,7 +1106,7 @@ class GreenDecomposition:
         if self.N >= 1 and not self.field.is_constant():
             e0_pieces = _e0_lambda_pieces(self.r)
             for k0 in self._zjets:
-                mono = u ** (2 * k0[0] + k0[1]) * v ** k0[1]
+                mono = u ** mi_sdeg(k0, SCALING) * v ** k0[1]
                 for lt in self._zjets[k0].lambda_terms():
                     for c_e, q_e in e0_pieces:
                         terms.append(LambdaTerm(

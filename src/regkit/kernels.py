@@ -8,18 +8,19 @@ increment serves the heat-kernel Taylor splits).
 
 Points live in ℝ^d with an integer scaling s; the scaled distance is
 |z|_s = Σ_i |z_i|^{1/s_i} and dilation by λ acts as z_i ↦ λ^{s_i} z_i.
+Multi-index sets, k! and |k|_s come from the helpers in ``trees``.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import roots_jacobi
+
+from .trees import mi_below, mi_factorial, mi_sdeg
 
 __all__ = [
     "snorm",
@@ -132,15 +133,6 @@ class NormReport:
         return self.value
 
 
-def _multi_indices_upto(scaling, bound):
-    """Multi-indices with scaled degree ≤ bound."""
-    out = []
-    caps = [int(math.floor(bound / s)) for s in scaling]
-    for k in iproduct(*(range(c + 1) for c in caps)):
-        if sum(ki * s for ki, s in zip(k, scaling)) <= bound:
-            out.append(k)
-    return out
-
 def _fd_derivative(f, k, steps):
     """Nested central differences, one axis at a time."""
     def deriv(z, axis_orders=k):
@@ -193,7 +185,8 @@ def kernel_norm(K: DyadicKernel, *, samples_per_axis: int = 17) -> NormReport:
     scaling = K.cutoff.scaling
     abs_s = sum(scaling)
     beta = float(K.beta)
-    kset = _multi_indices_upto(scaling, 2 * K.order)
+    # |k|_s ≤ 2𝔬, as the scaling is integer
+    kset = mi_below(scaling, 2 * K.order + 1)
     degraded = any(any(k) for k in kset)
     mode = "finite-difference" if degraded else "sampled"
     per = []
@@ -204,8 +197,7 @@ def kernel_norm(K: DyadicKernel, *, samples_per_axis: int = 17) -> NormReport:
         best = 0.0
         for k in kset:
             dk = _fd_derivative(comp, k, steps) if any(k) else comp
-            ksd = sum(ki * s for ki, s in zip(k, scaling))
-            weight = 2.0 ** ((abs_s - beta + ksd) * n)
+            weight = 2.0 ** ((abs_s - beta + mi_sdeg(k, scaling)) * n)
             best = max(best, _sup_abs(dk, r, scaling, samples_per_axis)
                        / weight)
         per.append(best)
@@ -244,8 +236,7 @@ def holder_norm_estimate(fieldfn: Callable, alpha: float,
         return best
     # positive exponent: increment form against the finite-difference jet
     h = 1.0 / max(per_axis - 1, 1)
-    jet_orders = [k for k in _multi_indices_upto(scaling, math.ceil(alpha))
-                  if sum(ki * s for ki, s in zip(k, scaling)) < alpha]
+    jet_orders = mi_below(scaling, alpha)
     fx = fieldfn(xs)
     sup_part = float(np.max(np.abs(fx)))
     for lam in lambdas:
@@ -258,8 +249,7 @@ def holder_norm_estimate(fieldfn: Callable, alpha: float,
                 dk = (fx if not any(k)
                       else _fd_derivative(fieldfn, k, [h] * len(scaling))(xs))
                 mono = np.prod((ys - xs) ** np.array(k), axis=-1)
-                jet = jet + dk * mono / np.prod(
-                    [math.factorial(ki) for ki in k])
+                jet = jet + dk * mono / mi_factorial(k)
             inc = np.abs(fieldfn(ys) - jet) / lam ** alpha
             best = max(best, float(np.max(inc)))
     return max(best, sup_part)
@@ -356,7 +346,7 @@ def aniso_taylor(A, x, derivs: Callable):
     jet_terms = {
         k: derivs(k, origin) * float(np.prod(np.array(x, dtype=float)
                                              ** np.array(k)))
-        / np.prod([math.factorial(ki) for ki in k])
+        / mi_factorial(k)
         for k in A}
     boundary = lower_boundary(A)
 
@@ -365,8 +355,7 @@ def aniso_taylor(A, x, derivs: Callable):
         total = 0.0
         for k in boundary:
             kd = _down(k)
-            coeff = (float(np.prod(pt ** np.array(kd)))
-                     / np.prod([math.factorial(ki) for ki in kd]))
+            coeff = float(np.prod(pt ** np.array(kd))) / mi_factorial(kd)
             if coeff == 0.0:
                 continue
             total += coeff * _increment(derivs, k, kd, origin, pt, 40)

@@ -28,6 +28,7 @@ __all__ = [
     "mi_factorial",
     "mi_binom",
     "mi_below",
+    "mi_leq_iter",
     "mi_sdeg",
     "unit",
     "monomial",
@@ -76,9 +77,10 @@ def mi_binom(a: MultiIndex, b: MultiIndex) -> int:
     return out
 
 
-def mi_sdeg(a: MultiIndex, scaling: Sequence[Fraction]) -> Fraction:
-    """Scaled size |a|_s = sum_i s_i a_i."""
-    return sum((s * x for s, x in zip(scaling, a, strict=True)), Fraction(0))
+def mi_sdeg(a: MultiIndex, scaling: Sequence[int | Fraction]) -> int | Fraction:
+    """Scaled size |a|_s = sum_i s_i a_i: an int for an integer scaling, a
+    Fraction for a Fraction one."""
+    return sum(s * x for s, x in zip(scaling, a, strict=True))
 
 
 def mi_leq_iter(a: MultiIndex) -> Iterator[MultiIndex]:
@@ -279,22 +281,20 @@ class DecoratedTree:
     def _from_nested(ts: TypeSet, nested) -> "DecoratedTree":
         parent, etype, edeco, odeco, ndeco, coloured = [], [], [], [], [], []
 
-        def walk(node, par, edata):
+        # the encoding lists siblings in canonical order and has already
+        # turned a zero over-decoration into _NO_ODECO
+        def walk(enc, par, et, ed, od, col):
             idx = len(parent)
             parent.append(par)
-            et, ed, od, col = edata
             etype.append(et)
             edeco.append(ed)
-            # a zero over-decoration is the same as no over-decoration
-            odeco.append(od if od is not None and any(od) else None)
-            coloured.append(col)
-            ndeco.append(node[0])
-            edges = sorted(node[1], key=lambda e: _edge_key(e[0], e[1], e[2], e[3],
-                                                            _encode(e[4])))
-            for (cet, ced, cod, ccol, ch) in edges:
-                walk(ch, idx, (cet, ced, cod, bool(ccol)))
+            odeco.append(None if od is _NO_ODECO else od)
+            coloured.append(bool(col))
+            ndeco.append(enc[0])
+            for (cet, ced, cod, ccol, ch) in enc[1]:
+                walk(ch, idx, cet, ced, cod, ccol)
 
-        walk(nested, -1, (None, None, None, False))
+        walk(_encode(nested), -1, None, None, _NO_ODECO, False)
         t = DecoratedTree(ts, tuple(parent), tuple(etype), tuple(edeco),
                           tuple(odeco), tuple(ndeco), tuple(coloured))
         t._validate()

@@ -304,7 +304,7 @@ def test_07_heat_kernel_suite():
     assert fit_exponent(hs, vals) == pytest.approx((1 - 3) / 2, abs=0.2)
     rays = (0.0, 0.5, 1.0, 2.0)
     for k in (0, 1, 2):
-        S = vol2.summand(k)
+        S = vol2.summands[k]
         vals = [max(abs(float(S(np.array([h, v * math.sqrt(h)]), ORIGIN)))
                     for v in rays) for h in hs]
         assert fit_exponent(hs, vals) == pytest.approx((2 + k - 3) / 2,

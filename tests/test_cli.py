@@ -90,6 +90,14 @@ class TestConfig:
         assert result.exit_code == 2
         assert report["error"]["kind"] == "config-parse"
 
+    def test_removed_heat_terms_refused(self, runner, tmp_path):
+        # the heat report never read this budget, so it is no longer a key
+        result, report = invoke(runner, tmp_path, "heat",
+                                {"budgets": {"heat_terms": 1}})
+        assert result.exit_code == 2
+        assert report["error"]["kind"] == "config-parse"
+        assert "budgets.heat_terms" in report["error"]["detail"]
+
     def test_section_not_an_object_refused(self, runner, tmp_path):
         result, report = invoke(runner, tmp_path, "trees", {"grid": 5})
         assert result.exit_code == 2

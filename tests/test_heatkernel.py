@@ -18,18 +18,17 @@ from regkit.heatkernel import (
     decompose_green,
     decompose_green_adjoint,
     e_kernel,
-    error_kernel,
     frozen_gaussian,
     heat_convolve,
     parse_coefficient,
     parse_lambda_term,
-    scaled_degree,
     taylor_decompose_E,
     taylor_decompose_Z,
     volterra,
     z_kernel,
 )
 from regkit.kernels import CutoffFamily, kernel_norm
+from regkit.trees import mi_sdeg
 
 ORIGIN = np.array([0.0, 0.0])
 
@@ -101,8 +100,8 @@ class TestCoefficientField:
             lambda t, x: x / 7 * np.ones(shape(t, x)),
             lambda t, x: np.cos(x) / 3 * np.ones(shape(t, x)))
         z, zbar = np.array([0.6, 0.3]), np.array([0.1, -0.1])
-        assert float(error_kernel(fd, z, zbar)) == pytest.approx(
-            float(error_kernel(gentle, z, zbar)), rel=1e-9)
+        assert float(e_kernel(fd)(z, zbar)) == pytest.approx(
+            float(e_kernel(gentle)(z, zbar)), rel=1e-9)
         w = np.array([[0.2, 0.1]])
         assert fd.jet("a", (0, 2), w).item() == pytest.approx(
             gentle.jet("a", (0, 2), w).item(), abs=1e-5)
@@ -154,15 +153,14 @@ class TestFrozenGaussian:
 
 class TestErrorKernel:
     def test_constant_coefficients_vanish(self, constant):
-        assert error_kernel(constant, np.array([0.5, 0.2]),
-                            np.array([0.1, 0.0])) == 0.0
+        assert e_kernel(constant)(np.array([0.5, 0.2]),
+                                  np.array([0.1, 0.0])) == 0.0
 
     def test_matching_diffusion_vanishes(self):
         # pure diffusion, equal a at the sampled pair
         f = CoefficientField.make("1 + sin(x)/5")
         z, zbar = np.array([0.4, 0.3]), np.array([0.1, 0.3])
-        assert float(error_kernel(f, z, zbar)) == pytest.approx(0.0,
-                                                                abs=1e-15)
+        assert float(e_kernel(f)(z, zbar)) == pytest.approx(0.0, abs=1e-15)
 
     def test_short_time_order(self):
         # |E| at fixed v scales like (t - tbar)^{(1-3)/2}
@@ -262,7 +260,7 @@ class TestVolterra:
         hs = np.array([0.04, 0.02, 0.01, 0.005])
         rays = (0.0, 0.5, 1.0, 2.0)
         for k in (0, 1, 2):
-            S = vol.summand(k)
+            S = vol.summands[k]
             vals = [max(abs(float(S(np.array([h, v * math.sqrt(h)]), ORIGIN)))
                         for v in rays) for h in hs]
             assert fit_exponent(hs, vals) == pytest.approx(
@@ -275,6 +273,17 @@ class TestVolterra:
 
 
 class TestTaylorZ:
+    def test_boundary_indices_literal(self):
+        # the slot and row order of the pinned E views starts from these
+        assert [boundary_indices(r) for r in range(1, 7)] == [
+            [(0, 1), (1, 0)],
+            [(0, 2), (1, 0), (1, 1)],
+            [(0, 3), (1, 1), (1, 2), (2, 0)],
+            [(0, 4), (1, 2), (1, 3), (2, 0), (2, 1)],
+            [(0, 5), (1, 3), (1, 4), (2, 1), (2, 2), (3, 0)],
+            [(0, 6), (1, 4), (1, 5), (2, 2), (2, 3), (3, 0), (3, 1)],
+        ]
+
     def test_order_one_is_gaussian(self, gentle):
         jets, rems = taylor_decompose_Z(gentle, 1)
         assert set(jets) == {(0, 0)}
@@ -426,16 +435,16 @@ class TestTaylorE:
 
     def test_emitted_sets(self, gentle):
         jets, rems = taylor_decompose_E(gentle, 3)
-        assert all(scaled_degree(k) < 9 for k in jets)
-        floor = min(scaled_degree(down(k)) for k in boundary_indices(3))
-        assert all(scaled_degree(k) >= floor + scaled_degree((0, 0))
+        assert all(mi_sdeg(k, (2, 1)) < 9 for k in jets)
+        floor = min(mi_sdeg(down(k), (2, 1)) for k in boundary_indices(3))
+        assert all(mi_sdeg(k, (2, 1)) >= floor + mi_sdeg((0, 0), (2, 1))
                    for (k, nu) in rems)
 
     def test_remainder_extra_order(self, gentle):
         # each remainder gains at least (1 + |kd - l|_s - 3)/2 in short time
         _, rems = taylor_decompose_E(gentle, 3)
-        key = max(rems, key=lambda kl: scaled_degree(down(kl[0]))
-                  - scaled_degree(kl[1]))
+        key = max(rems, key=lambda kl: mi_sdeg(down(kl[0]), (2, 1))
+                  - mi_sdeg(kl[1], (2, 1)))
         k, nu = key
         rem = rems[key]
         w = np.array([0.1, 0.2])
@@ -443,7 +452,7 @@ class TestTaylorE:
         hs = np.array([0.2, 0.1, 0.05, 0.025])
         vals = [abs(float(rem(w, zbar + np.array([h, 0.4 * math.sqrt(h)]),
                               zbar))) for h in hs]
-        target = (1 + scaled_degree(down(k)) - scaled_degree(nu) - 3) / 2
+        target = (1 + mi_sdeg(down(k), (2, 1)) - mi_sdeg(nu, (2, 1)) - 3) / 2
         assert fit_exponent(hs, vals) >= target - 0.2
 
 

@@ -1,8 +1,9 @@
 """Source checks that need no import of the package: every name a module of
 the package or of the test suite imports at its top level is used somewhere
-in that module, every module-level function and class of the package is
-referenced from the package, the tests or the benchmark, and every
-``__all__`` entry names something its module binds."""
+in that module, every module-level function and class of the package and
+every non-dunder method of its classes is referenced from the package, the
+tests or the benchmark, and every ``__all__`` entry names something its
+module binds."""
 import ast
 from collections import Counter
 from functools import cache
@@ -72,6 +73,16 @@ def unreferenced(source: str, counts: Counter) -> list[str]:
             and counts[node.name] <= _names(node).count(node.name)]
 
 
+def orphan_methods(source: str, counts: Counter) -> list[str]:
+    """Non-dunder methods of the classes of ``source`` whose name is read
+    (``counts``, by name) nowhere outside their own definition."""
+    return [f"{cls.name}.{node.name} (line {node.lineno})"
+            for cls in ast.parse(source).body if isinstance(cls, ast.ClassDef)
+            for node in cls.body if isinstance(node, ast.FunctionDef)
+            and not (node.name.startswith("__") and node.name.endswith("__"))
+            and counts[node.name] <= _names(node).count(node.name)]
+
+
 def unbound_exports(source: str) -> list[str]:
     """``__all__`` entries that the module does not bind at its top level."""
     tree = ast.parse(source)
@@ -98,6 +109,11 @@ def test_detector_flags_orphans():
         "alone (line 4)"]
     assert unbound_exports("__all__ = ['f', 'g']\ndef f():\n    pass\n") \
         == ["g"]
+    klass = ("class C:\n    def __len__(self):\n        return 0\n\n"
+             "    def used(self):\n        return self.used\n\n"
+             "    def alone(self):\n        return self.alone()\n")
+    assert orphan_methods(klass, reads([klass, "C().used()\n"])) == [
+        "C.alone (line 8)"]
 
 
 @cache
@@ -109,6 +125,12 @@ def _referring_reads() -> Counter:
                          ids=lambda p: p.name)
 def test_every_definition_is_referenced(path):
     assert unreferenced(path.read_text(), _referring_reads()) == []
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_method_is_referenced(path):
+    assert orphan_methods(path.read_text(), _referring_reads()) == []
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),

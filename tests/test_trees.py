@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
@@ -11,6 +13,8 @@ from regkit.trees import (
     cuts,
     leaf,
     mi_below,
+    mi_leq_iter,
+    mi_sdeg,
     monomial,
     noise,
     paint,
@@ -159,6 +163,34 @@ def test_mi_below(ts):
     got = mi_below(ts.scaling, Fraction(2))
     # |k|_s < 2 with s = (2,1): (0,0), (0,1)
     assert got == [(0, 0), (0, 1)]
+
+
+INT_SCALINGS = st.lists(st.integers(1, 3), min_size=1, max_size=3)
+FRACTION_SCALINGS = st.lists(
+    st.fractions(Fraction(1, 3), 3, max_denominator=3), min_size=1,
+    max_size=3)
+
+
+@settings(max_examples=80, deadline=None)
+@given(scaling=INT_SCALINGS | FRACTION_SCALINGS,
+       bound=st.integers(-1, 6) | st.fractions(-1, 6, max_denominator=4))
+def test_multi_index_vocabulary_property(scaling, bound):
+    """mi_below is the sorted set {|k|_s < bound} of a brute-force box,
+    mi_sdeg keeps the number type of the scaling, and mi_leq_iter lists
+    the box below k in lexicographic order."""
+    box = product(*(range(max(0, math.floor(bound / s)) + 1)
+                    for s in scaling))
+    brute = sorted(k for k in box
+                   if sum(s * x for s, x in zip(scaling, k)) < bound)
+    got = mi_below(scaling, bound)
+    assert got == brute
+    kind = int if all(type(s) is int for s in scaling) else Fraction
+    for k in got:
+        assert type(mi_sdeg(k, scaling)) is kind
+        below = list(mi_leq_iter(k))
+        assert below == sorted(below)
+        assert len(below) == math.prod(x + 1 for x in k)
+        assert all(all(a <= b for a, b in zip(j, k)) for j in below)
 
 
 def test_formal_sum_arithmetic():
