@@ -5,14 +5,12 @@ defaults for anything missing), runs deterministically under the configured
 seeds, and prints a single JSON report.  Reports are byte-identical across
 runs of the same config apart from the ``timestamp`` field.  ``verify`` exits
 nonzero when any check fails; a corrupted rule file produces a structured
-parse error and no partial run.  The only environment variable honoured is
-``REGKIT_THREADS`` (thread count), recorded in the report metadata.
+parse error and no partial run.
 """
 from __future__ import annotations
 
 import copy
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -192,7 +190,6 @@ class RunConfig:
     def meta(self) -> dict:
         return {"config": self.path or "<defaults>",
                 "defaults_used": self.defaults_used,
-                "threads": os.environ.get("REGKIT_THREADS", "1"),
                 "seeds": self.data["seeds"]}
 
 

@@ -11,9 +11,10 @@ form) plus a smooth remainder.
 
 The expansions in the base point zbar about w of the frozen Gaussian, its
 x-derivative and the bracket factors of E are built by one function,
-``_taylor_slots``: jets d^k g(w)/k! for |k|_s < r plus one
-Gauss-Jacobi increment remainder per boundary index, with the derivatives
-d^k g taken from one cached table of lambdified a-jets, ``_a_jet_fn``.
+``kernels._taylor_slots`` (the builder behind ``aniso_taylor`` too): jets
+d^k g(w)/k! for |k|_s < r plus one Gauss-Jacobi increment remainder per
+boundary index, with the derivatives d^k g taken from one cached table of
+lambdified a-jets, ``_a_jet_fn``.
 Coefficient strings are read by ``parse_coefficient``, which lets only
 numbers, t, x, arithmetic and a fixed set of elementary functions reach
 sympy.
@@ -36,21 +37,19 @@ import numpy as np
 import sympy as sp
 from scipy.special import roots_jacobi, roots_legendre
 
-from .kernels import (_down, _fd_derivative, _increment, dyadic_decompose,
-                      lower_boundary)
+from .kernels import (_SlotTerm, _down, _increment, _taylor_slots,
+                      dyadic_decompose, lower_boundary)
 from .trees import (mi_below, mi_binom, mi_factorial, mi_leq_iter, mi_sdeg,
                     mi_sub)
 
 __all__ = [
     "CoefficientField",
     "parse_coefficient",
-    "FiniteDifferenceField",
     "frozen_gaussian",
     "HeatCalcKernel",
     "z_kernel",
     "e_kernel",
     "heat_convolve",
-    "convolution_norm_report",
     "Volterra",
     "volterra",
     "apply_operator",
@@ -161,7 +160,8 @@ def _float_value(node, values) -> float:
         if isinstance(node, ast.UnaryOp):
             return -values[0] if isinstance(node.op, ast.USub) else values[0]
         return _MATH[node.func.id](*values)
-    except (ArithmeticError, ValueError, KeyError, TypeError):
+    except (ArithmeticError, ValueError, KeyError, TypeError,
+            AttributeError):  # the empty tuple "()" has no function
         return math.nan
 
 
@@ -212,6 +212,8 @@ class CoefficientField:
     def _fn(self, name: str, k=(0, 0)) -> Callable:
         key = (name, k)
         if key not in self._cache:
+            if mi_sdeg(k, SCALING) > self.regularity:
+                raise ValueError("jet order exceeds the field's regularity")
             expr = {"a": self.a_expr, "b": self.b_expr,
                     "c": self.c_expr}[name]
             expr = sp.diff(expr, T_SYM, k[0], X_SYM, k[1])
@@ -219,11 +221,9 @@ class CoefficientField:
         return self._cache[key]
 
     def jet(self, name: str, k, w) -> np.ndarray:
-        """Derivative d^k of a coefficient at the points w = (t, x): a batch
-        w of shape (..., 2) gives values of shape (...), so one point passed
-        as shape (1, 2) gives an array of shape (1,), not a scalar."""
-        if mi_sdeg(k, SCALING) > self.regularity:
-            raise ValueError("jet order exceeds the field's regularity")
+        """Derivative d^k, |k|_s up to the regularity, of a coefficient at
+        the points w = (t, x): a batch w of shape (..., 2) gives values of
+        shape (...), so one point of shape (1, 2) gives shape (1,)."""
         w = np.asarray(w, dtype=float)
         return self._fn(name, tuple(k))(w[..., 0] + 0.0 * w[..., 1],
                                         w[..., 1]) * np.ones(w.shape[:-1])
@@ -268,54 +268,6 @@ class CoefficientField:
                                 self.ellipticity, self.regularity)
 
 
-class FiniteDifferenceField:
-    """Coefficient field given by plain callables (t, x) -> value; every jet
-    is taken by nested central differences with the recorded steps.  A
-    fallback for fields without closed forms: expect jet accuracy to fade
-    with the order."""
-
-    def __init__(self, a, b=None, c=None, *, ellipticity: float = 0.25,
-                 regularity: int = 4, steps=(1e-3, 1e-3)):
-        zero = lambda t, x: np.zeros(np.broadcast(t, x).shape)
-        self._raw = {"a": a, "b": b or zero, "c": c or zero}
-        self.ellipticity = ellipticity
-        self.regularity = regularity
-        self.steps = tuple(float(s) for s in steps)
-
-    def _fn(self, name: str, k=(0, 0)) -> Callable:
-        raw = self._raw[name]
-        d = _fd_derivative(lambda z: raw(z[..., 0], z[..., 1]), k, self.steps)
-        return lambda t, x: d(np.stack(np.broadcast_arrays(t, x), -1))
-
-    jet = CoefficientField.jet
-    a = CoefficientField.a
-    b = CoefficientField.b
-    c = CoefficientField.c
-    check_parabolicity = CoefficientField.check_parabolicity
-
-    def is_constant(self) -> bool:
-        return False
-
-    def adjoint(self) -> "FiniteDifferenceField":
-        ax = self._fn("a", (0, 1))
-        axx = self._fn("a", (0, 2))
-        bx = self._fn("b", (0, 1))
-        a, b, c = self._raw["a"], self._raw["b"], self._raw["c"]
-        return FiniteDifferenceField(
-            a,
-            lambda t, x: 2 * ax(t, x) - b(t, x),
-            lambda t, x: c(t, x) - bx(t, x) + axx(t, x),
-            ellipticity=self.ellipticity,
-            regularity=max(self.regularity - 2, 0), steps=self.steps)
-
-    def reflect_time(self) -> "FiniteDifferenceField":
-        a, b, c = (self._raw[n] for n in "abc")
-        return FiniteDifferenceField(
-            lambda t, x: a(-t, x), lambda t, x: b(-t, x),
-            lambda t, x: c(-t, x), ellipticity=self.ellipticity,
-            regularity=self.regularity, steps=self.steps)
-
-
 def frozen_gaussian(field: CoefficientField, w, z):
     """Fundamental solution of the operator with diffusion frozen at the
     one point w = (t, x) of shape (2,), evaluated at the increments z of
@@ -358,25 +310,6 @@ class HeatCalcKernel:
         v = (z[..., 1] - zbar[..., 1]) / u
         vals = self.ftilde(zbar[..., 0], zbar[..., 1], u, v)
         return np.where(mask, safe ** ((self.alpha - 3.0) / 2.0) * vals, 0.0)
-
-    def seminorm(self, T: float = 1.0, n: int = 0, samples: int = 21
-                 ) -> float:
-        """Reported sup of (1+|v|)^n |Ftilde| over a sample grid of base
-        points |tb| <= 2.25, |xb| <= 1.5, 0 < u <= sqrt(T) and |v| <= 10."""
-        tb = np.linspace(-2.25, 2.25, samples)
-        xb = np.linspace(-1.5, 1.5, samples)
-        u = np.linspace(1e-6, math.sqrt(T), samples)
-        v = np.linspace(-10.0, 10.0, 4 * samples)
-        grid = np.stack([m.ravel() for m in
-                         np.meshgrid(tb, xb, u, v, indexing="ij")], axis=-1)
-        best = 0.0
-        for lo in range(0, grid.shape[0], 16384):  # bound peak memory
-            part = grid[lo:lo + 16384]
-            vals = np.abs(self.ftilde(part[:, 0], part[:, 1],
-                                      part[:, 2], part[:, 3]))
-            best = max(best, float(np.max(
-                vals * (1.0 + np.abs(part[:, 3])) ** n)))
-        return best
 
     def scaled(self, c: float) -> "HeatCalcKernel":
         return HeatCalcKernel(
@@ -476,22 +409,6 @@ def heat_convolve(F: HeatCalcKernel, G: HeatCalcKernel, *,
         return np.sum(WSY * g_vals * f_vals, axis=(-2, -1))
 
     return HeatCalcKernel(alpha + beta, ftilde, f"({F.label})*({G.label})")
-
-
-def convolution_norm_report(F: HeatCalcKernel, G: HeatCalcKernel,
-                            FG: HeatCalcKernel, *, T: float = 1.0,
-                            n: int = 3, samples: int = 9) -> dict:
-    """Check the convolution bound
-    ||F*G|| <= C * B((alpha-1)/2, beta/2) * ||F|| * ||G||_{n+2}
-    on sampled seminorms; the constant is reported, not asserted."""
-    from scipy.special import beta as beta_fn
-    nf = F.seminorm(T=T, n=n, samples=samples)
-    ng = G.seminorm(T=T, n=n + 2, samples=samples)
-    nfg = FG.seminorm(T=T, n=n, samples=samples)
-    b = beta_fn((F.alpha - 1.0) / 2.0, G.alpha / 2.0)
-    bound_core = b * nf * ng
-    return {"lhs": nfg, "beta_factor": b, "norm_F": nf, "norm_G": ng,
-            "constant": nfg / bound_core if bound_core > 0 else float("inf")}
 
 
 # ---------------------------------------------------------------------------
@@ -719,39 +636,12 @@ def _parabolic(zeta, dv: int, profile):
                     * profile(x / np.sqrt(safe)), 0.0)
 
 
-@dataclass(frozen=True)
-class _SlotTerm:
-    nu: tuple[int, int]           # exponent of (zbar - w)
-    k_label: tuple[int, int] | None  # boundary index; None = jet term
-    value: Callable                # (w, z, zbar) -> array
-
-
-def _taylor_slots(dval, r: int, frame) -> list[_SlotTerm]:
-    """The expansion of g(zbar) in its base point about w, as slot terms:
-
-        g(zbar) = sum_{|k|_s < r} (zbar-w)^k d^k g(w) / k!
-                + sum_{k in boundary} (zbar-w)^{k_down} inc_k(w, zbar)/k_down!
-
-    with inc_k the Gauss-Jacobi increment of d^{k_down} g.  ``dval(k, point,
-    v)`` is d^k g at a point and profile variable v, and ``frame(z, zbar,
-    f)`` turns a profile f(v) into the slot value.  Jets divide by k!
-    inside the frame, remainders outside it."""
-    slots = [_SlotTerm(k, None, lambda w, z, zbar, k=k: frame(
-        z, zbar, lambda v: dval(k, w, v) / mi_factorial(k)))
-        for k in mi_below(SCALING, r)]
-    for k in boundary_indices(r):
-        kd = _down(k)
-        slots.append(_SlotTerm(kd, k, lambda w, z, zbar, k=k, kd=kd: frame(
-            z, zbar, lambda v: _increment(lambda j, p: dval(j, p, v),
-                                          k, kd, w, zbar)) / mi_factorial(kd)))
-    return slots
-
-
 def _z_slots(field: CoefficientField, r: int, dv: int) -> list[_SlotTerm]:
     """Base-point slots of the frozen Gaussian (dv = 0) or of its
     x-derivative (dv = 1)."""
     return _taylor_slots(
-        lambda k, p, v: _a_jet(field, _gauss_expr(), k, p, v, dv), r,
+        lambda k, p, v: _a_jet(field, _gauss_expr(), k, p, v, dv),
+        mi_below(SCALING, r),
         lambda z, zbar, f: _parabolic(np.asarray(z, dtype=float)
                                       - np.asarray(zbar, dtype=float), dv, f))
 
@@ -794,7 +684,7 @@ def taylor_decompose_Z(field: CoefficientField, r: int):
     """Expand the parametrix term in its base-point slot about w.
 
     Returns (jets, remainders): jets[k] is a ZJet and remainders[k] the
-    remainder slot of _taylor_slots for the boundary index k, with
+    remainder slot of kernels._taylor_slots for the boundary index k, with
     Z(z, zbar) = sum_k (zbar-w)^k jets[k](w, z-zbar)
                + sum_{k in boundary} (zbar-w)^{k_down} remainders[k](w,z,zbar)
     """
@@ -911,8 +801,8 @@ class EDecomposition:
         ida = add(_coeff_slot_terms(field, "a", r, at_z=False))
         # the bracket factors carry no v: their frame is the profile itself
         bracket = [(s, v2) for g, v2 in _BRACKET for s in _taylor_slots(
-            lambda k, p, v, g=g: _a_jet(field, g, k, p, v, 0), r,
-            lambda z, zbar, f: f(0.0))]
+            lambda k, p, v, g=g: _a_jet(field, g, k, p, v, 0),
+            mi_below(SCALING, r), lambda z, zbar, f: f(0.0))]
         ibr = add([s for s, _v2 in bracket])
         ib = add(_coeff_slot_terms(field, "b", r, at_z=True))
         ic = add(_coeff_slot_terms(field, "c", r, at_z=True))
@@ -1050,11 +940,10 @@ class GreenDecomposition:
     def _chain_kernel(self, w) -> Callable:
         key = tuple(np.asarray(w, dtype=float))
         if key not in self._kernel_cache:
-            field = self.field
-            base = ZJet((0, 0), field)
+            base = ZJet((0, 0), self.field)
             parts = [lambda zeta, base=base, w=w: base(w, zeta)]
-            if self.N >= 1 and (0, 0) in self._ejets and not \
-                    field.is_constant():
+            # the E-jets are built only for N >= 1 and a varying field
+            if (0, 0) in self._ejets:
                 e00 = self._ejets[(0, 0)]
                 for k0 in self._zjets:
                     zk = self._zjets[k0].kernel(w)

@@ -3,8 +3,8 @@
 Provides the smooth cutoff family used to chop a singular kernel into dyadic
 pieces, the graded norms measuring how fast those pieces regularise, Hölder
 norm estimation on grids, and an anisotropic Taylor formula whose
-remainder is a sum of one-dimensional increments (the same Gauss–Jacobi
-increment serves the heat-kernel Taylor splits).
+remainder is a sum of one-dimensional Gauss–Jacobi increments; its slot
+builder, ``_taylor_slots``, also serves the heat-kernel Taylor splits.
 
 Points live in ℝ^d with an integer scaling s; the scaled distance is
 |z|_s = Σ_i |z_i|^{1/s_i} and dilation by λ acts as z_i ↦ λ^{s_i} z_i.
@@ -292,13 +292,13 @@ def lower_boundary(A) -> list[tuple[int, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _jacobi_01(n_points: int, exponent: int):
-    """Nodes/weights for int_0^1 f(y) n (1-y)^{n-1} dy with n = exponent."""
-    nodes, wts = roots_jacobi(n_points, exponent - 1, 0)
+def _jacobi_01(exponent: int):
+    """24 nodes/weights for int_0^1 f(y) n (1-y)^{n-1} dy with n = exponent."""
+    nodes, wts = roots_jacobi(24, exponent - 1, 0)
     return (nodes + 1.0) / 2.0, wts * exponent / 2.0 ** exponent
 
 
-def _increment(dval, k, kd, w, pt, quad: int = 24):
+def _increment(dval, k, kd, w, pt):
     """int delta_k[dval(kd, .)](w + (pt-w) y) Q^{kd}(dy): the increment of
     the kd-th derivative dval(kd, point) along the first non-vanishing
     direction m of k, exact when kd[m] = 0 and by Gauss-Jacobi otherwise."""
@@ -307,7 +307,7 @@ def _increment(dval, k, kd, w, pt, quad: int = 24):
     m = _m_of(k)
     if kd[m] == 0:
         return dval(kd, _mix(pt, w, m + 1)) - dval(kd, _mix(pt, w, m))
-    nodes, wts = _jacobi_01(quad, kd[m])
+    nodes, wts = _jacobi_01(kd[m])
     lo = _mix(pt, w, m)
     base = dval(kd, lo)
     acc = 0.0
@@ -320,12 +320,41 @@ def _increment(dval, k, kd, w, pt, quad: int = 24):
 
 def _mix(zbar, w, upto: int):
     """First ``upto`` coordinates from zbar, the rest from w."""
-    zbar = np.asarray(zbar, dtype=float)
-    w = np.asarray(w, dtype=float)
-    out = np.array(np.broadcast_arrays(zbar, w)[1], copy=True)
-    if upto > 0:
-        out[..., :upto] = np.broadcast_arrays(zbar, w)[0][..., :upto]
+    zbar, w = np.broadcast_arrays(np.asarray(zbar, dtype=float),
+                                  np.asarray(w, dtype=float))
+    out = np.array(w, copy=True)
+    out[..., :upto] = zbar[..., :upto]
     return out
+
+
+@dataclass(frozen=True)
+class _SlotTerm:
+    nu: tuple[int, ...]            # exponent of (zbar - w)
+    k_label: tuple[int, ...] | None  # boundary index; None = jet term
+    value: Callable                # (w, z, zbar) -> array
+
+
+def _taylor_slots(dval, A, frame) -> list[_SlotTerm]:
+    """The expansion of g(zbar) in its base point about w over the lower
+    set A, as slot terms:
+
+        g(zbar) = sum_{k in A} (zbar-w)^k d^k g(w) / k!
+                + sum_{k in boundary} (zbar-w)^{k_down} inc_k(w, zbar)/k_down!
+
+    with inc_k the Gauss-Jacobi increment of d^{k_down} g and the boundary
+    ``lower_boundary(A)``; jets come in the order of A.  ``dval(k, point,
+    v)`` is d^k g at a point and profile variable v, and ``frame(z, zbar,
+    f)`` turns a profile f(v) into the slot value.  Jets divide by k!
+    inside the frame, remainders outside it."""
+    slots = [_SlotTerm(k, None, lambda w, z, zbar, k=k: frame(
+        z, zbar, lambda v: dval(k, w, v) / mi_factorial(k)))
+        for k in A]
+    for k in lower_boundary(A):
+        kd = _down(k)
+        slots.append(_SlotTerm(kd, k, lambda w, z, zbar, k=k, kd=kd: frame(
+            z, zbar, lambda v: _increment(lambda j, p: dval(j, p, v),
+                                          k, kd, w, zbar)) / mi_factorial(kd)))
+    return slots
 
 
 def aniso_taylor(A, x, derivs: Callable):
@@ -334,31 +363,26 @@ def aniso_taylor(A, x, derivs: Callable):
 
     ``derivs(k, point)`` evaluates ∂^k f, so f itself is ``derivs(0, .)``.
     Returns ``(jet_terms, remainder)`` where ``jet_terms[k] = ∂^k f(0) x^k /
-    k!`` and ``remainder(x)`` sums, for each boundary index, a
-    one-dimensional 40-point quadrature of an increment of the corresponding
-    derivative — so jet_terms total plus remainder(x) reproduces f(x).
+    k!`` and ``remainder(x)`` sums, for each boundary index, the
+    Gauss-Jacobi increment of the corresponding derivative — so jet_terms
+    total plus remainder(x) reproduces f(x).  Both are the slots of
+    ``_taylor_slots`` at the base point 0, times powers of x.
     """
     A = sorted(map(tuple, A))
     if not A or not is_lower_set(A):
         raise ValueError("index set must be a non-empty lower set")
-    d = len(A[0])
-    origin = np.zeros(d)
-    jet_terms = {
-        k: derivs(k, origin) * float(np.prod(np.array(x, dtype=float)
-                                             ** np.array(k)))
-        / mi_factorial(k)
-        for k in A}
-    boundary = lower_boundary(A)
+    origin = np.zeros(len(A[0]))
+    slots = _taylor_slots(lambda k, p, v: derivs(k, p), A,
+                          lambda z, zbar, f: f(None))
+
+    def power(pt, k):
+        return float(np.prod(np.asarray(pt, dtype=float) ** np.array(k)))
+
+    jet_terms = {s.nu: power(x, s.nu) * s.value(origin, None, x)
+                 for s in slots if s.k_label is None}
 
     def remainder(pt):
-        pt = np.asarray(pt, dtype=float)
-        total = 0.0
-        for k in boundary:
-            kd = _down(k)
-            coeff = float(np.prod(pt ** np.array(kd))) / mi_factorial(kd)
-            if coeff == 0.0:
-                continue
-            total += coeff * _increment(derivs, k, kd, origin, pt, 40)
-        return total
+        return sum(power(pt, s.nu) * s.value(origin, None, pt)
+                   for s in slots if s.k_label is not None)
 
     return jet_terms, remainder

@@ -136,6 +136,7 @@ class TestConfig:
         ({"heat_field": {"b": "x.real_part"}}, "heat_field.b"),
         ({"heat_field": {"c": "y"}}, "heat_field.c"),
         ({"heat_field": {"a": " "}}, "heat_field.a"),
+        ({"heat_field": {"b": "()"}}, "heat_field.b"),
     ])
     def test_unparsable_value_refused(self, runner, tmp_path, overrides, key):
         result, report = invoke(runner, tmp_path, "trees", overrides)

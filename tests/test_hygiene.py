@@ -2,8 +2,8 @@
 the package or of the test suite imports at its top level is used somewhere
 in that module, every module-level function and class of the package and
 every non-dunder method of its classes is referenced from the package, the
-tests or the benchmark, and every ``__all__`` entry names something its
-module binds."""
+tests or the benchmark, every ``__all__`` entry names something its module
+binds, and no module of the package reads the environment."""
 import ast
 from collections import Counter
 from functools import cache
@@ -137,3 +137,30 @@ def test_every_method_is_referenced(path):
                          ids=lambda p: p.name)
 def test_every_export_is_bound(path):
     assert unbound_exports(path.read_text()) == []
+
+
+def environment_reads(source: str) -> list[str]:
+    """Reads of ``os.environ`` or ``os.getenv``, also when imported by
+    name: a report must not depend on a setting it does not record."""
+    out = []
+    for sub in ast.walk(ast.parse(source)):
+        if isinstance(sub, ast.ImportFrom):
+            names = [alias.name for alias in sub.names]
+        else:
+            names = [getattr(sub, "attr", getattr(sub, "id", None))]
+        out += [f"{name} (line {sub.lineno})" for name in names
+                if name in ("environ", "getenv")]
+    return out
+
+
+def test_detector_flags_environment_reads():
+    source = ("import os\nfrom os import getenv\n"
+              "n = os.environ.get('N', '1')\n")
+    assert environment_reads(source) == ["getenv (line 2)",
+                                         "environ (line 3)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_environment_reads(path):
+    assert environment_reads(path.read_text()) == []

@@ -16,6 +16,7 @@ from regkit.kernels import (
     snorm,
 )
 from regkit.models import bump_kernel
+from regkit.trees import mi_below
 
 SCALING = (2, 1)
 
@@ -181,13 +182,18 @@ class TestAnisoTaylor:
             i = min(j for j, v in enumerate(k) if v)
             assert tuple(v - (j == i) for j, v in enumerate(k)) in A
 
-    def test_polynomial_exactness(self):
-        A = [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2)]
-        coef = {k: 1.0 + 0.3 * i for i, k in enumerate(A)}
-
-        def p(z):
-            return sum(c * z[0] ** k[0] * z[1] ** k[1]
-                       for k, c in coef.items())
+    @pytest.mark.parametrize("A, scaling, r", [
+        *((mi_below(SCALING, r), SCALING, r) for r in range(1, 6)),
+        ([(0,)], (1,), 1),
+        ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 0, 2)],
+         (1, 1, 1), 3),
+    ], ids=["r1", "r2", "r3", "r4", "r5", "1d", "3d"])
+    def test_polynomial_exactness(self, A, scaling, r):
+        # monomials up to |k|_s < r + 3 reach past A, so the remainder
+        # slots carry real weight
+        coef = {k: 1.0 + 0.3 * i
+                for i, k in enumerate(mi_below(scaling, r + 3))}
+        assert not set(coef) <= set(A)
 
         def pderiv(k, z):
             total = 0.0
@@ -202,10 +208,16 @@ class TestAnisoTaylor:
             return total
 
         rng = np.random.default_rng(3)
-        for _ in range(100):
-            x = rng.uniform(-1, 1, 2)
+        zero = (0,) * len(scaling)
+        rems = []
+        for _ in range(30):
+            x = rng.uniform(-1, 1, len(scaling))
             jet, rem = aniso_taylor(A, x, pderiv)
-            assert abs(p(x) - sum(jet.values()) - rem(x)) < 1e-10
+            assert sorted(jet) == sorted(A)
+            rems.append(rem(x))
+            assert abs(pderiv(zero, x) - sum(jet.values()) - rems[-1]) \
+                < 1e-10
+        assert max(map(abs, rems)) > 0.1
 
     def test_one_dimensional_base_case(self):
         derivs = lambda k, z: math.exp(z[0])

@@ -203,6 +203,26 @@ def test_formal_sum_arithmetic():
         FormalSum({"A": Fraction(1, 2), "B": Fraction(2)})
 
 
+FRACTIONS = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+# small sums over four keys; zero weights are drawn on purpose
+SUMS = st.dictionaries(st.sampled_from("abcd"), FRACTIONS,
+                       max_size=4).map(FormalSum)
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=SUMS, t=SUMS, u=SUMS, c=FRACTIONS,
+       images=st.fixed_dictionaries({k: SUMS for k in "abcd"}))
+def test_formal_sum_algebra(s, t, u, c, images):
+    assert (s + t) + u == s + (t + u)
+    assert s + t == t + s
+    assert not (s - s)
+    assert c * (s + t) == c * s + c * t
+    image = images.__getitem__
+    assert (s + c * t).bind(image) == s.bind(image) + c * t.bind(image)
+    for x in (s, t + u, s - t, c * s, s.bind(image)):
+        assert all(coeff != 0 for _key, coeff in x.items())
+
+
 @st.composite
 def random_tree(draw, ts, max_nodes=7):
     """Random decorated tree built bottom-up."""
