@@ -15,6 +15,9 @@ x-derivative and the bracket factors of E are built by one function,
 d^k g(w)/k! for |k|_s < r plus one Gauss-Jacobi increment remainder per
 boundary index, with the derivatives d^k g taken from one cached table of
 lambdified a-jets, ``_a_jet_fn``.
+The singular Green's kernel ``local(w)`` and its ``certificate()`` read one
+table of (jet coefficient, Q(u, v)) pairs, evaluated at the jets at w by
+``_chain_factor`` (as in ``LambdaTerm.evaluate``) or serialised as products.
 Coefficient strings are read by ``parse_coefficient``, which lets only
 numbers, t, x, arithmetic and a fixed set of elementary functions reach
 sympy.
@@ -30,7 +33,8 @@ import math
 import re
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
+from itertools import accumulate
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -56,7 +60,6 @@ __all__ = [
     "LambdaTerm",
     "parse_lambda_term",
     "taylor_decompose_Z",
-    "taylor_decompose_E",
     "GreenDecomposition",
     "decompose_green",
     "decompose_green_adjoint",
@@ -246,9 +249,11 @@ class CoefficientField:
         lam = self.ellipticity
         return bool(np.all(vals >= lam) and np.all(vals <= 1.0 / lam))
 
-    def is_constant(self) -> bool:
-        return all(not expr.free_symbols for expr in
-                   (self.a_expr, self.b_expr, self.c_expr))
+    def error_vanishes(self) -> bool:
+        """Whether E is zero: a constant and b = c = 0 (a constant b or c
+        still leaves E = -b dx Z - c Z)."""
+        return (not self.a_expr.free_symbols and self.b_expr == 0
+                and self.c_expr == 0)
 
     def adjoint(self) -> "CoefficientField":
         """Coefficient triple of the formal adjoint (still written as a
@@ -440,9 +445,8 @@ def volterra(field: CoefficientField, N: int, *, n_s: int = 20,
     budget would be exceeded."""
     if N < 0:
         raise ValueError("series order must be non-negative")
-    if field.is_constant():
-        base = z_kernel(field)
-        return Volterra(field, N, [base], False, N)
+    if field.error_vanishes():
+        return Volterra(field, N, [z_kernel(field)], False, N)
     neg_e = e_kernel(field).scaled(-1.0)
     summands = [z_kernel(field)]
     cost = 1.0
@@ -527,43 +531,57 @@ class LambdaTerm:
         return {"coefficient": sp.srepr(self.coefficient),
                 "chain": [sp.srepr(q) for q in self.chain]}
 
-    def _kernel_at(self, field: CoefficientField, w) -> HeatCalcKernel:
-        u, v = sp.symbols("u v")
-        subs = self._jet_values(field, w)
-        a0 = subs[_jet_symbol("a", (0, 0))]
-        coeff = float(self.coefficient.xreplace(
-            {k: sp.Float(val) for k, val in subs.items()}))
-        kernels = []
-        for q in self.chain:
-            qfn = sp.lambdify((u, v), q, "numpy")
-            def ftilde(tb, xb, uu, vv, qfn=qfn, a0=a0):
-                uu = np.asarray(uu, dtype=float)
-                vv = np.asarray(vv, dtype=float)
-                return qfn(uu, vv) * _gauss(vv, a0) * np.ones(np.shape(uu))
-            kernels.append(HeatCalcKernel(1.0, ftilde, "P*W"))
-        out = kernels[0]
-        for k in kernels[1:]:
-            out = heat_convolve(out, k)
-        return out.scaled(coeff)
-
-    def _jet_values(self, field: CoefficientField, w) -> dict:
-        out = {}
-        for s in self.coefficient.free_symbols:
-            out[s] = float(field.jet(*_parse_jet(s),
-                                     np.asarray(w, dtype=float)[None, :])[0])
-        a00 = _jet_symbol("a", (0, 0))
-        if a00 not in out:
-            out[a00] = float(field.a(np.asarray(w)[None, :])[0])
-        return out
-
     def evaluate(self, field: CoefficientField, w, zeta):
         """Numeric value of the certified kernel at offset zeta, frozen at
         w.  Everything is consumed through the jet of the field at w."""
-        zeta = np.asarray(zeta, dtype=float)
-        kern = self._kernel_at(field, w)
-        # undo the generic order-1 normalisation: the chain realises
-        # prod t^{-1/2} Q W directly, which is what _kernel_at encodes
-        return kern(zeta, np.zeros(2))
+        kern = reduce(heat_convolve, [
+            _chain_factor(field, w, [(sp.S.One, q)], 1) for q in self.chain])
+        coeff = _at_jets(field, w, [self.coefficient])[0]
+        return kern.scaled(coeff)(np.asarray(zeta, dtype=float), np.zeros(2))
+
+
+def _at_jets(field: CoefficientField, w, exprs) -> list[float]:
+    """Expressions in the jet symbols at the field's jets at the point w."""
+    w = np.asarray(w, dtype=float)[None, :]
+    syms = set().union(*(e.free_symbols for e in exprs))
+    subs = {s: sp.Float(float(field.jet(*_parse_jet(s), w)[0])) for s in syms}
+    return [float(e.xreplace(subs)) for e in exprs]
+
+
+@cache
+def _monomials(q: sp.Expr, alpha: int) -> tuple:
+    """u^{1-alpha} Q(u, v) as ((p, q), coefficient of u^p v^q) pairs: the
+    profile in an order-alpha kernel of t^{-1} Q(sqrt t, x / sqrt t)."""
+    u, v = sp.symbols("u v")
+    poly = sp.Poly(sp.expand(q * u ** (1 - alpha)), u, v)
+    return tuple((pq, float(c)) for pq, c in poly.as_dict().items())
+
+
+def _chain_factor(field: CoefficientField, w, pairs,
+                  alpha: int) -> HeatCalcKernel:
+    """sum_i c_i t^{-1} Q_i(sqrt t, x / sqrt t) W^w(x / sqrt t) over the
+    (c_i, Q_i) pairs, as an order-alpha kernel of the calculus: each c_i is
+    an expression in the jet symbols, taken at the field's jets at w, and
+    W^w is the profile of the Gaussian frozen at a(w).  The pairs collapse
+    into one polynomial in (u, v) per w.  The one evaluator of certificate
+    chains, and of the kernel they certify."""
+    coeffs = _at_jets(field, w, [c for c, _q in pairs])
+    poly: dict = {}
+    for c, (_c, q) in zip(coeffs, pairs):
+        for pq, m in _monomials(q, alpha):
+            poly[pq] = poly.get(pq, 0.0) + c * m
+    top = [max((pq[i] for pq in poly), default=0) for i in (0, 1)]
+    a0 = float(field.a(np.asarray(w, dtype=float)[None, :])[0])
+
+    def ftilde(tb, xb, u, v):
+        u = np.asarray(u, dtype=float)
+        v = np.asarray(v, dtype=float)
+        # the powers x^0..x^n by products: numpy's x**n is slower for n > 2
+        us, vs = (list(accumulate([x] * n, np.multiply, initial=1.0))
+                  for x, n in zip((u, v), top))
+        return (sum(c * us[p] * vs[q] for (p, q), c in poly.items())
+                * _gauss(v, a0) * np.ones(np.shape(u)))
+    return HeatCalcKernel(float(alpha), ftilde, "P*W")
 
 
 def parse_lambda_term(data: dict) -> LambdaTerm:
@@ -661,11 +679,6 @@ class ZJet:
     def __call__(self, w, zeta, dv: int = 0):
         return _parabolic(zeta, dv, lambda v: self.profile(w, v, dv))
 
-    def kernel(self, w) -> HeatCalcKernel:
-        def ftilde(tb, xb, u, v, self=self, w=tuple(w)):
-            return self.profile(np.array(w), v, 0) * np.ones(np.shape(u))
-        return HeatCalcKernel(2.0, ftilde, f"Z[{self.k}]")
-
     def lambda_terms(self) -> list[LambdaTerm]:
         # the generic chain factor carries t^{-1} Q(u, v); the jet kernel is
         # t^{-1/2} f(v) W-shaped, so Q picks up one power of u
@@ -673,11 +686,8 @@ class ZJet:
         gauss = _gauss_expr()
         ratio = sp.cancel(sp.together(_a_jet_expr(gauss, self.k, 0)
                                       / _jetify(gauss))) / mi_factorial(self.k)
-        poly = sp.Poly(sp.expand(ratio), _V)
-        terms = []
-        for (deg,), coeff in poly.terms():
-            terms.append(LambdaTerm(sp.together(coeff), (u * v ** deg,)))
-        return terms
+        return [LambdaTerm(sp.together(coeff), (u * v ** deg,))
+                for (deg,), coeff in sp.Poly(sp.expand(ratio), _V).terms()]
 
 
 def taylor_decompose_Z(field: CoefficientField, r: int):
@@ -875,14 +885,6 @@ class EDecomposition:
         return total
 
 
-def taylor_decompose_E(field: CoefficientField, r: int):
-    """Jet kernels (keyed by the power of (zbar-w)) and increment-form
-    remainder kernels (keyed by (boundary index, power)) for the error
-    kernel; see EDecomposition for the reassembly identity."""
-    dec = EDecomposition(field, r)
-    return dec.jets(), dec.remainders()
-
-
 def _e0_lambda_pieces(r: int) -> list[tuple[sp.Expr, sp.Expr]]:
     """Symbolic (coefficient, profile) pairs with
     -E^{[0]}(zeta) = sum coeff * t^{-1} Q(u, v) * W-profile(v)."""
@@ -909,10 +911,23 @@ def _e0_lambda_pieces(r: int) -> list[tuple[sp.Expr, sp.Expr]]:
 # Green's kernel decomposition
 
 
+class _Factors(NamedTuple):
+    """The chain factors of one Z-jet index k0 as (jet coefficient, Q(u, v))
+    pairs: the k0-th jet of Z, and (z-zbar)^{k0} times -E^{[0]}."""
+    z: list
+    e: list
+
+
 class GreenDecomposition:
     """Split Gamma(z, zbar) = K^{upper}(z - zbar) + remainder, where the
     singular family K depends on the coefficients only through their jets
-    at the base point and carries term-by-term certificates of that form."""
+    at the base point and carries term-by-term certificates of that form.
+
+    K^w is the frozen Gaussian plus, for N >= 1 and a non-vanishing E, one
+    convolution Z^{[k0]} * ((z-zbar)^{k0} (-E^{[0]})) per k0 with
+    |k0|_s < r.  Both factors are read from one table, ``_table``:
+    ``certificate()`` serialises the products of their pairs, and
+    ``local(w)`` evaluates the same pairs at the field's jets at w."""
 
     def __init__(self, field: CoefficientField, r: int, M: int, cutoff,
                  N: int = 1, *, levels: int = 8, upper: str = "zbar"):
@@ -928,11 +943,16 @@ class GreenDecomposition:
         self.levels = levels
         self.upper = upper
         self._quad = dict(n_s=16, n_y=24)
-        self._zjets, _ = taylor_decompose_Z(field, r)
-        if N >= 1 and not field.is_constant():
-            self._ejets = taylor_decompose_E(field, max(r, 3))[0]
-        else:
-            self._ejets = {}
+        self._table: dict[tuple[int, int], _Factors] = {}
+        if N >= 1 and not field.error_vanishes():
+            u, v = sp.symbols("u v")
+            e0 = _e0_lambda_pieces(r)
+            for k0 in mi_below(SCALING, r):
+                mono = u ** mi_sdeg(k0, SCALING) * v ** k0[1]
+                self._table[k0] = _Factors(
+                    [(lt.coefficient, lt.chain[0])
+                     for lt in ZJet(k0, field).lambda_terms()],
+                    [(c, sp.expand(mono * q)) for c, q in e0])
         self._kernel_cache: dict = {}
         self._volterra = None
 
@@ -942,27 +962,12 @@ class GreenDecomposition:
         if key not in self._kernel_cache:
             base = ZJet((0, 0), self.field)
             parts = [lambda zeta, base=base, w=w: base(w, zeta)]
-            # the E-jets are built only for N >= 1 and a varying field
-            if (0, 0) in self._ejets:
-                e00 = self._ejets[(0, 0)]
-                for k0 in self._zjets:
-                    zk = self._zjets[k0].kernel(w)
-
-                    def e_ftilde(tb, xb, u, v, e00=e00, w=tuple(w), k0=k0):
-                        # profile of (z-zbar)^{k0} (-E[0]) at order 1+|k0|_s
-                        u = np.asarray(u, dtype=float)
-                        v = np.asarray(v, dtype=float)
-                        zeta = np.stack(
-                            np.broadcast_arrays(u ** 2, u * v), axis=-1)
-                        vals = -e00(np.array(w), zeta)
-                        s = np.where(u > 0, u ** 2, 1.0)
-                        return vals * s * v ** k0[1]
-
-                    ek = HeatCalcKernel(1.0 + mi_sdeg(k0, SCALING), e_ftilde,
-                                        f"(z)^{k0}*(-E[0])")
-                    conv = heat_convolve(zk, ek, **self._quad)
-                    parts.append(lambda zeta, conv=conv:
-                                 conv(zeta, np.zeros(2)))
+            for k0, (zs, es) in self._table.items():
+                conv = heat_convolve(
+                    _chain_factor(self.field, w, zs, 2),
+                    _chain_factor(self.field, w, es,
+                                  1 + mi_sdeg(k0, SCALING)), **self._quad)
+                parts.append(lambda zeta, conv=conv: conv(zeta, np.zeros(2)))
             self._kernel_cache[key] = lambda zeta: sum(
                 p(zeta) for p in parts)
         return self._kernel_cache[key]
@@ -990,17 +995,10 @@ class GreenDecomposition:
         """Term-by-term witnesses that the singular part lies in the
         admissible chain grammar: coefficient jets at the base point times
         convolution chains of (polynomial profile) x (frozen Gaussian)."""
-        u, v = sp.symbols("u v")
-        terms = [LambdaTerm(sp.Integer(1), (u,))]
-        if self.N >= 1 and not self.field.is_constant():
-            e0_pieces = _e0_lambda_pieces(self.r)
-            for k0 in self._zjets:
-                mono = u ** mi_sdeg(k0, SCALING) * v ** k0[1]
-                for lt in self._zjets[k0].lambda_terms():
-                    for c_e, q_e in e0_pieces:
-                        terms.append(LambdaTerm(
-                            sp.together(lt.coefficient * c_e),
-                            (lt.chain[0], sp.expand(mono * q_e))))
+        terms = [LambdaTerm(sp.Integer(1), (sp.Symbol("u"),))]
+        for zs, es in self._table.values():
+            terms += [LambdaTerm(sp.together(c_z * c_e), (q_z, q_e))
+                      for c_z, q_z in zs for c_e, q_e in es]
         return terms
 
     # -- remainder ------------------------------------------------------

@@ -315,10 +315,10 @@ def test_07_heat_kernel_suite():
 def test_08_locality_and_certificates():
     from regkit.heatkernel import (
         CoefficientField,
+        EDecomposition,
         decompose_green,
         e_kernel,
         parse_lambda_term,
-        taylor_decompose_E,
         taylor_decompose_Z,
         z_kernel,
     )
@@ -343,7 +343,8 @@ def test_08_locality_and_certificates():
                                   regularity=12)
     Z, E = z_kernel(field), e_kernel(field)
     zjets, zrems = taylor_decompose_Z(field, 2)
-    ejets, erems = taylor_decompose_E(field, 3)
+    edec = EDecomposition(field, 3)
+    ejets, erems = edec.jets(), edec.remainders()
 
     def down(k):
         return (k[0] - 1, k[1]) if k[0] else (k[0], k[1] - 1)

@@ -79,6 +79,20 @@ class TestConfig:
             assert exc.payload["error"]["kind"] in ("config-parse",
                                                     "config-value")
 
+    @settings(max_examples=20, deadline=None)
+    @given(config=fuzzed_configs())
+    def test_heat_exits_cleanly(self, tmp_path_factory, config):
+        # through a whole subcommand: a report or a structured refusal, as
+        # one JSON object, never a traceback
+        path = tmp_path_factory.getbasetemp() / "fuzzed_heat.json"
+        path.write_text(json.dumps(config))
+        result = CliRunner().invoke(main, ["heat", "--config", str(path)])
+        assert result.exit_code in (0, 2), result.output
+        assert "Traceback" not in result.output
+        report = json.loads(result.output)
+        assert isinstance(report, dict)
+        assert ("all_valid" in report) == (result.exit_code == 0)
+
     def test_defaults_logged(self, runner, tmp_path):
         result, report = invoke(runner, tmp_path, "trees", {"edge_cap": 3})
         assert result.exit_code == 0
@@ -282,6 +296,16 @@ class TestReports:
         assert result.exit_code == 0
         assert report["all_valid"] is True
         assert len(report["certificates"]) >= 1
+
+    @pytest.mark.parametrize("order, terms", [(1, 3), (2, 19), (3, 113),
+                                              (4, 331)])
+    def test_heat_valid_at_every_order(self, runner, tmp_path, order, terms):
+        result, report = invoke(runner, tmp_path, "heat",
+                                {"budgets": {"heat_order": order}})
+        assert result.exit_code == 0
+        assert report["all_valid"] is True
+        assert report["expansion_order"] == order
+        assert len(report["certificates"]) == terms
 
     def test_model_defects(self, runner, tmp_path):
         _res, report = invoke(runner, tmp_path, "model", FAST)

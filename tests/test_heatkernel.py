@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 from regkit.heatkernel import (
     CoefficientField,
     EDecomposition,
+    ZJet,
+    _chain_factor,
     apply_operator,
     boundary_indices,
     decompose_green,
@@ -20,7 +22,6 @@ from regkit.heatkernel import (
     heat_convolve,
     parse_coefficient,
     parse_lambda_term,
-    taylor_decompose_E,
     taylor_decompose_Z,
     volterra,
     z_kernel,
@@ -253,6 +254,20 @@ class TestVolterra:
             assert fit_exponent(hs, vals) == pytest.approx(
                 (2 + k - 3) / 2, abs=0.2)
 
+    @pytest.mark.parametrize("b, c", [(1 / 3, 0.0), (0.0, 0.5)],
+                             ids=["drift", "potential"])
+    def test_constant_drift_and_potential(self, b, c):
+        # a constant b or c leaves E = -b dx Z - c Z, so the series is
+        # built; the Green's kernel of a = 1 is e^{ct} Z(t, x + bt)
+        field = CoefficientField.make("1", str(b), str(c))
+        vol = volterra(field, 2)
+        assert vol.computed_upto == 2
+        t, x = 0.3, 0.2
+        exact = (math.exp(c * t - (x + b * t) ** 2 / (4 * t))
+                 / math.sqrt(4 * math.pi * t))
+        assert float(vol(np.array([t, x]), ORIGIN)) == pytest.approx(
+            exact, rel=2e-3)
+
     def test_budget_flag(self, gentle):
         vol = volterra(gentle, 3, n_s=16, n_y=32, budget=1e3)
         assert vol.partial
@@ -354,10 +369,11 @@ def _hex(x) -> str:
 class TestTaylorE:
     def test_low_order_refused(self, gentle):
         with pytest.raises(ValueError, match="exceed"):
-            taylor_decompose_E(gentle, 2)
+            EDecomposition(gentle, 2)
 
     def test_constant_coefficients_trivial(self, constant):
-        jets, rems = taylor_decompose_E(constant, 3)
+        dec = EDecomposition(constant, 3)
+        jets, rems = dec.jets(), dec.remainders()
         w = np.array([0.0, 0.0])
         z, zbar = np.array([0.4, 0.3]), np.array([0.05, 0.02])
         for jet in jets.values():
@@ -370,7 +386,8 @@ class TestTaylorE:
         rng = np.random.default_rng(5)
         field = CoefficientField.make(*coeffs, regularity=12)
         E = e_kernel(field)
-        jets, rems = taylor_decompose_E(field, 3)
+        dec = EDecomposition(field, 3)
+        jets, rems = dec.jets(), dec.remainders()
         for _ in range(15):
             w = rng.uniform(-0.4, 0.4, 2)
             zbar = w + rng.uniform(-1, 1, 2) * np.array([0.01, 0.05])
@@ -387,7 +404,7 @@ class TestTaylorE:
     def test_pinned_values(self):
         # bit-for-bit the values of the per-combo implementation
         dec = _e_decomposition(tuple(E_PINS["field"]), E_PINS["r"])
-        jets, rems = taylor_decompose_E(dec.field, E_PINS["r"])
+        jets, rems = dec.jets(), dec.remainders()
         for i, triple in enumerate(E_PINS["triples"]):
             w, z, zbar = (np.array(p) for p in triple)
             assert _hex(dec.reassemble(w, z, zbar)) == E_PINS["reassemble"][i]
@@ -421,7 +438,8 @@ class TestTaylorE:
         assert abs(got - float(e_kernel(dec.field)(z, zbar))) <= 1e-6
 
     def test_emitted_sets(self, gentle):
-        jets, rems = taylor_decompose_E(gentle, 3)
+        dec = EDecomposition(gentle, 3)
+        jets, rems = dec.jets(), dec.remainders()
         assert all(mi_sdeg(k, (2, 1)) < 9 for k in jets)
         floor = min(mi_sdeg(down(k), (2, 1)) for k in boundary_indices(3))
         assert all(mi_sdeg(k, (2, 1)) >= floor + mi_sdeg((0, 0), (2, 1))
@@ -429,7 +447,7 @@ class TestTaylorE:
 
     def test_remainder_extra_order(self, gentle):
         # each remainder gains at least (1 + |kd - l|_s - 3)/2 in short time
-        _, rems = taylor_decompose_E(gentle, 3)
+        rems = EDecomposition(gentle, 3).remainders()
         key = max(rems, key=lambda kl: mi_sdeg(down(kl[0]), (2, 1))
                   - mi_sdeg(kl[1], (2, 1)))
         k, nu = key
@@ -477,6 +495,49 @@ class TestGreenDecomposition:
         for term in cert[:5]:
             again = parse_lambda_term(term.to_dict())
             assert sp.simplify(again.coefficient - term.coefficient) == 0
+
+    def test_constant_drift_certified(self, cutoff):
+        # only a constant a with b = c = 0 has a vanishing E
+        drift = CoefficientField.make("1", "1/3", "0", regularity=12)
+        heat = CoefficientField.make("1", regularity=12)
+        assert len(decompose_green(drift, 3, 2, cutoff, N=1)
+                   .certificate()) == 113
+        assert len(decompose_green(heat, 3, 2, cutoff, N=1)
+                   .certificate()) == 1
+
+    def test_table_is_the_expansion(self, gentle, cutoff):
+        # local(w) evaluates the certified table, at the orders it convolves
+        # them: its Z factors are the Z jets, and at r = 3 its E factor of
+        # k0 is zeta^{k0} times minus the nu = 0 jet view of the error
+        # kernel's decomposition
+        dec = decompose_green_adjoint(gentle, 3, 2, cutoff, N=1)
+        e00 = EDecomposition(gentle, 3).jets()[(0, 0)]
+        rng = np.random.default_rng(11)
+        zeta = np.stack([rng.uniform(0.01, 0.5, 200),
+                         rng.uniform(-0.8, 0.8, 200)], axis=-1)
+        for w in (ORIGIN, np.array([0.1, -0.3])):
+            minus_e0 = -e00(w, zeta)
+            for k0, factors in dec._table.items():
+                for got, want in [
+                        (_chain_factor(gentle, w, factors.z, 2),
+                         ZJet(k0, gentle)(w, zeta)),
+                        (_chain_factor(gentle, w, factors.e,
+                                       1 + mi_sdeg(k0, (2, 1))),
+                         zeta[:, 0] ** k0[0] * zeta[:, 1] ** k0[1]
+                         * minus_e0)]:
+                    got = got(zeta, ORIGIN)
+                    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(
+                        np.abs(want))
+
+    @pytest.mark.parametrize("r, terms", [(1, 3), (2, 19)])
+    def test_low_order_kernel_finite(self, gentle, cutoff, r, terms):
+        dec = decompose_green(gentle, r, 2, cutoff, N=1)
+        assert len(dec.certificate()) == terms
+        zeta = np.array([[0.04, 0.1], [0.09, 0.2], [0.16, -0.25]])
+        K = dec.local(ORIGIN)(zeta)
+        K0 = decompose_green(gentle, r, 2, cutoff, N=0).local(ORIGIN)(zeta)
+        assert np.all(np.isfinite(K))
+        assert np.max(np.abs(K - K0)) > 1e-3
 
     def test_norm_finite_and_stable(self, gentle, cutoff):
         dec = decompose_green(gentle, 2, 1, cutoff, N=1, levels=4)
