@@ -2,7 +2,10 @@
 
 One cut engine, ``_cut_terms``, sums over kernel cuts, decoration transfers
 onto the cut edges, lowerings of the root part's uncoloured kernel edges and
-node splits; its callers supply the bounds and a filter on the left slot:
+node splits; its callers supply the bounds, among them a bound on the degree
+of the left slot.  Degrees are the integer numerators of
+``DecoratedTree.degree_nums``, so the engine sums the left slot's degree from
+the parts of a term and builds only the terms under that bound:
 
 * ``delta`` -- the recentering coaction: root part tensor the planted
   branches above the cut, each transfer bounded by the positivity of its
@@ -16,10 +19,11 @@ node splits; its callers supply the bounds and a filter on the left slot:
 ``delta_r_minus`` (root extraction: negative root part or the unit, tensor
 the quotient with the root part collapsed to the new root) keeps its own
 loop over all cuts, because it bounds the transfer jointly over the cut
-edges.  ``d_map`` makes no cut and lowers every kernel edge.  All of them
-build the root part with ``_left``.  On top sit the character group
-(``Character``, ``convolve``, ``character_inverse``, ``gamma_action``) and
-the recursive jet coproduct ``delta_tilde``.
+edges.  ``d_map`` makes no cut and lowers every kernel edge, under the same
+kind of degree bound.  All of them build the root part with ``_left``.  On
+top sit the character group (``Character``, ``convolve``,
+``character_inverse``, ``gamma_action``) and the recursive jet coproduct
+``delta_tilde``.
 
 All coefficients are exact rationals.
 """
@@ -28,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as _iproduct
 from typing import Callable, Iterable, Mapping
 
 from .trees import (
@@ -108,55 +111,67 @@ class TensorSum(FormalSum):
 # cut engine
 
 
-def _planted_factor_degree(tree: DecoratedTree, e: int) -> Fraction:
-    """Degree of the branch above edge e planted by that edge."""
-    ts = tree.typeset
-    return (tree.branch(e).degree_value()
-            + ts.degree_of(tree.etype[e]).at(ts.kappa) - ts.sdeg(tree.edeco[e]))
-
-
 def _quotient(tree: DecoratedTree, cut: Iterable[int], eps: Mapping[int, MultiIndex],
               leftover: MultiIndex) -> DecoratedTree:
     """Product of the planted branches above the cut with X^leftover."""
-    ts = tree.typeset
-    factors = [monomial(ts, leftover)]
-    for e in cut:
-        factors.append(plant(tree.branch(e), tree.etype[e],
-                             edeco=mi_add(tree.edeco[e], eps[e]),
-                             odeco=tree.odeco[e]))
-    return tree_product(*factors)
+    return DecoratedTree._from_nested(tree.typeset, (leftover, [
+        (tree.etype[e], mi_add(tree.edeco[e], eps[e]), tree.odeco[e], False,
+         tree._branch_nested(e)) for e in cut]))
 
 
-def _weighted_choices(keys: list, options: list[list[tuple]]):
-    """Every choice of one ``(value, coeff)`` option per key; yields the
-    choice as a ``{key: value}`` map with the product of its coefficients."""
-    for combo in _iproduct(*options):
-        coeff = Fraction(1)
-        for _v, c in combo:
-            coeff *= c
-        yield {k: v for k, (v, _c) in zip(keys, combo)}, coeff
+def _weighted_choices(options: list[list[tuple]], budget: int | None) -> list:
+    """Every choice of one ``(value, coeff, cost)`` option per slot whose
+    costs sum below ``budget`` (every choice for ``None``), in
+    ``itertools.product`` order, as ``(values, coeff)`` with the product of
+    the coefficients.  A partial choice is dropped as soon as its cost
+    reaches the budget, so with non-negative costs nothing is built for a
+    choice that cannot survive."""
+    partial = [((), Fraction(1), 0)]
+    for opts in options:
+        partial = [(values + (v,), coeff * c, cost + w)
+                   for values, coeff, cost in partial
+                   for v, c, w in opts
+                   if budget is None or cost + w < budget]
+    return [(values, coeff) for values, coeff, _cost in partial]
+
+
+def _split_options(tree: DecoratedTree, v: int) -> list[tuple]:
+    """Ways of keeping n of node v's decoration in the left slot, each
+    ``(n, binom(ndeco, n), |n|_s numerator)``."""
+    nd, ts = tree.ndeco[v], tree.typeset
+    return [(n, mi_binom(nd, n), ts.sdeg_num(n)) for n in mi_leq_iter(nd)]
+
+
+def _leftover(tree: DecoratedTree, n_map: Mapping[int, MultiIndex]) -> MultiIndex:
+    """Sum of the node decorations that a split leaves for the right slot."""
+    leftover = tree.typeset.zero()
+    for v, n in n_map.items():
+        leftover = mi_add(leftover, mi_sub(tree.ndeco[v], n))
+    return leftover
 
 
 def _node_splits(tree: DecoratedTree, nodes: list[int]):
     """All ways of splitting off part of the node decorations on `nodes`;
     yields (split map, binomial coefficient, leftover total)."""
-    options = [[(n, mi_binom(tree.ndeco[v], n)) for n in mi_leq_iter(tree.ndeco[v])]
-               for v in nodes]
-    for n_map, coeff in _weighted_choices(nodes, options):
-        leftover = tree.typeset.zero()
-        for v in nodes:
-            leftover = mi_add(leftover, mi_sub(tree.ndeco[v], n_map[v]))
-        yield n_map, coeff, leftover
+    for ns, coeff in _weighted_choices(
+            [_split_options(tree, v) for v in nodes], None):
+        n_map = dict(zip(nodes, ns))
+        yield n_map, coeff, _leftover(tree, n_map)
 
 
-def _lowerings(tree: DecoratedTree, e: int, bound: Fraction) -> list[tuple]:
+def _lowerings(tree: DecoratedTree, e: int, bound: int) -> list[tuple]:
     """Ways of lowering the decoration of kernel edge e by ``low`` while
-    pushing k onto its lower node, with |k|_s + |low|_s < bound; each option
-    is ``((low, k), binom(edeco, low) / k!)``."""
+    pushing k onto its lower node, with |k|_s + |low|_s below the numerator
+    ``bound``; each option is ``((low, k), binom(edeco, low) / k!, cost)``,
+    the cost |low|_s + |k|_s (numerator) being what it adds to the degree."""
     ts = tree.typeset
-    return [((low, k), Fraction(mi_binom(tree.edeco[e], low), mi_factorial(k)))
-            for low in mi_leq_iter(tree.edeco[e])
-            for k in mi_below(ts.scaling, bound - ts.sdeg(low))]
+    out = []
+    for low in mi_leq_iter(tree.edeco[e]):
+        c_low = ts.sdeg_num(low)
+        out.extend(((low, k), Fraction(mi_binom(tree.edeco[e], low),
+                                       mi_factorial(k)), c_low + ts.sdeg_num(k))
+                   for k in mi_below(ts.scaling_num, bound - c_low))
+    return out
 
 
 def _left(tree: DecoratedTree, keep: set[int], n_map: Mapping[int, MultiIndex],
@@ -186,47 +201,60 @@ def _left(tree: DecoratedTree, keep: set[int], n_map: Mapping[int, MultiIndex],
     return DecoratedTree._from_nested(tree.typeset, rec(0))
 
 
-def _cut_terms(tree: DecoratedTree, transfer_bound: Callable[[int], Fraction],
-               lower_bound: Fraction | None,
-               keep_left: Callable[[DecoratedTree], bool]):
+def _edges_num(tree: DecoratedTree, edges: Iterable[int]) -> int:
+    """Degree numerator of the given edges of the tree."""
+    ts = tree.typeset
+    return sum(ts.edge_num(tree.etype[e], tree.edeco[e]) for e in edges)
+
+
+def _cut_terms(tree: DecoratedTree, transfer_bound: Callable[[int], int],
+               lower_bound: int | None, left_bound: int | None):
     """The cut engine: yields ``((left, right), coeff)`` over kernel cuts.
 
-    For each cut, each cut edge e takes on a decoration k with
-    |k|_s < ``transfer_bound(e)`` that the right slot plants with it and the
-    left slot pushes onto e's lower node.  With a ``lower_bound``, every
-    uncoloured kernel edge of the root part is also lowered (see
-    ``_lowerings``); without one (``None``) no edge is lowered.  Node
-    decorations of the root part are split between the left slot and a
-    monomial in the right slot.  Terms whose left slot fails ``keep_left``
-    are dropped.
+    Bounds are degree numerators over ``typeset.den``.  For each cut, each
+    cut edge e takes on a decoration k with |k|_s < ``transfer_bound(e)``
+    that the right slot plants with it and the left slot pushes onto e's
+    lower node.  With a ``lower_bound``, every uncoloured kernel edge of the
+    root part is also lowered (see ``_lowerings``); without one (``None``)
+    no edge is lowered.  Node decorations of the root part are split between
+    the left slot and a monomial in the right slot.
+
+    ``left_bound`` bounds the degree of the left slot; ``None`` keeps every
+    term.  The engine sums that degree from its parts (the root part's
+    edges, plus |k|_s per transfer, |low|_s + |k|_s per lowering and |n|_s
+    per kept node decoration), drops a partial choice once it reaches the
+    bound, and builds the two slots only for the terms that survive, in the
+    order cut, transfers, lowerings, splits.
     """
     ts = tree.typeset
     for cut in cuts(tree, kernel_only=True):
         keep = root_part_nodes(tree, cut)
+        nodes = sorted(keep)
         cut_edges = sorted(cut)
-        eps_opts = [[(k, Fraction(1, mi_factorial(k)))
-                     for k in mi_below(ts.scaling, transfer_bound(e))]
-                    for e in cut_edges]
-        if not all(eps_opts):
-            continue
         inner = [] if lower_bound is None else [
-            e for e in sorted(keep - {0})
+            e for e in nodes[1:]
             if ts.is_kernel(tree.etype[e]) and not tree.coloured[e]]
-        low_opts = [_lowerings(tree, e, lower_bound) for e in inner]
-        split_data = list(_node_splits(tree, sorted(keep)))
-        for eps, c_eps in _weighted_choices(cut_edges, eps_opts):
-            for lowered, c_low in _weighted_choices(inner, low_opts):
-                for n_map, c_bin, leftover in split_data:
-                    left = _left(tree, keep, n_map, eps, lowered)
-                    if keep_left(left):
-                        right = _quotient(tree, cut_edges, eps, leftover)
-                        yield (left, right), c_eps * c_low * c_bin
+        options = ([[(k, Fraction(1, mi_factorial(k)), ts.sdeg_num(k))
+                     for k in mi_below(ts.scaling_num, transfer_bound(e))]
+                    for e in cut_edges]
+                   + [_lowerings(tree, e, lower_bound) for e in inner]
+                   + [_split_options(tree, v) for v in nodes])
+        budget = None if left_bound is None \
+            else left_bound - _edges_num(tree, nodes[1:])
+        n_cut, n_low = len(cut_edges), len(cut_edges) + len(inner)
+        for choice, coeff in _weighted_choices(options, budget):
+            eps = dict(zip(cut_edges, choice))
+            n_map = dict(zip(nodes, choice[n_low:]))
+            left = _left(tree, keep, n_map, eps,
+                         dict(zip(inner, choice[n_cut:n_low])))
+            yield (left, _quotient(tree, cut_edges, eps,
+                                   _leftover(tree, n_map))), coeff
 
 
 def is_positive_product(tree: DecoratedTree) -> bool:
     """Membership in the image of the positive projection: every planted
     factor has positive degree (polynomial factors are unrestricted)."""
-    return all(_planted_factor_degree(tree, c) > 0 for c in tree.children(0))
+    return all(tree.degree_nums[c] > 0 for c in tree.children(0))
 
 
 @lru_cache(maxsize=None)
@@ -238,9 +266,7 @@ def delta(tree: DecoratedTree) -> TensorSum:
     the decoration transfer onto the cut edges is truncated exactly by the
     positivity requirement on each planted factor.
     """
-    return TensorSum(_cut_terms(
-        tree, lambda e: _planted_factor_degree(tree, e), lower_bound=None,
-        keep_left=lambda _left: True))
+    return TensorSum(_cut_terms(tree, tree.degree_nums.__getitem__, None, None))
 
 
 @lru_cache(maxsize=None)
@@ -257,25 +283,27 @@ def _rminus_terms(tree: DecoratedTree):
     d = ts.d
     for cut in cuts(tree):
         keep = root_part_nodes(tree, cut)
+        nodes = sorted(keep)
         cut_edges = sorted(cut)
-        for n_map, bin_coeff, leftover in _node_splits(tree, sorted(keep)):
-            base = _left(tree, keep, n_map, {}, {})
-            base_deg = base.degree_value()
+        edges_num = _edges_num(tree, nodes[1:])
+        for n_map, bin_coeff, leftover in _node_splits(tree, nodes):
+            # the degree numerator of the root part before any transfer
+            base_num = edges_num + sum(ts.sdeg_num(n) for n in n_map.values())
             eps_choices: list[dict] = []
-            if base_deg < 0:
-                tiled = ts.scaling * len(cut_edges)
-                for flat in mi_below(tiled, -base_deg):
+            if base_num < 0:
+                tiled = ts.scaling_num * len(cut_edges)
+                for flat in mi_below(tiled, -base_num):
                     eps_choices.append(
                         {e: flat[i * d:(i + 1) * d]
                          for i, e in enumerate(cut_edges)})
-            elif base.is_unit:
+            elif nodes == [0] and not any(n_map[0]):
+                # the root part is the unit
                 eps_choices.append({e: ts.zero() for e in cut_edges})
             for eps in eps_choices:
                 coeff = bin_coeff
                 for k in eps.values():
                     coeff /= mi_factorial(k)
-                left = base if all(not any(k) for k in eps.values()) \
-                    else _left(tree, keep, n_map, eps, {})
+                left = _left(tree, keep, n_map, eps, {})
                 right = _quotient(tree, cut_edges, eps, leftover)
                 yield (left, right), coeff
 
@@ -435,20 +463,24 @@ class GammaMap:
         return value
 
     def _of(self, tree: DecoratedTree) -> Fraction:
+        return self._nodes(tree)[0]
+
+    def _nodes(self, tree: DecoratedTree) -> list[Fraction]:
+        """The exponent of the branch at every node of the tree, bottom-up,
+        without building the branches (odeco and colour do not enter)."""
         ts = tree.typeset
-        root_nd, factors = tree.factor()
-        if not factors:
-            return self.gamma0
-        atoms = []
-        if any(root_nd):
-            atoms.append(self.gamma0)
-        for (et, ed, od, br) in factors:
-            if et in ts.noise_types:
-                atoms.append(self.gamma0)
-            else:
-                atoms.append(self._of(br)
-                             + ts.degree_of(et).at(ts.kappa) - ts.sdeg(ed))
-        return min(atoms) + (len(atoms) - 1) * self.sector_regularity
+        out = [self.gamma0] * tree.n_nodes
+        for v in range(tree.n_nodes - 1, -1, -1):
+            kids = tree.children(v)
+            if not kids:
+                continue
+            atoms = [self.gamma0] if any(tree.ndeco[v]) else []
+            for c in kids:
+                et = tree.etype[c]
+                atoms.append(self.gamma0 if et in ts.noise_types else out[c]
+                             + Fraction(ts.edge_num(et, tree.edeco[c]), ts.den))
+            out[v] = min(atoms) + (len(atoms) - 1) * self.sector_regularity
+        return out
 
 
 def a_star(trees: Iterable[DecoratedTree]) -> Fraction:
@@ -488,7 +520,7 @@ def delta_tilde(tree: DecoratedTree, gamma: GammaMap,
     budget ``m``.
     """
     ts = tree.typeset
-    g = gamma.of(tree)
+    g = ts.num_bound(gamma.of(tree))
     root_nd, factors = tree.factor()
     parts: list[TensorSum] = []
     if any(root_nd) or not factors:
@@ -499,10 +531,19 @@ def delta_tilde(tree: DecoratedTree, gamma: GammaMap,
         parts.append(TensorSum(acc))
     for (et, ed, od, br) in factors:
         parts.append(_delta_tilde_atom(plant(br, et, ed, od), gamma, m))
-    out = parts[0]
-    for p in parts[1:]:
-        out = out.mul(p)
-    return TensorSum(out.filter(lambda k: k[0].degree_value() < g))
+    # the left slot of a product has the sum of the factors' left degrees:
+    # a partial product is built only if the lowest left degrees of the
+    # factors still to come can take it below the jet exponent
+    lows = [min((l.degree_nums[0] for l, _r in p.keys()), default=0)
+            for p in parts]
+    out = parts[0].filter(lambda k: k[0].degree_nums[0] + sum(lows[1:]) < g)
+    for i in range(1, len(parts)):
+        rest = sum(lows[i + 1:])
+        out = TensorSum(
+            ((tree_product(l1, l2), tree_product(r1, r2)), c1 * c2)
+            for (l1, r1), c1 in out.items() for (l2, r2), c2 in parts[i].items()
+            if l1.degree_nums[0] + l2.degree_nums[0] + rest < g)
+    return out
 
 
 def _delta_tilde_atom(tree: DecoratedTree, gamma: GammaMap,
@@ -518,51 +559,56 @@ def _delta_tilde_atom(tree: DecoratedTree, gamma: GammaMap,
         return TensorSum(
             ((_left(tree, set(nodes), n_map, {}, {}), monomial(ts, leftover)), coeff)
             for n_map, coeff, leftover in _node_splits(tree, nodes))
-    g = gamma.of(tree)
+    g = ts.num_bound(gamma.of(tree))
     br_gamma = gamma._of(br)
     acc = []
     inner = delta_tilde(br, gamma, m)
+    # build only the left slots of degree below the jet exponent: the
+    # degree of X^k times the planted il is |k|_s + |il| + |edge|
     for l in mi_leq_iter(j):
         jl = mi_sub(j, l)
-        for k in mi_below(ts.scaling, m - ts.sdeg(l)):
+        edge = ts.edge_num(et, jl)
+        for k in mi_below(ts.scaling_num, ts.num_bound(m) - ts.sdeg_num(l)):
             kl = mi_add(k, l)
             coeff = Fraction(mi_binom(j, l), mi_factorial(k))
+            room = g - ts.sdeg_num(k) - edge
             for (il, ir), c in inner.items():
-                left = tree_product(monomial(ts, k), plant(il, et, jl, kl))
-                acc.append(((left, ir), coeff * c))
+                if il.degree_nums[0] < room:
+                    left = DecoratedTree.build(ts, k, [(et, jl, kl, False, il)])
+                    acc.append(((left, ir), coeff * c))
     # polynomial part: the branch is frozen into the right slot
-    for k in mi_below(ts.scaling, m - ts.sdeg(j)):
+    for k in mi_below(ts.scaling_num, ts.num_bound(m) - ts.sdeg_num(j)):
         kj = mi_add(k, j)
-        if br_gamma + ts.degree_of(et).at(ts.kappa) - ts.sdeg(kj) <= 0:
+        if br_gamma + ts.degree_of(et).at(ts.kappa) - ts.sdeg(kj) <= 0 \
+                or ts.sdeg_num(k) >= g:
             continue
         acc.append(((monomial(ts, k), plant(br, et, edeco=kj)),
                     Fraction(1, mi_factorial(k))))
-    return TensorSum(TensorSum(acc).filter(lambda t: t[0].degree_value() < g))
+    return TensorSum(acc)
 
 
 def _explicit_terms(tree: DecoratedTree, gamma: GammaMap, m: Fraction,
-                    gamma_cut: Fraction, left_degree: Callable):
+                    left_bound: int):
     """The cut engine with the jet bounds (plain and coloured input): the
     decoration on a cut edge keeps the planted factor's jet exponent
     positive and stays below the derivative budget ``m``, lowerings stay
-    below ``m``, and the left slot's degree below ``gamma_cut``."""
+    below ``m``, and the left slot's degree below the numerator
+    ``left_bound``."""
     ts = tree.typeset
+    exponents = gamma._nodes(tree)
 
-    def transfer_bound(e: int) -> Fraction:
-        base_g = (gamma._of(tree.branch(e).strip_odeco())
-                  + ts.degree_of(tree.etype[e]).at(ts.kappa))
-        return min(base_g, m) - ts.sdeg(tree.edeco[e])
+    def transfer_bound(e: int) -> int:
+        base_g = exponents[e] + ts.degree_of(tree.etype[e]).at(ts.kappa)
+        return ts.num_bound(min(base_g, m)) - ts.sdeg_num(tree.edeco[e])
 
-    return _cut_terms(tree, transfer_bound, lower_bound=m,
-                      keep_left=lambda left: left_degree(left) < gamma_cut)
+    return _cut_terms(tree, transfer_bound, ts.num_bound(m), left_bound)
 
 
 def delta_tilde_explicit(tree: DecoratedTree, gamma: GammaMap,
                          m: Fraction) -> TensorSum:
     """Non-recursive form of the jet coproduct, as a sum over kernel cuts."""
-    g = gamma.of(tree)
-    return TensorSum(_explicit_terms(tree, gamma, m, g,
-                                     lambda t: t.degree_value()))
+    return TensorSum(_explicit_terms(
+        tree, gamma, m, tree.typeset.num_bound(gamma.of(tree))))
 
 
 def delta_tilde_coloured(tree: DecoratedTree, gamma: GammaMap,
@@ -574,8 +620,11 @@ def delta_tilde_coloured(tree: DecoratedTree, gamma: GammaMap,
     exponent of the collapsed input.
     """
     g = gamma.of(contract(tree).strip_odeco())
+    # contract drops the coloured edges, which are never cut or lowered, so
+    # they add the same degree to every left slot
+    coloured = _edges_num(tree, [e for e in tree.edges() if tree.coloured[e]])
     return TensorSum(_explicit_terms(
-        tree, gamma, m, g, lambda t: contract(t).degree_value()))
+        tree, gamma, m, tree.typeset.num_bound(g) + coloured))
 
 
 # ---------------------------------------------------------------------------
@@ -595,13 +644,12 @@ def d_map(tree: DecoratedTree, m: Fraction) -> FormalSum:
         # raise the degree, so nothing survives the negativity projection
         return FormalSum.zero()
     edges = tree.kernel_edges()
-    bound = min(-tree.degree_value(), m)
+    headroom = -tree.degree_nums[0]
+    bound = min(headroom, tree.typeset.num_bound(m))
     keep = set(range(tree.n_nodes))
     n_map = dict(enumerate(tree.ndeco))
-    acc = []
-    for lowered, coeff in _weighted_choices(
-            edges, [_lowerings(tree, e, bound) for e in edges]):
-        out = _left(tree, keep, n_map, {}, lowered)
-        if out.degree_value() < 0:
-            acc.append((out, coeff))
-    return FormalSum(acc)
+    # a lowering adds its cost to the degree: keep the result negative
+    return FormalSum(
+        (_left(tree, keep, n_map, {}, dict(zip(edges, lowered))), coeff)
+        for lowered, coeff in _weighted_choices(
+            [_lowerings(tree, e, bound) for e in edges], headroom))

@@ -2,9 +2,12 @@
 
 Trees are stored in a canonical flat form (parent pointers in DFS preorder,
 children visited in sorted order), so structural equality and hashing are
-plain tuple comparisons.  All degree arithmetic is done with ``Fraction``;
-degrees are affine expressions ``c0 + c1*kappa`` in a small formal parameter
-kappa whose value is fixed on the :class:`TypeSet`.
+plain tuple comparisons; a tree and its type set compute their hash once and
+keep it.  Degrees are affine expressions ``c0 + c1*kappa`` in a small formal
+parameter kappa whose value is fixed on the :class:`TypeSet`.  At that value
+every degree is an integer numerator over the type set's common denominator
+``den``, and the degree of a tree and of each of its planted factors are sums
+of those integers (``DecoratedTree.degree_nums``).
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as _iproduct
-from math import comb, factorial
+from math import ceil, comb, factorial, lcm
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 MultiIndex = tuple[int, ...]
@@ -198,7 +201,7 @@ class TypeSet:
     def _type_map(self) -> dict[str, Degree]:
         return dict(self._types)
 
-    @property
+    @cached_property
     def type_names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self._types)
 
@@ -218,6 +221,45 @@ class TypeSet:
 
     def sdeg(self, k: MultiIndex) -> Fraction:
         return mi_sdeg(k, self.scaling)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the dataclass hash of the fields, computed once
+        return hash((self.scaling, self._types, self.kappa))
+
+    # -- integer degrees: numerators over one common denominator -----------
+
+    @cached_property
+    def den(self) -> int:
+        """Common denominator of the scaling and of every type degree at
+        kappa."""
+        return lcm(*(q.denominator for q in self.scaling),
+                   *(g.at(self.kappa).denominator for _n, g in self._types))
+
+    @cached_property
+    def scaling_num(self) -> tuple[int, ...]:
+        return tuple(int(s * self.den) for s in self.scaling)
+
+    @cached_property
+    def _type_num(self) -> dict[str, int]:
+        return {n: int(g.at(self.kappa) * self.den) for n, g in self._types}
+
+    def sdeg_num(self, k: MultiIndex) -> int:
+        """|k|_s times ``den``."""
+        return mi_sdeg(k, self.scaling_num)
+
+    def edge_num(self, etype: str, edeco: MultiIndex) -> int:
+        """Degree of an edge of type ``etype`` and decoration ``edeco``,
+        times ``den``."""
+        return self._type_num[etype] - self.sdeg_num(edeco)
+
+    def num_bound(self, bound: Fraction) -> int:
+        """The integer bound ceil(bound * den): an integer numerator n has
+        n < num_bound(b) exactly when n / den < b."""
+        return ceil(bound * self.den)
 
     def zero(self) -> MultiIndex:
         return mi_zero(self.d)
@@ -372,13 +414,15 @@ class DecoratedTree:
     def has_colour(self) -> bool:
         return any(self.coloured)
 
+    def _branch_nested(self, v: int):
+        """Nested form of the subtree rooted at node v, colour dropped."""
+        return (self.ndeco[v],
+                [(self.etype[c], self.edeco[c], self.odeco[c], False,
+                  self._branch_nested(c)) for c in self.children(v)])
+
     def branch(self, v: int) -> "DecoratedTree":
         """Subtree rooted at node v (the edge into v is not part of the result)."""
-        def rec(w):
-            return (self.ndeco[w],
-                    [(self.etype[c], self.edeco[c], self.odeco[c], False, rec(c))
-                     for c in self.children(w)])
-        return DecoratedTree._from_nested(self.typeset, rec(v))
+        return DecoratedTree._from_nested(self.typeset, self._branch_nested(v))
 
     def factor(self) -> tuple[MultiIndex, list[tuple]]:
         """Decompose into root decoration and planted factors.
@@ -407,6 +451,22 @@ class DecoratedTree:
     # -- degree and ordering ---------------------------------------------------
 
     @cached_property
+    def degree_nums(self) -> tuple[int, ...]:
+        """Degree numerators over ``typeset.den``, summed once bottom-up:
+        entry 0 is the tree's degree, entry e > 0 the degree of the planted
+        factor above edge e (the branch above e planted by e)."""
+        ts = self.typeset
+        out = [ts.sdeg_num(nd) for nd in self.ndeco]
+        for v in range(self.n_nodes - 1, 0, -1):
+            out[v] += ts.edge_num(self.etype[v], self.edeco[v])
+            out[self.parent[v]] += out[v]
+        return tuple(out)
+
+    @cached_property
+    def _degree_value(self) -> Fraction:
+        return Fraction(self.degree_nums[0], self.typeset.den)
+
+    @cached_property
     def degree(self) -> Degree:
         ts = self.typeset
         deg = Degree()
@@ -417,7 +477,17 @@ class DecoratedTree:
         return deg
 
     def degree_value(self) -> Fraction:
-        return self.degree.at(self.typeset.kappa)
+        """The degree at the type set's kappa."""
+        return self._degree_value
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        # the dataclass hash of the fields, computed once
+        return hash((self.typeset, self.parent, self.etype, self.edeco,
+                     self.odeco, self.ndeco, self.coloured))
 
     def sort_key(self):
         return (self.n_nodes, self.parent, self.etype, self.edeco,
@@ -591,17 +661,11 @@ def contract(tree: DecoratedTree) -> DecoratedTree:
     for v in cn:
         nd = mi_add(nd, tree.ndeco[v])
     edges = []
-
-    def rec(v):
-        return (tree.ndeco[v],
-                [(tree.etype[c], tree.edeco[c], tree.odeco[c], False, rec(c))
-                 for c in tree.children(v)])
-
     for v in cn:
         for c in tree.children(v):
             if not tree.coloured[c]:
                 edges.append((tree.etype[c], tree.edeco[c], tree.odeco[c],
-                              False, rec(c)))
+                              False, tree._branch_nested(c)))
     return DecoratedTree._from_nested(tree.typeset, (nd, edges))
 
 

@@ -5,6 +5,7 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regkit.hopf import (
     Character,
@@ -26,6 +27,7 @@ from regkit.hopf import (
     gamma_action,
     m_star,
 )
+from regkit.renorm import hist
 from regkit.trees import (
     FormalSum,
     contract,
@@ -207,6 +209,20 @@ def jet_setup(ts):
     return base, gm, m_star(gm, base)
 
 
+JET_GAMMAS = (Fraction(67, 10), Fraction(73, 10), Fraction(89, 10))
+
+
+@pytest.fixture(scope="module")
+def jet_sector(ts):
+    """The jet sector of ``test_acceptance::test_03`` (15 trees, at most 4
+    edges)."""
+    psi = I(xi(ts))
+    xpsi = tree_product(monomial(ts, (0, 1)), psi)
+    return hist([tree_product(psi, psi), xpsi, tree_product(psi, xpsi),
+                 I(xpsi), tree_product(monomial(ts, (0, 2)), psi),
+                 tree_product(I(xi(ts), edeco=(0, 1)), psi)]).trees
+
+
 class TestJetCoproduct:
     def test_primitives(self, ts, jet_setup):
         _base, gm, m = jet_setup
@@ -243,6 +259,34 @@ class TestJetCoproduct:
                     assert lhs == rhs
                     checked += 1
         assert checked > 10
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), gamma0=st.sampled_from(JET_GAMMAS))
+    def test_pruning_sound_and_complete(self, jet_sector, data, gamma0):
+        """The degree bound of the cut engine keeps exactly the terms of
+        the jet coproduct: every left slot is below the jet exponent (after
+        ``contract`` for coloured input), and the explicit coproduct equals
+        the recursive one, which builds its terms without the engine."""
+        base = set(jet_sector)
+        gm = GammaMap(gamma0, a_star(base))
+        m = m_star(gm, base)
+        t = data.draw(st.sampled_from(jet_sector))
+        explicit = delta_tilde_explicit(t, gm, m)
+        assert all(left.degree_value() < gm.of(t)
+                   for (left, _r), _c in explicit)
+        assert explicit == delta_tilde(t, gm, m)
+        colour: set[int] = set()
+        for e in t.edges():
+            if (t.parent[e] == 0 or t.parent[e] in colour) \
+                    and data.draw(st.booleans()):
+                colour.add(e)
+        painted = paint(t, colour)
+        g = gm.of(contract(painted).strip_odeco())
+        coloured = delta_tilde_coloured(painted, gm, m)
+        assert all(contract(left).degree_value() < g
+                   for (left, _r), _c in coloured)
+        assert coloured.apply(0, lambda x: FormalSum.single(contract(x))) == \
+            delta_tilde_explicit(contract(painted), gm, m)
 
 
 class TestDerivativeRedistribution:
@@ -287,11 +331,12 @@ def order_digest(coproduct, trees) -> str:
 
 def order_pin_cases(uni, jet_setup):
     """The pinned coproducts, each with the trees it is pinned on.  The jet
-    coproducts skip the two 5-edge trees uncoloured (about 10 s each), but
-    ``delta_tilde_coloured`` sees every painting of them with a non-empty
-    colour."""
+    coproducts are pinned on the trees of at most 4 edges and, under their
+    own keys, on the two 5-edge trees, uncoloured; ``delta_tilde_coloured``
+    also sees every painting with a non-empty colour."""
     base, gm, m = jet_setup
     jet = [t for t in sorted(base) if t.n_edges <= 4]
+    five = [t for t in sorted(base) if t.n_edges == 5]
     painted = [paint(t, set(sub)) for t in sorted(base)
                for r in range(1, t.n_edges + 1)
                for sub in combinations(t.edges(), r)
@@ -304,6 +349,10 @@ def order_pin_cases(uni, jet_setup):
             lambda t: delta_tilde_explicit(t, gm, m), jet),
         "delta_tilde_coloured": (
             lambda t: delta_tilde_coloured(t, gm, m), jet + painted),
+        "delta_tilde_explicit_5_edges": (
+            lambda t: delta_tilde_explicit(t, gm, m), five),
+        "delta_tilde_coloured_5_edges": (
+            lambda t: delta_tilde_coloured(t, gm, m), five),
     }
 
 

@@ -271,3 +271,45 @@ def test_universe_roundtrip_property(ts, uni, data):
         if ts.is_kernel(e["type"]) and data.draw(st.booleans()):
             e["over_deco"] = [0, 0]
     assert DecoratedTree.from_dict(ts, d) == t
+
+
+@st.composite
+def decorated_universe_tree(draw, uni):
+    """A universe tree with random node, edge and over-decorations and a
+    random root-connected painting."""
+    ts = uni.trees[0].typeset
+    small = st.tuples(st.integers(0, 1), st.integers(0, 2))
+    d = draw(st.sampled_from(uni.trees)).to_dict()
+    for node in d["nodes"]:
+        node["deco"] = list(draw(small))
+    colour: set[int] = set()
+    for e in d["edges"]:
+        e["deco"] = list(draw(small))
+        if ts.is_kernel(e["type"]) and draw(st.booleans()):
+            e["over_deco"] = list(draw(small))
+        # an edge may be coloured when the edge below it is (or it is at
+        # the root); edges come parents first
+        if (e["from"] == 0 or e["from"] in colour) and draw(st.booleans()):
+            colour.add(e["to"])
+    d["colour"] = sorted(colour)
+    return DecoratedTree.from_dict(ts, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_degrees_and_cached_hash_property(ts, uni, data):
+    """The integer degree numerators give the affine degree at kappa, for
+    the tree and for each planted factor, and the cached hash is the hash of
+    the field tuple."""
+    t = data.draw(decorated_universe_tree(uni))
+    assert t.degree_value() == t.degree.at(ts.kappa)
+    assert Fraction(t.degree_nums[0], ts.den) == t.degree_value()
+    for e in t.edges():
+        planted = plant(t.branch(e), t.etype[e], t.edeco[e], t.odeco[e])
+        assert Fraction(t.degree_nums[e], ts.den) == planted.degree_value()
+    fields = (t.typeset, t.parent, t.etype, t.edeco, t.odeco, t.ndeco,
+              t.coloured)
+    assert hash(t) == hash(fields)
+    assert hash(ts) == hash((ts.scaling, ts._types, ts.kappa))
+    again = DecoratedTree.from_dict(ts, t.to_dict())
+    assert again == t and again is not t and hash(again) == hash(t)
