@@ -29,7 +29,7 @@ All coefficients are exact rationals.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Mapping
@@ -376,15 +376,22 @@ class Character:
 
     ``on_planted`` maps a planted tree to a scalar; ``on_x`` gives the value
     on the coordinate polynomials.  Values extend multiplicatively over the
-    factors of a tree.
+    factors of a tree.  ``on_planted`` must be pure: each character memoises
+    its value per tree (planted factors included), so it calls
+    ``on_planted`` at most once per planted tree.
     """
 
     on_planted: Callable[[DecoratedTree], Fraction]
     on_x: tuple = ()
+    _memo: dict = field(default_factory=dict, init=False, compare=False,
+                        repr=False)
 
     @staticmethod
     def from_map(values: Mapping[DecoratedTree, Fraction], x_values=None,
                  default=Fraction(0)) -> "Character":
+        """The character with the given values on planted trees; the map is
+        copied, so later changes to it do not reach the character."""
+        values = dict(values)
         return Character(lambda t: values.get(t, default),
                          tuple(x_values) if x_values else ())
 
@@ -399,6 +406,12 @@ class Character:
         return sum((c * self._value(k) for k, c in arg.items()), Fraction(0))
 
     def _value(self, tree: DecoratedTree) -> Fraction:
+        out = self._memo.get(tree)
+        if out is None:
+            out = self._memo[tree] = self._product(tree)
+        return out
+
+    def _product(self, tree: DecoratedTree) -> Fraction:
         root_nd, factors = tree.factor()
         out = Fraction(1)
         for i, p in enumerate(root_nd):
@@ -407,7 +420,12 @@ class Character:
                     return Fraction(0)
                 out *= self.on_x[i] ** p
         for (et, ed, od, br) in factors:
-            out *= self.on_planted(plant(br, et, ed, od))
+            planted = plant(br, et, ed, od)
+            value = self._memo.get(planted)
+            if value is None:
+                # what _product gives on a planted tree: its root is bare
+                value = self._memo[planted] = Fraction(1) * self.on_planted(planted)
+            out *= value
         return out
 
 

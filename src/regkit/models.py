@@ -263,12 +263,25 @@ class KernelOnGrid:
         """(D^m K * f) by direct summation of the sampled offsets against the
         grid quadrature.  ``f`` is a GridField, or an array whose last two
         axes are periodic (the grid, or a window of it whose edge cells are
-        then wrong up to the stencil's reach) with leading sample axes."""
+        then wrong up to the stencil's reach) with leading sample axes.
+
+        The field is padded periodically once, by the stencil's reach, and
+        each offset adds its weight times a shifted view of the padded field,
+        in stencil order: every cell sums the same products in the same order
+        as shifting the field itself would."""
         ti, xi, vals = self.stencil(m)
         v = _vals(f)
+        nt, nx = v.shape[-2:]
+        rt, rx = self.reach(m)
+        # mode="wrap" repeats the field when the reach exceeds its length
+        padded = np.pad(v, [(0, 0)] * (v.ndim - 2) + [(rt, rt), (rx, rx)],
+                        mode="wrap")
         out = np.zeros(v.shape)
+        tmp = np.empty(v.shape)
         for i, j, c in zip(ti, xi, vals):
-            out += c * np.roll(np.roll(v, i, -2), j, -1)
+            np.multiply(c, padded[..., rt - i:rt - i + nt, rx - j:rx - j + nx],
+                        out=tmp)
+            out += tmp
         out = out * self.grid.cell_volume
         return GridField(self.grid, out) if isinstance(f, GridField) else out
 
@@ -536,14 +549,11 @@ class ModelInstance:
     # -- recentering ---------------------------------------------------------
 
     def g(self, x) -> Character:
-        """Recentering character at a base point, stored on generators."""
+        """Recentering character at a base point; the character memoises
+        its values on generators."""
         x = tuple(x)
         if x not in self._g:
-            cache: dict[DecoratedTree, float] = {}
-
             def on_planted(tree: DecoratedTree) -> float:
-                if tree in cache:
-                    return cache[tree]
                 e = tree.children(0)[0]
                 et = tree.etype[e]
                 if et not in tree.typeset.kernel_types:
@@ -551,8 +561,7 @@ class ModelInstance:
                 total = 0.0
                 for j, cj in self._jet(et, tree.edeco[e], tree.branch(e), x):
                     total += cj * (-x[0]) ** j[0] * (-x[1]) ** j[1]
-                cache[tree] = -total
-                return cache[tree]
+                return -total
 
             self._g[x] = Character(on_planted, (-x[0], -x[1]))
         return self._g[x]

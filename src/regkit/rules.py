@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as _iproduct
+from math import lcm
 from typing import Iterable, Mapping
 
 from .trees import (
@@ -142,26 +143,31 @@ class Rule:
         Returns the witness or None.
         """
         ts = self.typeset
-        grid = [Fraction(n, 8) for n in range(-32, 33)]
+        # every value over one denominator D: reg(t) = n / D
+        D = lcm(8, ts.den)
+        scale = D // ts.den
         names = ts.type_names
+        bound = [ts.edge_num(t, ts.zero()) * scale for t in names]
+        # a kernel type's profiles as (count of each type, D * sum of |k|_s)
+        profiles = [
+            None if t in ts.noise_types else
+            [(tuple(sum(a == b for b, _k in p) for a in names),
+              sum(ts.sdeg_num(k) for _a, k in p) * scale)
+             for p in self.table[t]]
+            for t in names]
+        grid = range(-32 * (D // 8), 32 * (D // 8) + 1, D // 8)
         for values in _iproduct(grid, repeat=len(names)):
-            reg = dict(zip(names, values))
-            ok = True
-            for t in names:
-                if t in ts.noise_types:
-                    if reg[t] > ts.degree_of(t).at(ts.kappa):
-                        ok = False
+            for n, b, profs in zip(values, bound, profiles):
+                if profs is None:
+                    if n > b:
                         break
                     continue
-                worst = min(
-                    (sum((reg[a] - ts.sdeg(k) for (a, k) in p), Fraction(0))
-                     for p in self.table[t]),
-                    default=Fraction(0))
-                if not reg[t] < ts.degree_of(t).at(ts.kappa) + worst:
-                    ok = False
+                worst = min((sum(c * v for c, v in zip(counts, values)) - s
+                             for counts, s in profs), default=0)
+                if not n < b + worst:
                     break
-            if ok:
-                return reg
+            else:
+                return {a: Fraction(n, D) for a, n in zip(names, values)}
         return None
 
 

@@ -195,6 +195,42 @@ class TestCharacters:
                 composed = composed + c * act_g(s)
             assert composed == act_gh(t)
 
+    def test_planted_values_computed_once(self, ts, uni):
+        # values on products reuse the memoised planted factors, and a
+        # second evaluation calls nothing
+        calls = []
+
+        def on_planted(t):
+            calls.append(t)
+            return Fraction(t.n_edges, 3) - 1
+
+        g = Character(on_planted, (Fraction(1, 2), Fraction(-1)))
+        combo = FormalSum(((t, Fraction(i % 4 - 1, 2))
+                           for i, t in enumerate(uni.trees[::3])))
+        first = g(combo)
+        assert g(combo) == first
+        factors = {plant(br, et, ed, od) for t, _c in combo.items()
+                   for et, ed, od, br in t.factor()[1]}
+        assert len(calls) == len(set(calls)) and set(calls) == factors
+
+        def plain(t):
+            nd, fs = t.factor()
+            out = Fraction(1, 2) ** nd[0] * Fraction(-1) ** nd[1]
+            for et, ed, od, br in fs:
+                out *= on_planted(plant(br, et, ed, od))
+            return out
+
+        assert first == sum((c * plain(t) for t, c in combo.items()),
+                            Fraction(0))
+
+    def test_from_map_copies_its_map(self, ts):
+        psi = I(xi(ts))
+        values = {psi: Fraction(3)}
+        g = Character.from_map(values)
+        values[psi] = Fraction(5)
+        assert g(tree_product(psi, psi)) == 9
+        assert g(psi) == 3
+
 
 @pytest.fixture(scope="module")
 def jet_setup(ts):

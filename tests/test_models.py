@@ -115,6 +115,34 @@ class TestKernelOnGrid:
         ref = KernelOnGrid(bump_kernel(order=8), grid).stencil()
         assert all(np.array_equal(a, b) for a, b in zip(window, ref))
 
+    @settings(max_examples=40, deadline=None)
+    @given(window=st.one_of(
+               st.tuples(st.integers(1, 40), st.integers(1, 40)),
+               st.sampled_from([(17, 9), (3, 3), (256, 256)])),
+           samples=st.sampled_from([None, 1, 5]),
+           m=st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_convolve_equals_rolled_sum(self, bump_on_grid, window, samples,
+                                        m, seed):
+        # windows narrower than the reach (15-17 time, 3-5 space cells)
+        # wrap more than once; signed zeros must come out as a rolled field's
+        rng = np.random.default_rng(seed)
+        shape = window if samples is None else (samples, *window)
+        v = rng.standard_normal(shape)
+        v[rng.random(shape) < 0.2] = -0.0
+        ti, xi, vals = bump_on_grid.stencil(m)
+        want = np.zeros(shape)
+        for i, j, c in zip(ti, xi, vals):
+            want += c * np.roll(np.roll(v, i, -2), j, -1)
+        want = want * bump_on_grid.grid.cell_volume
+        got = bump_on_grid.convolve(v, m)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.fixture(scope="module")
+def bump_on_grid(grid):
+    return KernelOnGrid(bump_kernel(order=8), grid)
+
 
 class TestBuildModel:
     def test_noise_lift_ignores_base_point(self, model, mild_ts):

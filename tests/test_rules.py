@@ -1,7 +1,9 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
+from regkit.cli import RunConfig, load_rule
 from regkit.rules import Rule, generate, node_profile
 from regkit.trees import (
     Degree,
@@ -82,6 +84,50 @@ class TestSubcriticality:
         assert r.subcritical_witness() is None
         with pytest.raises(ValueError, match="witness"):
             generate(r, Fraction(2), 4)
+
+    @pytest.mark.parametrize("case", ["default", "quartic", "thirds",
+                                      "derivatives", "none"])
+    def test_witness_equals_fraction_search(self, case, ts, quartic_rule):
+        z = ts.zero()
+        if case == "default":
+            rule = load_rule(RunConfig.load(None))[1]
+        elif case == "quartic":
+            rule = quartic_rule
+        else:
+            xi_deg = {"thirds": Fraction(-7, 3), "derivatives": Fraction(-1),
+                      "none": Fraction(-4)}[case]
+            ts = TypeSet.make((2, 1), {"Xi": Degree(xi_deg), "I": Degree(2)},
+                              kappa=Fraction(1, 100))
+            table = {"I": [[("Xi", z)], [("I", z)] * 3]}
+            if case == "derivatives":
+                table = {"I": [[("Xi", (0, 1))], [("I", (0, 1)), ("I", z)]]}
+            rule = Rule.make(ts, table)
+        want = _fraction_witness(rule)
+        assert (want is None) == (case == "none")
+        assert rule.subcritical_witness() == want
+
+
+def _fraction_witness(rule):
+    """The witness search in plain Fraction arithmetic, in the same order."""
+    ts = rule.typeset
+    names = ts.type_names
+    for values in product([Fraction(n, 8) for n in range(-32, 33)],
+                          repeat=len(names)):
+        reg = dict(zip(names, values))
+        ok = True
+        for t in names:
+            deg = ts.degree_of(t).at(ts.kappa)
+            if t in ts.noise_types:
+                ok = reg[t] <= deg
+            else:
+                ok = reg[t] < deg + min(
+                    sum((reg[a] - ts.sdeg(k) for a, k in p), Fraction(0))
+                    for p in rule.table[t])
+            if not ok:
+                break
+        if ok:
+            return reg
+    return None
 
 
 class TestGeneration:
