@@ -1,13 +1,13 @@
 """Variable-coefficient heat kernels in one space dimension.
 
 Implements the frozen-coefficient Gaussian, the one-step error kernel, a
-"heat calculus" of kernels with prescribed short-time order, convolution
-within that calculus by Gauss-Jacobi x Gauss-Legendre quadrature, the
-parametrix (Volterra) series, Taylor decompositions of the series' building
-blocks in the coefficient field, and the resulting split of the Green's
-kernel into a singular part that depends on the coefficients only through
-their jet at the base point (with a machine-checkable certificate of that
-form) plus a smooth remainder.
+"heat calculus" of kernels of integer short-time order with one frame,
+``HeatCalcKernel``, convolution in it by Gauss-Legendre quadrature, the
+parametrix (Volterra) series, Taylor decompositions of the series'
+building blocks in the coefficient field, and the resulting split of the
+Green's kernel into a singular part that depends on the coefficients only
+through their jet at the base point (with a machine-checkable certificate
+of that form) plus a smooth remainder.
 
 The expansions in the base point zbar about w of the frozen Gaussian, its
 x-derivative and the bracket factors of E are built by one function,
@@ -16,8 +16,8 @@ d^k g(w)/k! for |k|_s < r plus one Gauss-Jacobi increment remainder per
 boundary index, with the derivatives d^k g taken from one cached table of
 lambdified a-jets, ``_a_jet_fn``.
 The singular Green's kernel ``local(w)`` and its ``certificate()`` read one
-table of (jet coefficient, Q(u, v)) pairs, evaluated at the jets at w by
-``_chain_factor`` (as in ``LambdaTerm.evaluate``) or serialised as products.
+table of (jet coefficient, Q(u, v)) pairs per order r, ``_green_table(r)``,
+evaluated at the jets at w by ``_chain_factor`` or serialised as products.
 Coefficient strings are read by ``parse_coefficient``, which lets only
 numbers, t, x, arithmetic and a fixed set of elementary functions reach
 sympy.
@@ -39,7 +39,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 import sympy as sp
-from scipy.special import roots_jacobi, roots_legendre
+from scipy.special import roots_legendre
 
 from .kernels import (_SlotTerm, _down, _increment, _taylor_slots,
                       dyadic_decompose, lower_boundary)
@@ -71,6 +71,8 @@ _WT, _WX, _V = sp.symbols("w_t w_x v", real=True)
 _AFUN = sp.Function("a")(_WT, _WX)
 
 SCALING = (2, 1)
+_LAMBDA = 0.25  # check_parabolicity asks for _LAMBDA <= a <= 1/_LAMBDA
+_VOLTERRA_BUDGET = 5e8  # profile evaluations per point of a summand
 
 
 def boundary_indices(r: int) -> list[tuple[int, int]]:
@@ -197,20 +199,19 @@ def parse_coefficient(value) -> sp.Expr:
 class CoefficientField:
     """Scalar diffusion coefficient a, drift b and potential c on R^{1+1},
     given symbolically in the variables t, x so that every derivative has a
-    closed form.  ``ellipticity`` is the constant lam with
-    lam <= a <= 1/lam, checked on a lattice rather than assumed."""
+    closed form.  Parabolicity, _LAMBDA <= a <= 1/_LAMBDA, is checked on
+    a lattice rather than assumed."""
 
     a_expr: sp.Expr
     b_expr: sp.Expr
     c_expr: sp.Expr
-    ellipticity: float = 0.25
     regularity: int = 12
     _cache: dict = dfield(default_factory=dict, compare=False, repr=False)
 
     @classmethod
-    def make(cls, a="1", b="0", c="0", *, ellipticity=0.25, regularity=12):
+    def make(cls, a="1", b="0", c="0", *, regularity=12):
         return cls(parse_coefficient(a), parse_coefficient(b),
-                   parse_coefficient(c), ellipticity, regularity)
+                   parse_coefficient(c), regularity)
 
     def _fn(self, name: str, k=(0, 0)) -> Callable:
         key = (name, k)
@@ -246,8 +247,7 @@ class CoefficientField:
         xs = np.linspace(-2.0, 2.0, 21)
         grid = np.stack(np.meshgrid(ts, xs, indexing="ij"), axis=-1)
         vals = self.a(grid.reshape(-1, 2))
-        lam = self.ellipticity
-        return bool(np.all(vals >= lam) and np.all(vals <= 1.0 / lam))
+        return bool(np.all(vals >= _LAMBDA) and np.all(vals <= 1.0 / _LAMBDA))
 
     def error_vanishes(self) -> bool:
         """Whether E is zero: a constant and b = c = 0 (a constant b or c
@@ -258,19 +258,16 @@ class CoefficientField:
     def adjoint(self) -> "CoefficientField":
         """Coefficient triple of the formal adjoint (still written as a
         backward operator; combine with ``reflect_time`` for a forward
-        one)."""
+        one), unexpanded: expanding (1+x)**4000 would take seconds."""
         a, b, c = self.a_expr, self.b_expr, self.c_expr
         b_star = 2 * sp.diff(a, X_SYM) - b
         c_star = c - sp.diff(b, X_SYM) + sp.diff(a, X_SYM, 2)
-        return CoefficientField(a, sp.expand(b_star), sp.expand(c_star),
-                                self.ellipticity, self.regularity)
+        return CoefficientField(a, b_star, c_star, self.regularity)
 
     def reflect_time(self) -> "CoefficientField":
         sub = {T_SYM: -T_SYM}
-        return CoefficientField(self.a_expr.subs(sub).expand(),
-                                self.b_expr.subs(sub).expand(),
-                                self.c_expr.subs(sub).expand(),
-                                self.ellipticity, self.regularity)
+        return CoefficientField(self.a_expr.subs(sub), self.b_expr.subs(sub),
+                                self.c_expr.subs(sub), self.regularity)
 
 
 def frozen_gaussian(field: CoefficientField, w, z):
@@ -299,11 +296,10 @@ def frozen_gaussian(field: CoefficientField, w, z):
 class HeatCalcKernel:
     """Kernel of the form 1_{t>tb} (t-tb)^{(alpha-3)/2} Ftilde(zb, u, v)
     with u = sqrt(t-tb) and v = (x-xb)/u; ``alpha`` is the short-time
-    regularising order."""
+    regularising order, an integer for every kernel regkit builds."""
 
     alpha: float
     ftilde: Callable
-    label: str = ""
 
     def __call__(self, z, zbar):
         z = np.asarray(z, dtype=float)
@@ -319,7 +315,7 @@ class HeatCalcKernel:
     def scaled(self, c: float) -> "HeatCalcKernel":
         return HeatCalcKernel(
             self.alpha,
-            lambda tb, xb, u, v: c * self.ftilde(tb, xb, u, v), self.label)
+            lambda tb, xb, u, v: c * self.ftilde(tb, xb, u, v))
 
 
 def _gauss(v, a):
@@ -330,7 +326,7 @@ def _gauss(v, a):
 def z_kernel(field: CoefficientField) -> HeatCalcKernel:
     def ftilde(tb, xb, u, v):
         return _gauss(v, field._fn("a")(tb, xb) * np.ones(np.shape(u)))
-    return HeatCalcKernel(2.0, ftilde, label="Z")
+    return HeatCalcKernel(2.0, ftilde)
 
 
 def e_kernel(field: CoefficientField) -> HeatCalcKernel:
@@ -355,22 +351,25 @@ def e_kernel(field: CoefficientField) -> HeatCalcKernel:
                 - bfn(t_z, x_z) * np.ones_like(u) * gp
                 - cfn(t_z, x_z) * np.ones_like(u) * u * g)
 
-    return HeatCalcKernel(1.0, ftilde, label="E")
+    return HeatCalcKernel(1.0, ftilde)
 
 
 def heat_convolve(F: HeatCalcKernel, G: HeatCalcKernel, *,
                   n_s: int = 20, n_y: int = 24) -> HeatCalcKernel:
-    """Space-time convolution F*G inside the calculus.
+    """Space-time convolution F*G inside the calculus, for positive
+    integer orders.
 
-    The time integral is reduced to s in (0,1) whose endpoint weights
-    (1-s)^{alpha/2-1} s^{beta/2-1} are treated exactly by Gauss-Jacobi
-    nodes; the space integral uses Gauss-Legendre on [-9, 9].  Refuses
-    kernels whose profiles have not decayed to 1e-6 of their centre value
-    (or of 1, if larger) at the edge of that window.
+    The time integral is reduced to s = sin^2(theta) in (0,1), which renders
+    the profiles' dependence on sqrt(s) and sqrt(1-s) analytic, so plain
+    Gauss-Legendre in theta is spectral; the space integral uses
+    Gauss-Legendre on [-9, 9].  Refuses kernels whose profiles have not
+    decayed to 1e-6 of their centre value (or of 1, if larger) at the edge
+    of that window.
     """
     alpha, beta = F.alpha, G.alpha
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("convolution requires positive orders")
+    if not all(o > 0 and float(o).is_integer() for o in (alpha, beta)):
+        raise ValueError(f"convolution requires positive integer orders, "
+                         f"not {alpha} and {beta}")
     y_half = 9.0
     for K in (F, G):
         centre = np.max(np.abs(K.ftilde(0.0, 0.0, 0.5, np.array([0.0]))))
@@ -379,19 +378,12 @@ def heat_convolve(F: HeatCalcKernel, G: HeatCalcKernel, *,
             raise ValueError(
                 f"kernel profile has not decayed at |v|={y_half}: "
                 f"|Ftilde|={edge:.3e} vs centre {centre:.3e}")
-    if float(alpha).is_integer() and float(beta).is_integer():
-        # s = sin^2(theta) renders the profiles' dependence on sqrt(s) and
-        # sqrt(1-s) analytic, so plain Gauss-Legendre in theta is spectral
-        xl, wl_ = roots_legendre(n_s)
-        theta = (xl + 1.0) * (np.pi / 4.0)
-        s_nodes = np.sin(theta) ** 2
-        s_weights = (wl_ * (np.pi / 4.0) * 2.0
-                     * np.sin(theta) ** (beta - 1.0)
-                     * np.cos(theta) ** (alpha - 1.0))
-    else:
-        xs, ws = roots_jacobi(n_s, alpha / 2.0 - 1.0, beta / 2.0 - 1.0)
-        s_nodes = (xs + 1.0) / 2.0
-        s_weights = ws * 2.0 ** (1.0 - alpha / 2.0 - beta / 2.0)
+    xl, wl_ = roots_legendre(n_s)
+    theta = (xl + 1.0) * (np.pi / 4.0)
+    s_nodes = np.sin(theta) ** 2
+    s_weights = (wl_ * (np.pi / 4.0) * 2.0
+                 * np.sin(theta) ** (beta - 1.0)
+                 * np.cos(theta) ** (alpha - 1.0))
     yl, wl = roots_legendre(n_y)
     y_nodes = yl * y_half
     y_weights = wl * y_half
@@ -413,7 +405,7 @@ def heat_convolve(F: HeatCalcKernel, G: HeatCalcKernel, *,
                           v_ * np.sqrt(1 - S) - Y * np.sqrt(S))
         return np.sum(WSY * g_vals * f_vals, axis=(-2, -1))
 
-    return HeatCalcKernel(alpha + beta, ftilde, f"({F.label})*({G.label})")
+    return HeatCalcKernel(alpha + beta, ftilde)
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +416,6 @@ def heat_convolve(F: HeatCalcKernel, G: HeatCalcKernel, *,
 class Volterra:
     """Partial sums of the parametrix series Z * sum_k (-E)^{*k}."""
 
-    field: CoefficientField
-    order: int
     summands: list
     partial: bool = False
     computed_upto: int = 0
@@ -438,27 +428,27 @@ class Volterra:
 
 
 def volterra(field: CoefficientField, N: int, *, n_s: int = 20,
-             n_y: int = 24, budget: float = 5e8) -> Volterra:
+             n_y: int = 24) -> Volterra:
     """Truncated parametrix series; each summand lives one order higher in
     the calculus.  Nested quadrature cost grows geometrically in the order,
-    so the series is cut (and flagged partial) once the per-evaluation
-    budget would be exceeded."""
+    so the series is cut (and flagged partial) once one evaluation would
+    cost more than ``_VOLTERRA_BUDGET`` profile evaluations."""
     if N < 0:
         raise ValueError("series order must be non-negative")
     if field.error_vanishes():
-        return Volterra(field, N, [z_kernel(field)], False, N)
+        return Volterra([z_kernel(field)], False, N)
     neg_e = e_kernel(field).scaled(-1.0)
     summands = [z_kernel(field)]
     cost = 1.0
     partial = False
     for k in range(1, N + 1):
         cost *= n_s * n_y
-        if cost > budget:
+        if cost > _VOLTERRA_BUDGET:
             partial = True
             break
         summands.append(heat_convolve(summands[-1], neg_e,
                                       n_s=n_s, n_y=n_y))
-    return Volterra(field, N, summands, partial, len(summands) - 1)
+    return Volterra(summands, partial, len(summands) - 1)
 
 
 def apply_operator(field: CoefficientField, G: Callable, z, zbar) -> float:
@@ -504,8 +494,9 @@ class LambdaTerm:
     coefficient: sp.Expr
     chain: tuple[sp.Expr, ...]
 
-    def validate(self, r: int | None = None) -> bool:
-        """Structural check against the admissible grammar."""
+    def validate(self, r: int) -> bool:
+        """Structural check against the admissible grammar, with jets of
+        order at most r."""
         u, v = sp.symbols("u v")
         for q in self.chain:
             if not q.free_symbols <= {u, v}:
@@ -520,7 +511,7 @@ class LambdaTerm:
             name = str(s)
             if not (name[0] in "abc" and "_" in name):
                 return False
-            if r is not None and mi_sdeg(_parse_jet(s)[1], SCALING) > r:
+            if mi_sdeg(_parse_jet(s)[1], SCALING) > r:
                 return False
         a00 = _jet_symbol("a", (0, 0))
         if not (den.is_polynomial() and den.free_symbols <= {a00}):
@@ -581,7 +572,7 @@ def _chain_factor(field: CoefficientField, w, pairs,
                   for x, n in zip((u, v), top))
         return (sum(c * us[p] * vs[q] for (p, q), c in poly.items())
                 * _gauss(v, a0) * np.ones(np.shape(u)))
-    return HeatCalcKernel(float(alpha), ftilde, "P*W")
+    return HeatCalcKernel(float(alpha), ftilde)
 
 
 def parse_lambda_term(data: dict) -> LambdaTerm:
@@ -642,68 +633,49 @@ def _a_jet(field, g, k, point, v, dv: int):
               np.asarray(v, dtype=float))
 
 
-def _parabolic(zeta, dv: int, profile):
-    """t^{-1/2-dv/2} profile(x/sqrt t) at the offsets zeta = (t, x), and 0
-    where t <= 0: the frame of the frozen Gaussian (dv = 0) and of its
-    x-derivative (dv = 1)."""
-    zeta = np.asarray(zeta, dtype=float)
-    t, x = zeta[..., 0], zeta[..., 1]
-    mask = t > 0
-    safe = np.where(mask, t, 1.0)
-    return np.where(mask, safe ** (-0.5 - 0.5 * dv)
-                    * profile(x / np.sqrt(safe)), 0.0)
-
-
 def _z_slots(field: CoefficientField, r: int, dv: int) -> list[_SlotTerm]:
-    """Base-point slots of the frozen Gaussian (dv = 0) or of its
-    x-derivative (dv = 1)."""
+    """Base-point slots of the frozen Gaussian (dv = 0), an order-2 kernel,
+    or of its x-derivative (dv = 1), an order-1 kernel: the jet slot of k
+    is the frozen Gaussian's profile differentiated k times in w, over k!."""
     return _taylor_slots(
         lambda k, p, v: _a_jet(field, _gauss_expr(), k, p, v, dv),
         mi_below(SCALING, r),
-        lambda z, zbar, f: _parabolic(np.asarray(z, dtype=float)
-                                      - np.asarray(zbar, dtype=float), dv, f))
+        lambda z, zbar, f: HeatCalcKernel(
+            2.0 - dv, lambda _tb, _xb, _u, v: f(v))(z, zbar))
 
 
-@dataclass(frozen=True)
-class ZJet:
-    """One jet kernel of the frozen Gaussian: the k-th w-derivative of its
-    profile, divided by k!."""
-
-    k: tuple[int, int]
-    field: CoefficientField
-
-    def profile(self, w, v, dv: int):
-        return (_a_jet(self.field, _gauss_expr(), self.k, w, v, dv)
-                / mi_factorial(self.k))
-
-    def __call__(self, w, zeta, dv: int = 0):
-        return _parabolic(zeta, dv, lambda v: self.profile(w, v, dv))
-
-    def lambda_terms(self) -> list[LambdaTerm]:
-        # the generic chain factor carries t^{-1} Q(u, v); the jet kernel is
-        # t^{-1/2} f(v) W-shaped, so Q picks up one power of u
-        u, v = sp.symbols("u v")
-        gauss = _gauss_expr()
-        ratio = sp.cancel(sp.together(_a_jet_expr(gauss, self.k, 0)
-                                      / _jetify(gauss))) / mi_factorial(self.k)
-        return [LambdaTerm(sp.together(coeff), (u * v ** deg,))
-                for (deg,), coeff in sp.Poly(sp.expand(ratio), _V).terms()]
+@cache
+def _zjet_pairs(k) -> tuple:
+    """The k-th Z jet as (jet coefficient, Q(u, v)) pairs of the chain
+    grammar; they read no field.  The generic chain factor carries
+    t^{-1} Q(u, v) and the jet kernel is t^{-1/2} f(v) W-shaped, so Q picks
+    up one power of u."""
+    u, v = sp.symbols("u v")
+    gauss = _gauss_expr()
+    ratio = sp.cancel(sp.together(_a_jet_expr(gauss, k, 0)
+                                  / _jetify(gauss))) / mi_factorial(k)
+    return tuple((sp.together(coeff), u * v ** deg)
+                 for (deg,), coeff in sp.Poly(sp.expand(ratio), _V).terms())
 
 
 def taylor_decompose_Z(field: CoefficientField, r: int):
     """Expand the parametrix term in its base-point slot about w.
 
-    Returns (jets, remainders): jets[k] is a ZJet and remainders[k] the
-    remainder slot of kernels._taylor_slots for the boundary index k, with
-    Z(z, zbar) = sum_k (zbar-w)^k jets[k](w, z-zbar)
+    Returns (jets, remainders), the jet and remainder slots of
+    ``_z_slots(field, r, 0)``: jets[k] for |k|_s < r and remainders[k] for
+    the boundary indices k, each a kernel (w, z, zbar) -> value, with
+    Z(z, zbar) = sum_k (zbar-w)^k jets[k](w, z, zbar)
                + sum_{k in boundary} (zbar-w)^{k_down} remainders[k](w,z,zbar)
     """
     if r > field.regularity:
         raise ValueError("insufficient coefficient regularity for this "
                          "expansion order")
-    jets = {k: ZJet(k, field) for k in mi_below(SCALING, r)}
-    rems = {s.k_label: s.value for s in _z_slots(field, r, 0)
-            if s.k_label is not None}
+    jets, rems = {}, {}
+    for s in _z_slots(field, r, 0):
+        if s.k_label is None:
+            jets[s.nu] = s.value
+        else:
+            rems[s.k_label] = s.value
     return jets, rems
 
 
@@ -762,13 +734,6 @@ class _Row(NamedTuple):
     k_label: tuple[int, int] | None   # first remainder's index; None = jet
 
 
-def _plan(rows) -> list:
-    """Pair each row with the slots that no later row in ``rows`` uses."""
-    last = {i: n for n, row in enumerate(rows) for i in row.slots}
-    return [(row, [i for i in row.slots if last[i] == n])
-            for n, row in enumerate(rows)]
-
-
 class EDecomposition:
     """Jet/remainder split of the error kernel in the base-point slot.
 
@@ -781,8 +746,9 @@ class EDecomposition:
     8 of Z, 8 of dx Z, 14 of the a-increment, 16 of the bracket, 18 each of
     b and c) and ``rows`` their products (2,080 for r = 3), jet rows
     first.  A row is a remainder row if any of its slots is a remainder.
-    Every view evaluates each slot its rows use once per call and sums the
-    row products in table order, so that
+    Each slot is evaluated once per point: the views and ``reassemble``
+    share the slot values of the last point they were called at, and sum
+    the row products in table order, so that
 
         E(z, zbar) = sum_nu (zbar-w)^nu jets()[nu](w, z - zbar)
                    + sum_{k,nu} (zbar-w)^nu remainders()[k, nu](w, z, zbar)
@@ -830,25 +796,29 @@ class EDecomposition:
             nu = tuple(sum(s.nu[c] for s in slots) for c in (0, 1))
             rows.append(_Row(nu, idx, lead, v2, rems[0] if rems else None))
         self.rows = sorted(rows, key=lambda row: row.k_label is not None)
-        self.plan = _plan(self.rows)
+        self._point: tuple = (None, {})
 
-    def _values(self, plan, w, z, zbar):
-        """Yield the value of each row of a _plan at (w, z, zbar); each slot
-        is evaluated once and dropped after the last row that uses it."""
+    def _values(self, rows, w, z, zbar):
+        """Yield the value of each of the rows at (w, z, zbar).  A slot is
+        evaluated when a row first asks for it and kept with the point,
+        whose key is the arguments' shapes and bytes, until a call at
+        another point."""
         w, z, zbar = (np.asarray(p, dtype=float) for p in (w, z, zbar))
+        key = tuple((p.shape, p.tobytes()) for p in (w, z, zbar))
+        if self._point[0] != key:
+            self._point = (key, {})
+        slot_values = self._point[1]
         s_t = z[..., 0] - zbar[..., 0]
         mask = s_t > 0
         safe = np.where(mask, s_t, 1.0)
         lead = {False: 1.0 / safe,
                 True: 1.0 / safe * (z[..., 1] - zbar[..., 1]) ** 2 / safe}
-        slot_values: dict = {}
-        for row, done in plan:
+        for row in rows:
             out = 1.0
             for i in row.slots:
                 if i not in slot_values:
                     slot_values[i] = self.slots[i].value(w, z, zbar)
-                out = out * (slot_values.pop(i) if i in done
-                             else slot_values[i])
+                out = out * slot_values[i]
             if row.lead:
                 out = np.where(mask, out * lead[row.v2], 0.0)
             yield out
@@ -859,20 +829,20 @@ class EDecomposition:
             if (row.k_label is None) == jet:
                 key = row.nu if jet else (row.k_label, row.nu)
                 groups.setdefault(key, []).append(row)
-        return {key: _plan(rows) for key, rows in groups.items()}
+        return groups
 
     # -- public views ---------------------------------------------------
     def jets(self) -> dict:
         """Jet kernels (w, z - zbar) -> value, keyed by nu."""
-        return {nu: lambda w, zeta, plan=plan:
-                sum(self._values(plan, w, zeta, np.zeros(2)))
-                for nu, plan in self._groups(jet=True).items()}
+        return {nu: lambda w, zeta, rows=rows:
+                sum(self._values(rows, w, zeta, np.zeros(2)))
+                for nu, rows in self._groups(jet=True).items()}
 
     def remainders(self) -> dict:
         """Remainder kernels (w, z, zbar) -> value, keyed by (k, nu)."""
-        return {key: lambda w, z, zbar, plan=plan:
-                sum(self._values(plan, w, z, zbar))
-                for key, plan in self._groups(jet=False).items()}
+        return {key: lambda w, z, zbar, rows=rows:
+                sum(self._values(rows, w, z, zbar))
+                for key, rows in self._groups(jet=False).items()}
 
     def reassemble(self, w, z, zbar) -> float:
         w, z, zbar = (np.asarray(p, dtype=float) for p in (w, z, zbar))
@@ -880,7 +850,7 @@ class EDecomposition:
         # the rows share few powers of the offset (16 for r = 3)
         mono = {nu: _mono(offset, nu) for nu in {row.nu for row in self.rows}}
         total = 0.0
-        for row, value in zip(self.rows, self._values(self.plan, w, z, zbar)):
+        for row, value in zip(self.rows, self._values(self.rows, w, z, zbar)):
             total = total + mono[row.nu] * value
         return total
 
@@ -914,8 +884,19 @@ def _e0_lambda_pieces(r: int) -> list[tuple[sp.Expr, sp.Expr]]:
 class _Factors(NamedTuple):
     """The chain factors of one Z-jet index k0 as (jet coefficient, Q(u, v))
     pairs: the k0-th jet of Z, and (z-zbar)^{k0} times -E^{[0]}."""
-    z: list
-    e: list
+    z: tuple
+    e: tuple
+
+
+@cache
+def _green_table(r: int) -> tuple[tuple[tuple[int, int], _Factors], ...]:
+    """The (k0, chain factors) of every |k0|_s < r in ``mi_below`` order:
+    one table per order r, shared by every field whose E does not vanish."""
+    u, v = sp.symbols("u v")
+    e0 = _e0_lambda_pieces(r)
+    return tuple((k0, _Factors(_zjet_pairs(k0), tuple(
+        (c, sp.expand(u ** mi_sdeg(k0, SCALING) * v ** k0[1] * q))
+        for c, q in e0))) for k0 in mi_below(SCALING, r))
 
 
 class GreenDecomposition:
@@ -925,7 +906,7 @@ class GreenDecomposition:
 
     K^w is the frozen Gaussian plus, for N >= 1 and a non-vanishing E, one
     convolution Z^{[k0]} * ((z-zbar)^{k0} (-E^{[0]})) per k0 with
-    |k0|_s < r.  Both factors are read from one table, ``_table``:
+    |k0|_s < r.  Both factors are read from one table, ``_green_table(r)``:
     ``certificate()`` serialises the products of their pairs, and
     ``local(w)`` evaluates the same pairs at the field's jets at w."""
 
@@ -943,16 +924,8 @@ class GreenDecomposition:
         self.levels = levels
         self.upper = upper
         self._quad = dict(n_s=16, n_y=24)
-        self._table: dict[tuple[int, int], _Factors] = {}
-        if N >= 1 and not field.error_vanishes():
-            u, v = sp.symbols("u v")
-            e0 = _e0_lambda_pieces(r)
-            for k0 in mi_below(SCALING, r):
-                mono = u ** mi_sdeg(k0, SCALING) * v ** k0[1]
-                self._table[k0] = _Factors(
-                    [(lt.coefficient, lt.chain[0])
-                     for lt in ZJet(k0, field).lambda_terms()],
-                    [(c, sp.expand(mono * q)) for c, q in e0])
+        self._table = (_green_table(r) if N >= 1
+                       and not field.error_vanishes() else ())
         self._kernel_cache: dict = {}
         self._volterra = None
 
@@ -960,9 +933,10 @@ class GreenDecomposition:
     def _chain_kernel(self, w) -> Callable:
         key = tuple(np.asarray(w, dtype=float))
         if key not in self._kernel_cache:
-            base = ZJet((0, 0), self.field)
-            parts = [lambda zeta, base=base, w=w: base(w, zeta)]
-            for k0, (zs, es) in self._table.items():
+            # the (0, 0) jet slot of Z: the Gaussian frozen at a(w)
+            base = _z_slots(self.field, 1, 0)[0].value
+            parts = [lambda zeta: base(w, zeta, np.zeros(2))]
+            for k0, (zs, es) in self._table:
                 conv = heat_convolve(
                     _chain_factor(self.field, w, zs, 2),
                     _chain_factor(self.field, w, es,
@@ -996,7 +970,7 @@ class GreenDecomposition:
         admissible chain grammar: coefficient jets at the base point times
         convolution chains of (polynomial profile) x (frozen Gaussian)."""
         terms = [LambdaTerm(sp.Integer(1), (sp.Symbol("u"),))]
-        for zs, es in self._table.values():
+        for _k0, (zs, es) in self._table:
             terms += [LambdaTerm(sp.together(c_z * c_e), (q_z, q_e))
                       for c_z, q_z in zs for c_e, q_e in es]
         return terms

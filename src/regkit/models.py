@@ -427,6 +427,7 @@ class ModelInstance:
     _pi: dict = field(default_factory=dict, repr=False)
     _pit: dict = field(default_factory=dict, repr=False)
     _g: dict = field(default_factory=dict, repr=False)
+    _gamma: dict = field(default_factory=dict, repr=False)
     _noise_deriv: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -567,8 +568,13 @@ class ModelInstance:
         return self._g[x]
 
     def gamma(self, x, y) -> Callable[[DecoratedTree], FormalSum]:
-        """Recentering map between base points, as a tree -> formal sum map."""
-        return gamma_action(convolve(character_inverse(self.g(x)), self.g(y)))
+        """Recentering map between base points, as a tree -> formal sum map,
+        kept per pair with its character's memo."""
+        key = (tuple(x), tuple(y))
+        if key not in self._gamma:
+            self._gamma[key] = gamma_action(
+                convolve(character_inverse(self.g(x)), self.g(y)))
+        return self._gamma[key]
 
 
 def _point_key(x):

@@ -140,20 +140,24 @@ def hist(seed: Iterable[DecoratedTree]) -> HistoricSet:
 
     Runs the three closure phases cyclically until a full cycle adds
     nothing; termination is guaranteed because every new tree is strictly
-    smaller in (noise count, degree).
+    smaller in (noise count, degree).  Each phase runs once per tree: a
+    round applies it to the members added since it last ran.
     """
     seed = frozenset(seed)
     members: dict[DecoratedTree, tuple[int, DecoratedTree | None]] = {
         t: (0, None) for t in seed}
     phases = (_phase1, _phase2, _phase3)
+    seen = [0, 0, 0]  # per phase, the members it has run on
     index = 0
     idle = 0
     while idle < 3:
         index += 1
-        phase = phases[(index - 1) % 3]
+        p = (index - 1) % 3
+        todo = list(members)[seen[p]:]
+        seen[p] = len(members)
         new = {}
-        for t in list(members):
-            for s in phase(t):
+        for t in todo:
+            for s in phases[p](t):
                 if s not in members and s not in new:
                     new[s] = (index, t)
         if new:

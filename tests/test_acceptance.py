@@ -349,9 +349,10 @@ def test_08_locality_and_certificates():
     def down(k):
         return (k[0] - 1, k[1]) if k[0] else (k[0], k[1] - 1)
 
-    def jet_part(jets, w, z, zbar):
+    def jet_part(jets, w, z, zbar, *at):
+        # Z jets take (w, z, zbar), the E jet views (w, z - zbar)
         return sum((zbar - w)[0] ** k[0] * (zbar - w)[1] ** k[1]
-                   * float(jet(w, z - zbar)) for k, jet in jets.items())
+                   * float(jet(w, *at)) for k, jet in jets.items())
 
     rng = np.random.default_rng(17)
     for i in range(50):
@@ -359,13 +360,15 @@ def test_08_locality_and_certificates():
         zbar = w + rng.uniform(-1, 1, 2) * np.array([0.01, 0.05])
         z = zbar + np.array([rng.uniform(0.02, 0.4),
                              rng.uniform(-0.5, 0.5)])
-        total = jet_part(zjets, w, z, zbar)
+        total = jet_part(zjets, w, z, zbar, z, zbar)
         total += sum(
             (zbar - w)[0] ** down(k)[0] * (zbar - w)[1] ** down(k)[1]
             * float(rem(w, z, zbar)) for k, rem in zrems.items())
         assert abs(total - float(Z(z, zbar))) <= 1e-6
-        if i % 5 == 0:  # the error-kernel split is an order of magnitude
-            total = jet_part(ejets, w, z, zbar)  # costlier, so thin it out
+        # the error-kernel split is an order of magnitude costlier, so thin
+        # it out
+        if i % 5 == 0:
+            total = jet_part(ejets, w, z, zbar, z - zbar)
             total += sum(
                 (zbar - w)[0] ** nu[0] * (zbar - w)[1] ** nu[1]
                 * float(rem(w, z, zbar)) for (k, nu), rem in erems.items())

@@ -7,12 +7,18 @@ import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from regkit.heatkernel import (
     CoefficientField,
     EDecomposition,
-    ZJet,
+    HeatCalcKernel,
+    LambdaTerm,
+    _a_jet,
     _chain_factor,
+    _gauss_expr,
+    _z_slots,
+    _zjet_pairs,
     apply_operator,
     boundary_indices,
     decompose_green,
@@ -27,7 +33,7 @@ from regkit.heatkernel import (
     z_kernel,
 )
 from regkit.kernels import CutoffFamily, kernel_norm
-from regkit.trees import mi_sdeg
+from regkit.trees import mi_factorial, mi_sdeg
 
 ORIGIN = np.array([0.0, 0.0])
 
@@ -82,7 +88,7 @@ class TestCoefficientField:
 
     def test_parabolicity_sampled(self, gentle):
         assert gentle.check_parabolicity()
-        bad = CoefficientField.make("sin(x)", ellipticity=0.25)
+        bad = CoefficientField.make("sin(x)")
         assert not bad.check_parabolicity()
 
     def test_closed_form_jets(self, gentle):
@@ -112,6 +118,14 @@ class TestCoefficientField:
         assert sp.simplify(adj.c_expr
                            - (gentle.c_expr - sp.diff(gentle.b_expr, x)
                               + sp.diff(gentle.a_expr, x, 2))) == 0
+
+    def test_twist_keeps_powers(self):
+        # the twist of decompose_green does not expand the coefficients, so
+        # a high power stays one power (expanding it took 30 s)
+        field = CoefficientField.make("(1+x)**4000")
+        twisted = field.adjoint().reflect_time()
+        assert twisted.a_expr == parse_coefficient("(1+x)**4000")
+        assert str(twisted.a_expr) == "(x + 1)**4000"
 
 
 class TestFrozenGaussian:
@@ -213,6 +227,13 @@ class TestHeatConvolve:
         assert float(left(z, zbar)) == pytest.approx(float(right(z, zbar)),
                                                      rel=1e-3)
 
+    def test_non_integer_order_refused(self, gentle):
+        # every kernel regkit builds has an integer order, which the sin^2
+        # Gauss-Legendre rule needs
+        Z = z_kernel(gentle)
+        with pytest.raises(ValueError, match="integer orders"):
+            heat_convolve(Z, HeatCalcKernel(1.5, Z.ftilde))
+
     def test_undecayed_tail_refused(self, gentle):
         Z = z_kernel(gentle)
         flat = z_kernel(gentle)
@@ -269,9 +290,13 @@ class TestVolterra:
             exact, rel=2e-3)
 
     def test_budget_flag(self, gentle):
-        vol = volterra(gentle, 3, n_s=16, n_y=32, budget=1e3)
+        # at n_s * n_y = 480 a fourth nested step would cost 480^4 > 5e8
+        # profile evaluations per point, so the series stops after three
+        # (only closures are built)
+        vol = volterra(gentle, 4)
         assert vol.partial
-        assert vol.computed_upto < 3
+        assert vol.computed_upto == 3
+        assert len(vol.summands) == 4
 
 
 class TestTaylorZ:
@@ -290,7 +315,7 @@ class TestTaylorZ:
         jets, rems = taylor_decompose_Z(gentle, 1)
         assert set(jets) == {(0, 0)}
         w, zeta = np.array([0.2, 0.1]), np.array([[0.3, 0.4]])
-        assert jets[(0, 0)](w, zeta).item() == pytest.approx(
+        assert jets[(0, 0)](w, zeta, ORIGIN).item() == pytest.approx(
             frozen_gaussian(gentle, w, zeta).item(), rel=1e-12)
 
     def test_constant_field_trivial(self, constant):
@@ -299,7 +324,7 @@ class TestTaylorZ:
         z, zbar = np.array([0.4, 0.3]), np.array([0.05, 0.02])
         for k, jet in jets.items():
             if k != (0, 0):
-                assert jet(w, (z - zbar)[None, :]).item() == 0.0
+                assert jet(w, z[None, :], zbar).item() == 0.0
         for rem in rems.values():
             assert float(rem(w, z, zbar)) == 0.0
 
@@ -314,7 +339,7 @@ class TestTaylorZ:
                                  rng.uniform(-0.6, 0.6)])
             total = sum(
                 (zbar - w)[0] ** k[0] * (zbar - w)[1] ** k[1]
-                * float(jet(w, z - zbar)) for k, jet in jets.items())
+                * float(jet(w, z, zbar)) for k, jet in jets.items())
             total += sum(
                 (zbar - w)[0] ** down(k)[0] * (zbar - w)[1] ** down(k)[1]
                 * float(rem(w, z, zbar)) for k, rem in rems.items())
@@ -332,9 +357,14 @@ class TestTaylorZ:
         pins = E_PINS["taylor_z"][r]
         field = CoefficientField.make(*E_PINS["field"], regularity=12)
         jets, rems = taylor_decompose_Z(field, int(r))
+        # the jet slots of the x-derivative of Z (dv = 1)
+        dx_jets = {s.nu: s.value for s in _z_slots(field, int(r), 1)
+                   if s.k_label is None}
+        assert list(dx_jets) == list(jets)
         for i, triple in enumerate(E_PINS["triples"]):
             w, z, zbar = (np.array(p) for p in triple)
-            assert {str(k): [_hex(jet(w, z - zbar, dv=dv)) for dv in (0, 1)]
+            assert {str(k): [_hex(jet(w, z, zbar)),
+                             _hex(dx_jets[k](w, z, zbar))]
                     for k, jet in jets.items()} == pins["jets"][i]
             assert {str(k): _hex(rem(w, z, zbar))
                     for k, rem in rems.items()} == pins["remainders"][i]
@@ -343,10 +373,62 @@ class TestTaylorZ:
         jets, _ = taylor_decompose_Z(gentle, 3)
         w, zeta = np.array([0.1, -0.2]), np.array([[0.2, 0.15]])
         for k, jet in jets.items():
-            terms = jet.lambda_terms()
+            terms = [LambdaTerm(c, (q,)) for c, q in _zjet_pairs(k)]
             assert all(t.validate(3) for t in terms)
             total = sum(float(t.evaluate(gentle, w, zeta[0])) for t in terms)
-            assert total == pytest.approx(jet(w, zeta).item(), rel=1e-9)
+            assert total == pytest.approx(jet(w, zeta, ORIGIN).item(),
+                                          rel=1e-9)
+
+
+def _parabolic_reference(zeta, dv, profile):
+    """The frame of the frozen Gaussian (dv = 0) and of its x-derivative
+    (dv = 1) as a formula of its own: t^{-1/2-dv/2} profile(x / sqrt t) at
+    the offsets zeta = (t, x), and 0 where t <= 0."""
+    zeta = np.asarray(zeta, dtype=float)
+    t, x = zeta[..., 0], zeta[..., 1]
+    mask = t > 0
+    safe = np.where(mask, t, 1.0)
+    return np.where(mask, safe ** (-0.5 - 0.5 * dv)
+                    * profile(x / np.sqrt(safe)), 0.0)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestFrame:
+    # offsets with t <= 0 (zeros included) and t > 0, in batches
+    points = hnp.arrays(
+        float, hnp.array_shapes(min_dims=0, max_dims=2, max_side=3).map(
+            lambda shape: shape + (2,)),
+        elements=st.one_of(st.just(0.0), st.floats(-1.0, 1.0)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(z=points, zbar=st.sampled_from([(0.0, 0.0), (0.25, -0.5),
+                                           (-0.3, 0.1)]),
+           dv=st.sampled_from([0, 1]))
+    def test_calculus_frame_is_the_formula(self, z, zbar, dv):
+        # an order 2 - dv kernel whose profile ignores (zb, u) is the
+        # frame of the Z slots, bit for bit
+        zbar = np.array(zbar)
+        profile = lambda v: np.exp(-v ** 2 / 3) * (1 + v)  # noqa: E731
+        got = HeatCalcKernel(2.0 - dv, lambda _tb, _xb, _u, v: profile(v))
+        want = _parabolic_reference(z - zbar, dv, profile)
+        assert np.array_equal(_bits(got(z, zbar)), _bits(want))
+
+    @settings(max_examples=20, deadline=None)
+    @given(z=points, dv=st.sampled_from([0, 1]),
+           k=st.sampled_from([(0, 0), (0, 1), (1, 0), (0, 2)]))
+    def test_z_jet_slots_are_the_formula(self, gentle, z, dv, k):
+        # the jet slot of k is the frame of the k-th w-derivative of the
+        # frozen Gaussian's profile, over k!
+        w, zbar = np.array([0.1, -0.2]), np.array([0.05, 0.3])
+        slot = {s.nu: s for s in _z_slots(gentle, 3, dv)
+                if s.k_label is None}[k]
+        want = _parabolic_reference(
+            z - zbar, dv, lambda v: _a_jet(gentle, _gauss_expr(), k, w, v, dv)
+            / mi_factorial(k))
+        assert np.array_equal(_bits(slot.value(w, z, zbar)), _bits(want))
 
 
 REASSEMBLY_FIELDS = [
@@ -380,6 +462,30 @@ class TestTaylorE:
             assert jet(w, (z - zbar)[None, :]).item() == 0.0
         for rem in rems.values():
             assert float(rem(w, z, zbar)) == 0.0
+
+    def test_each_slot_once_per_point(self):
+        # the views evaluated at one point share its slot values; a call at
+        # another point evaluates them again
+        dec = EDecomposition(
+            CoefficientField.make(*REASSEMBLY_FIELDS[1], regularity=12), 3)
+        calls = []
+
+        def counted(i, value):
+            def run(*args):
+                calls.append(i)
+                return value(*args)
+            return run
+        dec.slots = [type(s)(s.nu, s.k_label, counted(i, s.value))
+                     for i, s in enumerate(dec.slots)]
+        w, zbar = np.array([0.1, -0.2]), np.array([0.105, -0.18])
+        for z in (np.array([0.3, 0.1]), np.array([0.25, -0.1])):
+            calls.clear()
+            want = dec.reassemble(w, z, zbar)
+            for rem in dec.remainders().values():
+                rem(w, z, zbar)
+            again = dec.reassemble(w, z, zbar)
+            assert sorted(calls) == list(range(len(dec.slots)))
+            assert np.array_equal(_bits(again), _bits(want))
 
     @pytest.mark.parametrize("coeffs", REASSEMBLY_FIELDS)
     def test_reassembly(self, coeffs):
@@ -505,22 +611,33 @@ class TestGreenDecomposition:
         assert len(decompose_green(heat, 3, 2, cutoff, N=1)
                    .certificate()) == 1
 
+    def test_table_reads_no_field(self, cutoff):
+        # one table per expansion order: two fields with different a, b and
+        # c share it, and so their certificates
+        decs = [decompose_green(CoefficientField.make(*c, regularity=12), 3,
+                                2, cutoff, N=1) for c in REASSEMBLY_FIELDS]
+        assert decs[0]._table == decs[1]._table
+        certs = [dec.certificate() for dec in decs]
+        assert len(certs[0]) == 113
+        assert certs[0] == certs[1]
+
     def test_table_is_the_expansion(self, gentle, cutoff):
         # local(w) evaluates the certified table, at the orders it convolves
         # them: its Z factors are the Z jets, and at r = 3 its E factor of
         # k0 is zeta^{k0} times minus the nu = 0 jet view of the error
         # kernel's decomposition
         dec = decompose_green_adjoint(gentle, 3, 2, cutoff, N=1)
+        zjets, _ = taylor_decompose_Z(gentle, 3)
         e00 = EDecomposition(gentle, 3).jets()[(0, 0)]
         rng = np.random.default_rng(11)
         zeta = np.stack([rng.uniform(0.01, 0.5, 200),
                          rng.uniform(-0.8, 0.8, 200)], axis=-1)
         for w in (ORIGIN, np.array([0.1, -0.3])):
             minus_e0 = -e00(w, zeta)
-            for k0, factors in dec._table.items():
+            for k0, factors in dec._table:
                 for got, want in [
                         (_chain_factor(gentle, w, factors.z, 2),
-                         ZJet(k0, gentle)(w, zeta)),
+                         zjets[k0](w, zeta, ORIGIN)),
                         (_chain_factor(gentle, w, factors.e,
                                        1 + mi_sdeg(k0, (2, 1))),
                          zeta[:, 0] ** k0[0] * zeta[:, 1] ** k0[1]

@@ -219,6 +219,13 @@ class TestRecentering:
         diff = combined - split
         assert all(abs(float(c)) < 1e-12 for _t, c in diff.items())
 
+    def test_gamma_memoised(self, model):
+        # one map per pair of base points, so its character's memo is kept
+        x, y = model.base_points[0], model.base_points[1]
+        assert model.gamma(x, y) is model.gamma(x, y)
+        assert model.gamma(list(x), y) is model.gamma(x, y)
+        assert model.gamma(y, x) is not model.gamma(x, y)
+
     def test_cocycle(self, model):
         x, y, z = model.base_points
         gxy, gyz, gxz = model.gamma(x, y), model.gamma(y, z), model.gamma(x, z)

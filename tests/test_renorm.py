@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regkit.hopf import delta_r_minus, delta_r_minus_reduced
 from regkit.renorm import (
@@ -10,7 +11,7 @@ from regkit.renorm import (
     hist,
     precedes,
 )
-from regkit.renorm import _lookup
+from regkit.renorm import _lookup, _phase1, _phase2, _phase3
 from regkit.rules import generate
 from regkit.trees import FormalSum, noise, plant, tree_product, unit
 
@@ -88,7 +89,38 @@ def toy_expect(tree, ell):
     return total
 
 
+def _round_robin_hist(seed):
+    """The historic closure with every phase run on every member in each
+    round: (sorted trees, provenance, stabilisation index)."""
+    members = {t: (0, None) for t in frozenset(seed)}
+    phases = (_phase1, _phase2, _phase3)
+    index = idle = 0
+    while idle < 3:
+        index += 1
+        new = {}
+        for t in list(members):
+            for s in phases[(index - 1) % 3](t):
+                if s not in members and s not in new:
+                    new[s] = (index, t)
+        members.update(new)
+        idle = 0 if new else idle + 1
+    return tuple(sorted(members)), members, index - 3
+
+
 class TestHist:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_equals_round_robin(self, uni, data):
+        # running each phase once per tree changes no tree, no provenance
+        # (in order) and no stabilisation index
+        seed = data.draw(st.lists(st.sampled_from(sorted(uni.trees)),
+                                  min_size=1, max_size=8))
+        closure = hist(seed)
+        trees, provenance, index = _round_robin_hist(seed)
+        assert closure.trees == trees
+        assert list(closure.provenance.items()) == list(provenance.items())
+        assert closure.stabilisation_index == index
+
     def test_contains_seed_and_is_closed(self, family):
         closure = hist([family["big"]])
         assert family["big"] in closure
