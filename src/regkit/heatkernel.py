@@ -215,22 +215,27 @@ class CoefficientField:
 
     def _fn(self, name: str, k=(0, 0)) -> Callable:
         key = (name, k)
-        if key not in self._cache:
+        fn = self._cache.get(key)
+        if fn is None:
             if mi_sdeg(k, SCALING) > self.regularity:
                 raise ValueError("jet order exceeds the field's regularity")
             expr = {"a": self.a_expr, "b": self.b_expr,
                     "c": self.c_expr}[name]
             expr = sp.diff(expr, T_SYM, k[0], X_SYM, k[1])
-            self._cache[key] = sp.lambdify((T_SYM, X_SYM), expr, "numpy")
-        return self._cache[key]
+            fn = self._cache[key] = sp.lambdify((T_SYM, X_SYM), expr,
+                                                "numpy")
+        return fn
 
     def jet(self, name: str, k, w) -> np.ndarray:
         """Derivative d^k, |k|_s up to the regularity, of a coefficient at
         the points w = (t, x): a batch w of shape (..., 2) gives values of
         shape (...), so one point of shape (1, 2) gives shape (1,)."""
         w = np.asarray(w, dtype=float)
-        return self._fn(name, tuple(k))(w[..., 0] + 0.0 * w[..., 1],
-                                        w[..., 1]) * np.ones(w.shape[:-1])
+        out = self._fn(name, tuple(k))(w[..., 0], w[..., 1])
+        # a constant gives a Python number, an unbatched point a NumPy scalar
+        if not isinstance(out, np.ndarray) or out.shape != w.shape[:-1]:
+            out = out * np.ones(w.shape[:-1])
+        return out
 
     def a(self, z):
         return self.jet("a", (0, 0), z)
@@ -340,16 +345,18 @@ def e_kernel(field: CoefficientField) -> HeatCalcKernel:
         tb, xb, u, v = np.broadcast_arrays(
             np.asarray(tb, dtype=float), np.asarray(xb, dtype=float),
             np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-        a = afn(tb, xb) * np.ones_like(u)
+        # v and u carry the full shape, so a constant coefficient (a
+        # scalar) broadcasts in every product below
+        a = afn(tb, xb)
         g = _gauss(v, a)
         gp = -v / (2 * a) * g
         gpp = (v ** 2 / (4 * a ** 2) - 1 / (2 * a)) * g
         t_z, x_z = tb + u ** 2, xb + u * v
-        da = a - afn(t_z, x_z) * np.ones_like(u)
+        da = a - afn(t_z, x_z)
         safe_u = np.where(u > 0, u, 1.0)
         return (da / safe_u * gpp
-                - bfn(t_z, x_z) * np.ones_like(u) * gp
-                - cfn(t_z, x_z) * np.ones_like(u) * u * g)
+                - bfn(t_z, x_z) * gp
+                - cfn(t_z, x_z) * u * g)
 
     return HeatCalcKernel(1.0, ftilde)
 

@@ -411,6 +411,16 @@ class ModelInstance:
     ``x=None`` to ``pi_times``/``pi`` gives the un-recentred model, which
     ``value`` evaluates at the origin.
 
+    A field is realised once per base point it depends on.  A tree is
+    anchored when it carries a node decoration, or a kernel edge below which
+    a Taylor jet is subtracted, or a branch whose prepared realisation is
+    anchored; a prepared tree is anchored when a term of its preparation is.
+    Any other tree has the same realisation at every base point and at
+    ``x=None``, and is realised once, under the key ``None``.  Each kernel
+    convolution is computed once per (edge type, edge decoration, branch,
+    key of the branch), so an anchored planted tree over a free branch runs
+    one stencil sum and subtracts its jet at each base point.
+
     ``noise`` maps each noise type to a GridField, or to an array whose last
     two axes are the grid or an origin window of it (see ``_axis_cells``)
     and whose leading axis, if any, runs over samples.  The x=None recursion
@@ -426,6 +436,8 @@ class ModelInstance:
     grid: Grid
     _pi: dict = field(default_factory=dict, repr=False)
     _pit: dict = field(default_factory=dict, repr=False)
+    _conv: dict = field(default_factory=dict, repr=False)
+    _anchor: dict = field(default_factory=dict, repr=False)
     _g: dict = field(default_factory=dict, repr=False)
     _gamma: dict = field(default_factory=dict, repr=False)
     _noise_deriv: dict = field(default_factory=dict, repr=False)
@@ -477,23 +489,51 @@ class ModelInstance:
                     self._prepared(br, None), ed, self._origin)
         return total
 
+    def _key(self, tree: DecoratedTree, x, prepared: bool):
+        """Cache key of a tree's (prepared) realisation at a base point:
+        ``None`` unless it depends on the base point."""
+        if x is None or not self._anchored(tree, prepared):
+            return None
+        return tuple(x)
+
+    def _anchored(self, tree: DecoratedTree, prepared: bool) -> bool:
+        """Whether the (prepared) realisation of the tree depends on the
+        base point; see the class docstring."""
+        key = (tree, prepared)
+        out = self._anchor.get(key)
+        if out is None:
+            if prepared:
+                out = any(self._anchored(s, False)
+                          for s, _c in self.prep(tree).items())
+            else:
+                ts = tree.typeset
+                out = any(map(any, tree.ndeco)) or any(
+                    (et in ts.kernel_types and _jet_indices(et, ed, br))
+                    or self._anchored(br, True)
+                    for et, ed, _od, br in tree.factor()[1])
+            self._anchor[key] = out
+        return out
+
     def _times(self, tree: DecoratedTree, x) -> np.ndarray:
-        # one lookup per hit: every lookup hashes the whole tree
-        key = (tree, _point_key(x))
+        key = (tree, self._key(tree, x, False))
         out = self._pit.get(key)
         if out is None:
             root_nd, factors = tree.factor()
-            base = (0.0, 0.0) if x is None else x
-            out = _monomial(self._axes, base, root_nd)
+            # a product starts from its first factor: multiplying by the
+            # monomial X^0 (ones) would only copy it
+            if any(root_nd) or not factors:
+                base = (0.0, 0.0) if x is None else x
+                out = _monomial(self._axes, base, root_nd)
             for et, ed, od, br in factors:
                 if od is not None:
                     raise ValueError("over-decorated trees have no realisation")
-                out = out * self._planted(et, ed, br, x)
+                f = self._planted(et, ed, br, x)
+                out = f if out is None else out * f
             self._pit[key] = out
         return out
 
     def _prepared(self, tree: DecoratedTree, x) -> np.ndarray:
-        key = (tree, _point_key(x))
+        key = (tree, self._key(tree, x, True))
         out = self._pi.get(key)
         if out is None:
             terms = list(self.prep(tree).items())
@@ -528,7 +568,11 @@ class ModelInstance:
             if not br.is_unit:
                 out = out * self._prepared(br, x)
             return out
-        out = self.kernels[et].convolve(self._prepared(br, x), ed)
+        key = (et, ed, br, self._key(br, x, True))
+        out = self._conv.get(key)
+        if out is None:
+            out = self._conv[key] = self.kernels[et].convolve(
+                self._prepared(br, x), ed)
         if x is None:
             return out
         for j, cj in self._jet(et, ed, br, x):
@@ -539,13 +583,10 @@ class ModelInstance:
         """Taylor coefficients (j, (D^{ed+j} K * Pi_x br)(x) / j!) at the
         base point x of the tree planted on br by a kernel edge (et, ed), for
         |j|_s below that tree's degree."""
-        ts = br.typeset
         K, f, idx = self.kernels[et], self._prepared(br, x), \
             self.grid.index_of(x)
-        bound = (br.degree_value() + ts.degree_of(et).at(ts.kappa)
-                 - ts.sdeg(ed))
         return [(j, K.value_at(f, mi_add(ed, j), idx) / mi_factorial(j))
-                for j in mi_below(ts.scaling, bound)]
+                for j in _jet_indices(et, ed, br)]
 
     # -- recentering ---------------------------------------------------------
 
@@ -577,8 +618,12 @@ class ModelInstance:
         return self._gamma[key]
 
 
-def _point_key(x):
-    return None if x is None else tuple(x)
+def _jet_indices(et, ed, br) -> list[MultiIndex]:
+    """The j with |j|_s below the degree of the tree planted on br by the
+    kernel edge (et, ed): the Taylor jet its realisation subtracts."""
+    ts = br.typeset
+    bound = br.degree_value() + ts.degree_of(et).at(ts.kappa) - ts.sdeg(ed)
+    return mi_below(ts.scaling, bound)
 
 
 def build_model(historic: HistoricSet, kernel_assignment: Mapping[str, DyadicKernel],

@@ -1,5 +1,6 @@
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,28 @@ def fuzzed_configs(draw):
     return config
 
 
+def _above(value, bound) -> bool:
+    try:
+        return Fraction(str(value)) > bound
+    except (ValueError, ZeroDivisionError):
+        return False
+
+
+@st.composite
+def any_config(draw):
+    """Any JSON object: a fuzzed config over the keys of DEFAULTS, or
+    arbitrary keys.  The degree and edge caps set the size of the universe,
+    so a cap that reads as a number above a small bound is redrawn: a huge
+    cap is a valid request for a long run, not a malformed config."""
+    config = draw(fuzzed_configs()
+                  | st.dictionaries(st.text(max_size=8), JSON_VALUES,
+                                    max_size=3))
+    for key, bound in (("degree_cap", 3), ("edge_cap", 5)):
+        if key in config and _above(config[key], bound):
+            config[key] = draw(st.integers(-2, bound))
+    return config
+
+
 class TestConfig:
     @settings(max_examples=300, deadline=None)
     @given(config=fuzzed_configs())
@@ -92,6 +115,19 @@ class TestConfig:
         report = json.loads(result.output)
         assert isinstance(report, dict)
         assert ("all_valid" in report) == (result.exit_code == 0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(config=any_config())
+    def test_trees_exits_cleanly(self, tmp_path_factory, config):
+        # a report or a structured refusal, as one JSON document on stdout;
+        # an uncaught exception would also exit 1, so none may escape
+        path = tmp_path_factory.getbasetemp() / "fuzzed_trees.json"
+        path.write_text(json.dumps(config))
+        result = CliRunner().invoke(main, ["trees", "--config", str(path)])
+        assert result.exit_code in (0, 1, 2), result.output
+        assert result.exception is None or isinstance(result.exception,
+                                                      SystemExit)
+        assert isinstance(json.loads(result.stdout), dict)
 
     def test_defaults_logged(self, runner, tmp_path):
         result, report = invoke(runner, tmp_path, "trees", {"edge_cap": 3})

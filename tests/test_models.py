@@ -78,8 +78,13 @@ def sampler(grid):
 
 
 @pytest.fixture(scope="module")
-def model(sector, grid, sampler):
-    return build_model(sector, {"I": bump_kernel(order=8)}, sampler(0),
+def bump():
+    return {"I": bump_kernel(order=8)}
+
+
+@pytest.fixture(scope="module")
+def model(sector, bump, sampler):
+    return build_model(sector, bump, sampler(0),
                        PreparationMap(lambda t: Fraction(0)))
 
 
@@ -257,6 +262,87 @@ class TestRecentering:
         # ... but not on the bare noise, which the functional may shift
         assert not np.array_equal(m.pi(xi, x).values,
                                   m.pi_times(xi, x).values)
+
+
+class _PerPoint(ModelInstance):
+    """The model with every (tree, base point) realised under its own key:
+    the reference for the base-point-free keys."""
+
+    def _key(self, tree, x, prepared):
+        return None if x is None else tuple(x)
+
+
+def _decider(ts, prep) -> ModelInstance:
+    """A model without kernels, for the base-point decision alone, which
+    reads only the trees and the preparation map."""
+    grid = Grid((4, 4), (1 / 16, 1 / 4))
+    return ModelInstance(hist([noise(ts, "Xi")]), {},
+                         {"Xi": np.zeros(grid.shape)}, prep, (), grid)
+
+
+class TestBasePointKeys:
+    def test_anchor_decision(self, model, mild_ts, ts):
+        xi = noise(mild_ts, "Xi")
+        assert not model._anchored(xi, True)
+        # I(Xi) has degree 1/2 - kappa > 0, so its jet at x is subtracted
+        assert model._anchored(plant(xi, "I"), True)
+        assert model._anchored(tree_product(monomial(mild_ts, (0, 1)), xi),
+                               True)
+        # with the noise at -5/2 the planted noise has no jet
+        rough = _decider(ts, PreparationMap(lambda t: Fraction(0)))
+        assert not rough._anchored(plant(noise(ts, "Xi"), "I"), True)
+
+    def test_anchored_counterterm_anchors_the_prepared_tree(self, ts):
+        xi = noise(ts, "Xi")
+        psi = plant(xi, "I")
+        anchored = tree_product(monomial(ts, (0, 1)), xi)
+
+        class Shifted(PreparationMap):
+            def __call__(self, tree):
+                out = super().__call__(tree)
+                if tree == psi:
+                    out = out + FormalSum.single(anchored, Fraction(1, 2))
+                return out
+
+        m = _decider(ts, Shifted(lambda t: Fraction(0)))
+        assert not m._anchored(psi, False)
+        assert m._anchored(psi, True)
+        # so is a tree that realises the prepared psi as a branch
+        assert m._anchored(plant(psi, "Xi"), False)
+
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 1 << 16), with_ell=st.booleans(),
+           order=st.permutations(range(4)))
+    def test_keys_change_no_bits(self, sector, grid, mild_ts, bump, seed,
+                                 with_ell, order):
+        xi = noise(mild_ts, "Xi")
+        psi = plant(xi, "I")
+        ell = {xi: 0.75, tree_product(psi, psi): -0.5} if with_ell else {}
+        prep = PreparationMap(lambda t: ell.get(t, 0))
+        field = mollified_noise_sampler(grid, ["Xi"], epsilon=8,
+                                        seed=seed)(0)
+        model = build_model(sector, bump, field, prep)
+        ref = _PerPoint(sector, model.kernels, model.noise, prep,
+                        model.base_points, grid)
+        points = [(*model.base_points, None)[i] for i in order]
+        for x in points:
+            for tree in model.basis:
+                got, want = model.pi(tree, x).values, ref.pi(tree, x).values
+                assert np.array_equal(got.view(np.int64),
+                                      want.view(np.int64))
+
+    def test_one_convolution_per_branch_realisation(self, sector, sampler,
+                                                    bump, mild_ts):
+        with mock.patch.object(KernelOnGrid, "convolve", autospec=True,
+                               side_effect=KernelOnGrid.convolve) as conv:
+            model = build_model(sector, bump, sampler(0),
+                                PreparationMap(lambda t: Fraction(0)))
+            check_chain(model)
+            recentering_exponent(model, monomial(mild_ts, (0, 1)),
+                                 model.base_points[1])
+        # I(1) and I(Xi) once; I(I(Xi)) and I(I(Xi)^2), whose branches
+        # subtract a jet, once per base point
+        assert conv.call_count == 2 + 2 * len(model.base_points)
 
 
 class TestExponents:
