@@ -20,7 +20,8 @@ table of (jet coefficient, Q(u, v)) pairs per order r, ``_green_table(r)``,
 evaluated at the jets at w by ``_chain_factor`` or serialised as products.
 Coefficient strings are read by ``parse_coefficient``, which lets only
 numbers, t, x, arithmetic and a fixed set of elementary functions reach
-sympy.
+sympy; ``_load`` imports it, ``scipy.special`` and ``scipy.linalg`` with
+the first field, parse or ``heat_convolve``, not with the module.
 
 Points are z = (t, x); the parabolic scaling is (2, 1), |z|_s = sqrt|t|+|x|.
 Index sets {|k|_s < r}, k!, binomials and |k|_s come from the multi-index
@@ -38,8 +39,6 @@ from itertools import accumulate
 from typing import Callable, NamedTuple
 
 import numpy as np
-import sympy as sp
-from scipy.special import roots_legendre
 
 from .kernels import (_SlotTerm, _down, _increment, _taylor_slots,
                       dyadic_decompose, lower_boundary)
@@ -65,10 +64,6 @@ __all__ = [
     "decompose_green_adjoint",
     "boundary_indices",
 ]
-
-T_SYM, X_SYM = sp.symbols("t x", real=True)
-_WT, _WX, _V = sp.symbols("w_t w_x v", real=True)
-_AFUN = sp.Function("a")(_WT, _WX)
 
 SCALING = (2, 1)
 _LAMBDA = 0.25  # check_parabolicity asks for _LAMBDA <= a <= 1/_LAMBDA
@@ -170,10 +165,28 @@ def _float_value(node, values) -> float:
         return math.nan
 
 
+@cache
+def _load() -> None:
+    """Bind ``sp``, ``roots_legendre`` and the module's symbols, and import
+    what sympy and scipy would on a first diff, lambdify or Jacobi root."""
+    global sp, roots_legendre, T_SYM, X_SYM, _WT, _WX, _V, _AFUN, _BRACKET
+    import scipy.linalg  # noqa: F401
+    import sympy as sp
+    import sympy.assumptions.wrapper  # noqa: F401
+    import sympy.codegen.ast  # noqa: F401
+    from scipy.special import roots_legendre
+    T_SYM, X_SYM, _WT, _WX, _V = sp.symbols("t x w_t w_x v", real=True)
+    _AFUN = sp.Function("a")(_WT, _WX)
+    # E's bracket v^2/(4a^2) - 1/(2a) as two parts, flagged if they hold v^2
+    _BRACKET = ((sp.Rational(1, 4) / _AFUN ** 2, True),
+                (-sp.Rational(1, 2) / _AFUN, False))
+
+
 def parse_coefficient(value) -> sp.Expr:
     """A coefficient, given as a number or a string, as an expression in the
     module's t and x (so that differentiation sees them); ValueError for
     anything else."""
+    _load()
     text = str(value)
     pos = 0
     while pos < len(text.rstrip()):
@@ -207,6 +220,9 @@ class CoefficientField:
     c_expr: sp.Expr
     regularity: int = 12
     _cache: dict = dfield(default_factory=dict, compare=False, repr=False)
+
+    def __post_init__(self):
+        _load()  # also for a field built from sympy objects, without make
 
     @classmethod
     def make(cls, a="1", b="0", c="0", *, regularity=12):
@@ -385,6 +401,7 @@ def heat_convolve(F: HeatCalcKernel, G: HeatCalcKernel, *,
             raise ValueError(
                 f"kernel profile has not decayed at |v|={y_half}: "
                 f"|Ftilde|={edge:.3e} vs centre {centre:.3e}")
+    _load()
     xl, wl_ = roots_legendre(n_s)
     theta = (xl + 1.0) * (np.pi / 4.0)
     s_nodes = np.sin(theta) ** 2
@@ -501,6 +518,9 @@ class LambdaTerm:
     coefficient: sp.Expr
     chain: tuple[sp.Expr, ...]
 
+    def __post_init__(self):
+        _load()
+
     def validate(self, r: int) -> bool:
         """Structural check against the admissible grammar, with jets of
         order at most r."""
@@ -513,17 +533,14 @@ class LambdaTerm:
             except sp.PolynomialError:
                 return False
         num, den = sp.fraction(sp.together(self.coefficient))
-        jets = [s for s in num.free_symbols | den.free_symbols]
-        for s in jets:
+        for s in num.free_symbols | den.free_symbols:
             name = str(s)
             if not (name[0] in "abc" and "_" in name):
                 return False
             if mi_sdeg(_parse_jet(s)[1], SCALING) > r:
                 return False
-        a00 = _jet_symbol("a", (0, 0))
-        if not (den.is_polynomial() and den.free_symbols <= {a00}):
-            return False
-        return True
+        return (den.is_polynomial()
+                and den.free_symbols <= {_jet_symbol("a", (0, 0))})
 
     def to_dict(self) -> dict:
         return {"coefficient": sp.srepr(self.coefficient),
@@ -583,6 +600,7 @@ def _chain_factor(field: CoefficientField, w, pairs,
 
 
 def parse_lambda_term(data: dict) -> LambdaTerm:
+    _load()
     return LambdaTerm(sp.sympify(data["coefficient"]),
                       tuple(sp.sympify(q) for q in data["chain"]))
 
@@ -595,12 +613,6 @@ def parse_lambda_term(data: dict) -> LambdaTerm:
 def _gauss_expr() -> sp.Expr:
     # built on first use: sympy's first exp and sqrt take 80 ms and 1 MB
     return sp.exp(-_V ** 2 / (4 * _AFUN)) / sp.sqrt(4 * sp.pi * _AFUN)
-
-
-# the second-derivative factor v^2/(4a^2) - 1/(2a) of E as its two parts,
-# each flagged with whether it carries the v^2
-_BRACKET = ((sp.Rational(1, 4) / _AFUN ** 2, True),
-            (-sp.Rational(1, 2) / _AFUN, False))
 
 
 def _jetify(expr: sp.Expr) -> sp.Expr:

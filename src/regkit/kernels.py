@@ -18,7 +18,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .trees import mi_below, mi_factorial, mi_sdeg
 
@@ -261,11 +260,8 @@ def holder_norm_estimate(fieldfn: Callable, alpha: float,
 
 def is_lower_set(A) -> bool:
     A = set(map(tuple, A))
-    for k in A:
-        for i, ki in enumerate(k):
-            if ki and tuple(v - (j == i) for j, v in enumerate(k)) not in A:
-                return False
-    return True
+    return all(tuple(v - (j == i) for j, v in enumerate(k)) in A
+               for k in A for i, ki in enumerate(k) if ki)
 
 
 def _m_of(k) -> int:
@@ -294,6 +290,7 @@ def lower_boundary(A) -> list[tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def _jacobi_01(exponent: int):
     """24 nodes/weights for int_0^1 f(y) n (1-y)^{n-1} dy with n = exponent."""
+    from scipy.special import roots_jacobi
     nodes, wts = roots_jacobi(24, exponent - 1, 0)
     return (nodes + 1.0) / 2.0, wts * exponent / 2.0 ** exponent
 

@@ -25,9 +25,11 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
+from numpy.random import default_rng
 
 from .hopf import Character, character_inverse, convolve, gamma_action
 from .kernels import (
@@ -100,10 +102,6 @@ class Grid:
         return (np.arange(self.shape[0]) * self.spacing[0],
                 np.arange(self.shape[1]) * self.spacing[1])
 
-    def coords(self) -> np.ndarray:
-        t, x = self.axes()
-        return np.stack(np.meshgrid(t, x, indexing="ij"), axis=-1)
-
     def index_of(self, z) -> tuple[int, int]:
         """Grid index of a point that must lie on the grid."""
         out = []
@@ -160,11 +158,19 @@ class GridField:
         return self.grid.spacing
 
     def sample_at(self, points: np.ndarray) -> np.ndarray:
-        """Periodic bilinear interpolation at arbitrary points (..., 2)."""
-        from scipy.ndimage import map_coordinates
-        pts = np.asarray(points, dtype=float)
-        coords = [pts[..., i] / self.grid.spacing[i] for i in range(2)]
-        return map_coordinates(self.values, coords, order=1, mode="grid-wrap")
+        """Periodic bilinear interpolation at points (..., 2), bit for bit as
+        scipy.ndimage.map_coordinates(order=1, mode="grid-wrap"): its wrap
+        (to 0 on one cell), weights w = 1 - (c - s) and 1 - w, sum order."""
+        corners, pts = [], np.asarray(points, dtype=float) / self.spacing
+        for c, n in zip(np.moveaxis(pts, -1, 0), self.grid.shape):
+            c = np.where(c < 0, c + n * (np.trunc(-c / n) + 1), np.where(
+                c > n - 1, c - n * np.trunc(c / n), c)) * (n > 1)
+            s = np.floor(c)
+            w = 1.0 - (c - s)
+            corners.append([(s.astype(int) % n, w),
+                            ((s.astype(int) + 1) % n, 1.0 - w)])
+        return sum(self.values[i, j] * wt * wx
+                   for (i, wt), (j, wx) in product(*corners))
 
 
 def _vals(other):
@@ -345,7 +351,7 @@ def mollified_noise_sampler(grid: Grid, noise_types: Sequence[str],
     amp = 1.0 / math.sqrt(grid.cell_volume)
 
     def sampler(i: int) -> dict[str, GridField]:
-        rng = np.random.default_rng([seed, i])
+        rng = default_rng([seed, i])
         out = {}
         for ntype in noise_types:
             white = rng.standard_normal(grid.shape) * amp

@@ -8,12 +8,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.ndimage import map_coordinates
 
 from regkit import models
 from regkit.kernels import CutoffFamily, dilate, dyadic_decompose
 from regkit.models import (
     Grid,
+    GridField,
     KernelOnGrid,
     ModelInstance,
     build_model,
@@ -103,6 +105,47 @@ class TestGrid:
         # central differences are exact on quadratics away from the wrap
         inner = df.values[:, 1:-1] - 2.0 * grid.axes()[1][1:-1]
         assert np.max(np.abs(inner)) < 1e-10
+
+
+def _cell_coordinate(n: int):
+    """Cell coordinates along an axis of n cells: anywhere within a thousand
+    cells of 0, or m*n + d for m whole periods and d one of 0 (exactly n
+    at m = 1), -1 (exactly n - 1), -0.5 (the middle of the last cell), 0.5
+    and +-1e-9 (just either side of a period's start)."""
+    return st.one_of(
+        st.floats(-1e3, 1e3, allow_nan=False),
+        st.builds(lambda m, d: m * n + d, st.integers(-60, 60),
+                  st.sampled_from([0.0, -1.0, -0.5, 0.5, -1e-9, 1e-9])))
+
+
+@st.composite
+def _field_and_points(draw):
+    shape = draw(st.tuples(st.integers(1, 9), st.integers(1, 9)))
+    # power-of-two steps keep the cell coordinates exact; 0.3 and 1/7 do not
+    dx = draw(st.sampled_from([1 / 16, 1 / 2, 0.3, 1 / 7]))
+    cells = draw(st.lists(st.tuples(*map(_cell_coordinate, shape)),
+                          min_size=1, max_size=40))
+    return shape, dx, draw(st.integers(0, 2**32 - 1)), cells
+
+
+class TestSampleAt:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_field_and_points())
+    @example(case=((4, 3), 1 / 16, 0, [(-4.0, -3.0), (3.0, 2.0), (4.0, 3.0),
+                                       (3.5, 2.5), (-0.5, -1e-9),
+                                       (400.25, -299.75), (7.0, 6.0)]))
+    def test_equals_map_coordinates_bit_for_bit(self, case):
+        """The NumPy interpolation reproduces scipy's periodic order-1
+        interpolation to the last bit, signed zeros included."""
+        shape, dx, seed, cells = case
+        grid = Grid(shape, (dx * dx, dx))
+        values = np.random.default_rng(seed).standard_normal(shape)
+        pts = np.array(cells) * np.array(grid.spacing)
+        got = GridField(grid, values).sample_at(pts)
+        want = map_coordinates(values, list((pts / grid.spacing).T),
+                               order=1, mode="grid-wrap")
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestKernelOnGrid:
