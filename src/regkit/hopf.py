@@ -412,15 +412,13 @@ class Character:
         return out
 
     def _product(self, tree: DecoratedTree) -> Fraction:
-        root_nd, factors = tree.factor()
         out = Fraction(1)
-        for i, p in enumerate(root_nd):
+        for i, p in enumerate(tree.ndeco[0]):
             if p:
                 if not self.on_x:
                     return Fraction(0)
                 out *= self.on_x[i] ** p
-        for (et, ed, od, br) in factors:
-            planted = plant(br, et, ed, od)
+        for planted in tree.planted_factors:
             value = self._memo.get(planted)
             if value is None:
                 # what _product gives on a planted tree: its root is bare

@@ -25,6 +25,7 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
+from hashlib import blake2b
 from itertools import product
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -422,10 +423,13 @@ class ModelInstance:
     a Taylor jet is subtracted, or a branch whose prepared realisation is
     anchored; a prepared tree is anchored when a term of its preparation is.
     Any other tree has the same realisation at every base point and at
-    ``x=None``, and is realised once, under the key ``None``.  Each kernel
-    convolution is computed once per (edge type, edge decoration, branch,
-    key of the branch), so an anchored planted tree over a free branch runs
-    one stencil sum and subtracts its jet at each base point.
+    ``x=None``, and is realised once, under the key ``None``.  Per base
+    point the model keeps each tree's field, each planted factor's field
+    (its convolution minus its jet), and each jet value (D^m K * Pi_x br)(x)
+    per (kernel, m, branch), which ``g(x)`` reads too.  A stencil sum runs
+    once per (edge type, edge decoration, bits of its input).  The
+    characters and maps the model keeps reach it through a weak reference:
+    with no reference cycle, it is freed with its last reference.
 
     ``noise`` maps each noise type to a GridField, or to an array whose last
     two axes are the grid or an origin window of it (see ``_axis_cells``)
@@ -444,6 +448,7 @@ class ModelInstance:
     _pit: dict = field(default_factory=dict, repr=False)
     _conv: dict = field(default_factory=dict, repr=False)
     _anchor: dict = field(default_factory=dict, repr=False)
+    _jets: dict = field(default_factory=dict, repr=False)
     _g: dict = field(default_factory=dict, repr=False)
     _gamma: dict = field(default_factory=dict, repr=False)
     _noise_deriv: dict = field(default_factory=dict, repr=False)
@@ -469,12 +474,6 @@ class ModelInstance:
 
     def pi(self, tree: DecoratedTree, x) -> GridField:
         return GridField(self.grid, self._prepared(tree, x))
-
-    def pi_sum(self, combo: FormalSum, x) -> GridField:
-        out = np.zeros(self.grid.shape)
-        for s, c in combo.items():
-            out += float(c) * self._prepared(s, x)
-        return GridField(self.grid, out)
 
     def value(self, tree: DecoratedTree):
         """The un-recentred model of a tree at the origin, one value per
@@ -525,16 +524,17 @@ class ModelInstance:
         out = self._pit.get(key)
         if out is None:
             root_nd, factors = tree.factor()
-            # a product starts from its first factor: multiplying by the
-            # monomial X^0 (ones) would only copy it
-            if any(root_nd) or not factors:
-                base = (0.0, 0.0) if x is None else x
-                out = _monomial(self._axes, base, root_nd)
-            for et, ed, od, br in factors:
-                if od is not None:
-                    raise ValueError("over-decorated trees have no realisation")
-                f = self._planted(et, ed, br, x)
-                out = f if out is None else out * f
+            if tree.is_planted:
+                out = self._planted(*factors[0], x)
+            else:
+                # a product starts from its first factor, each kept as a
+                # planted tree: multiplying by X^0 (ones) would only copy it
+                if any(root_nd) or not factors:
+                    base = (0.0, 0.0) if x is None else x
+                    out = _monomial(self._axes, base, root_nd)
+                for p in tree.planted_factors:
+                    f = self._times(p, x)
+                    out = f if out is None else out * f
             self._pit[key] = out
         return out
 
@@ -565,20 +565,21 @@ class ModelInstance:
                                                  self.grid.spacing)
         return self._noise_deriv[key]
 
-    def _planted(self, et, ed, br, x) -> np.ndarray:
-        ts = br.typeset
-        if et in ts.noise_types:
+    def _planted(self, et, ed, od, br, x) -> np.ndarray:
+        if od is not None:
+            raise ValueError("over-decorated trees have no realisation")
+        if et in br.typeset.noise_types:
             # a noise edge does not integrate, so whatever hangs below it
             # (node decorations, in practice) multiplies at the same point
             out = self._noise_field(et, ed)
             if not br.is_unit:
                 out = out * self._prepared(br, x)
             return out
-        key = (et, ed, br, self._key(br, x, True))
+        f = self._prepared(br, x)
+        key = (et, ed, f.shape, blake2b(np.ascontiguousarray(f)).digest())
         out = self._conv.get(key)
         if out is None:
-            out = self._conv[key] = self.kernels[et].convolve(
-                self._prepared(br, x), ed)
+            out = self._conv[key] = self.kernels[et].convolve(f, ed)
         if x is None:
             return out
         for j, cj in self._jet(et, ed, br, x):
@@ -588,26 +589,34 @@ class ModelInstance:
     def _jet(self, et, ed, br, x) -> list[tuple[MultiIndex, float]]:
         """Taylor coefficients (j, (D^{ed+j} K * Pi_x br)(x) / j!) at the
         base point x of the tree planted on br by a kernel edge (et, ed), for
-        |j|_s below that tree's degree."""
-        K, f, idx = self.kernels[et], self._prepared(br, x), \
-            self.grid.index_of(x)
-        return [(j, K.value_at(f, mi_add(ed, j), idx) / mi_factorial(j))
-                for j in _jet_indices(et, ed, br)]
+        |j|_s below that tree's degree.  Each value (D^m K * Pi_x br)(x) is
+        kept per (et, m, br, x), whichever (ed, j) with ed + j = m asks."""
+        out = []
+        for j in _jet_indices(et, ed, br):
+            m = mi_add(ed, j)
+            key = (et, m, br, tuple(x))
+            if key not in self._jets:
+                self._jets[key] = self.kernels[et].value_at(
+                    self._prepared(br, x), m, self.grid.index_of(x))
+            out.append((j, self._jets[key] / mi_factorial(j)))
+        return out
 
     # -- recentering ---------------------------------------------------------
 
     def g(self, x) -> Character:
         """Recentering character at a base point; the character memoises
-        its values on generators."""
+        its values on generators.  It reads the model's jets through a weak
+        proxy, so it raises ReferenceError once the model is gone."""
         x = tuple(x)
         if x not in self._g:
+            model = weakref.proxy(self)
+
             def on_planted(tree: DecoratedTree) -> float:
-                e = tree.children(0)[0]
-                et = tree.etype[e]
+                et, ed, _od, br = tree.factor()[1][0]
                 if et not in tree.typeset.kernel_types:
                     return 0.0
                 total = 0.0
-                for j, cj in self._jet(et, tree.edeco[e], tree.branch(e), x):
+                for j, cj in model._jet(et, ed, br, x):
                     total += cj * (-x[0]) ** j[0] * (-x[1]) ** j[1]
                 return -total
 
@@ -664,19 +673,31 @@ def build_model(historic: HistoricSet, kernel_assignment: Mapping[str, DyadicKer
 def check_chain(model: ModelInstance) -> dict:
     """Largest normalised defect of the recentering identity: realising a
     tree at one base point through the recentering map must reproduce its
-    realisation at the other."""
+    realisation at the other.  The terms of c * Pi_x(s) - Pi_y(tree) add up
+    in one buffer; a base-point-free tree that Gamma_xy fixes has defect 0."""
     worst = 0.0
     per_tree: dict = {}
+    scale: dict = {}
+    buf, tmp = np.empty(model.grid.shape), np.empty(model.grid.shape)
     for x in model.base_points:
         for y in model.base_points:
             if x == y:
                 continue
             act = model.gamma(x, y)
             for tree in model.basis:
-                target = model.pi(tree, y)
-                moved = model.pi_sum(act(tree), x)
-                scale = max(target.sup(), 1.0)
-                defect = (moved - target).sup() / scale
+                terms, defect = act(tree), 0.0
+                if model._anchored(tree, True) \
+                        or terms != FormalSum.single(tree):
+                    target = model._prepared(tree, y)
+                    if (tree, y) not in scale:
+                        scale[tree, y] = max(float(np.max(np.abs(target))), 1.0)
+                    buf.fill(0.0)
+                    for s, c in terms.items():
+                        buf += np.multiply(float(c), model._prepared(s, x),
+                                           out=tmp)
+                    buf -= target
+                    defect = float(np.max(np.abs(buf, out=buf))) \
+                        / scale[tree, y]
                 worst = max(worst, defect)
                 per_tree[tree] = max(per_tree.get(tree, 0.0), defect)
     return {"max_defect": worst, "per_tree": per_tree,

@@ -424,15 +424,24 @@ class DecoratedTree:
         """Subtree rooted at node v (the edge into v is not part of the result)."""
         return DecoratedTree._from_nested(self.typeset, self._branch_nested(v))
 
-    def factor(self) -> tuple[MultiIndex, list[tuple]]:
-        """Decompose into root decoration and planted factors.
+    def factor(self) -> tuple[MultiIndex, tuple[tuple, ...]]:
+        """Decompose into root decoration and planted factors, computed once.
 
-        Returns ``(root_ndeco, [(etype, edeco, odeco, branch), ...])``; the tree is
-        the product of ``X^root_ndeco`` with ``plant(branch_i, ...)``.
+        Returns ``(root_ndeco, ((etype, edeco, odeco, branch), ...))``; the tree
+        is the product of ``X^root_ndeco`` with ``plant(branch_i, ...)``, which
+        ``planted_factors`` holds in the same order.
         """
-        return self.ndeco[0], [
+        return self._factored
+
+    @cached_property
+    def _factored(self) -> tuple[MultiIndex, tuple[tuple, ...]]:
+        return self.ndeco[0], tuple(
             (self.etype[c], self.edeco[c], self.odeco[c], self.branch(c))
-            for c in self.children(0)]
+            for c in self.children(0))
+
+    @cached_property
+    def planted_factors(self) -> tuple["DecoratedTree", ...]:
+        return tuple(plant(br, et, ed, od) for et, ed, od, br in self.factor()[1])
 
     # -- rebuilding helpers --------------------------------------------------
 

@@ -2,14 +2,16 @@ import json
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from regkit.cli import (DEFAULT_RULE, DEFAULTS, ConfigError, RunConfig,
-                        load_rule, main)
+                        load_rule, main, verify_report)
 from regkit.heatkernel import CoefficientField
+from regkit.models import KernelOnGrid
 
 FAST = {
     "grid": {"shape": [128, 128], "dx": "1/8"},
@@ -368,6 +370,15 @@ class TestVerify:
         assert result.exit_code == 0
         assert report["passed"] is True
         assert all(c["passed"] for c in report["checks"])
+
+    def test_equal_branch_fields_share_a_stencil_sum(self):
+        with mock.patch.object(KernelOnGrid, "convolve", autospec=True,
+                               side_effect=KernelOnGrid.convolve) as conv:
+            verify_report(RunConfig.load(None))
+        # four distinct inputs: I(Xi(X[0, 1])) and I(X[0, 1]Xi(.)) realise
+        # their branches to the same field at each of the three base points
+        inputs = {c.args[1].tobytes() for c in conv.call_args_list}
+        assert conv.call_count == len(inputs) == 4
 
     def test_kappa_shift_keeps_algebraic_passes(self, runner, tmp_path):
         spec = dict(DEFAULT_RULE, kappa="1/50")

@@ -307,6 +307,76 @@ class TestRecentering:
                                   m.pi_times(xi, x).values)
 
 
+def _chain_by_sums(model):
+    """``check_chain`` as a sum of fields per (x, y, tree): zeros, plus
+    float(c) * Pi_x(s) for each term of Gamma_xy tree, minus Pi_y(tree),
+    then the sup over the sup of the target."""
+    worst, per_tree = 0.0, {}
+    for x in model.base_points:
+        for y in model.base_points:
+            if x == y:
+                continue
+            act = model.gamma(x, y)
+            for tree in model.basis:
+                target = model.pi(tree, y).values
+                moved = np.zeros(model.grid.shape)
+                for s, c in act(tree).items():
+                    moved += float(c) * model.pi(s, x).values
+                defect = (float(np.max(np.abs(moved - target)))
+                          / max(float(np.max(np.abs(target))), 1.0))
+                worst = max(worst, defect)
+                per_tree[tree] = max(per_tree.get(tree, 0.0), defect)
+    return worst, per_tree
+
+
+class TestChainCheck:
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 1 << 16), with_ell=st.booleans())
+    def test_equals_sum_of_fields(self, sector, grid, mild_ts, bump, seed,
+                                  with_ell):
+        xi = noise(mild_ts, "Xi")
+        psi = plant(xi, "I")
+        ell = {xi: 0.75, tree_product(psi, psi): -0.5} if with_ell else {}
+        prep = PreparationMap(lambda t: ell.get(t, 0))
+        field = mollified_noise_sampler(grid, ["Xi"], epsilon=8,
+                                        seed=seed)(0)
+        report = check_chain(build_model(sector, bump, field, prep))
+        worst, per_tree = _chain_by_sums(build_model(sector, bump, field,
+                                                     prep))
+        assert report["max_defect"].hex() == worst.hex()
+        assert list(report["per_tree"]) == list(per_tree)
+        assert [v.hex() for v in report["per_tree"].values()] == [
+            v.hex() for v in per_tree.values()]
+
+    def test_model_freed_by_reference_count(self, sector, bump, sampler,
+                                            mild_ts):
+        # the recentering characters the model keeps must not refer back
+        # to it, or its fields live until the next cyclic collection
+        xi = noise(mild_ts, "Xi")
+        gc.disable()
+        try:
+            model = build_model(sector, bump, sampler(0),
+                                PreparationMap(lambda t: Fraction(0)))
+            check_chain(model)
+            x, y, z = model.base_points
+            gxy, gyz, gxz = (model.gamma(x, y), model.gamma(y, z),
+                             model.gamma(x, z))
+            for t in model.basis:
+                gyz(t).bind(gxy) - gxz(t)
+            recentering_exponent(model, monomial(mild_ts, (0, 1)), y)
+            last = model.basis[-1]
+            terms = gxy(last)
+            ref = weakref.ref(model)
+            del model
+            assert ref() is None
+            # a kept map still answers from its memo, and refuses new trees
+            assert gxy(last) == terms
+            with pytest.raises(ReferenceError):
+                gxy(plant(tree_product(monomial(mild_ts, (0, 1)), xi), "I"))
+        finally:
+            gc.enable()
+
+
 class _PerPoint(ModelInstance):
     """The model with every (tree, base point) realised under its own key:
     the reference for the base-point-free keys."""
@@ -386,6 +456,19 @@ class TestBasePointKeys:
         # I(1) and I(Xi) once; I(I(Xi)) and I(I(Xi)^2), whose branches
         # subtract a jet, once per base point
         assert conv.call_count == 2 + 2 * len(model.base_points)
+
+    def test_one_stencil_value_per_jet_entry(self, sector, sampler, bump):
+        with mock.patch.object(KernelOnGrid, "value_at", autospec=True,
+                               side_effect=KernelOnGrid.value_at) as value:
+            model = build_model(sector, bump, sampler(0),
+                                PreparationMap(lambda t: Fraction(0)))
+            check_chain(model)
+        # one value per (kernel, branch, derivative, base point), which the
+        # planted fields of every parent tree and g(x) share
+        assert value.call_count == 33
+        keys = {(c.args[1].ctypes.data, c.args[2], c.args[3])
+                for c in value.call_args_list}
+        assert len(keys) == value.call_count
 
 
 class TestExponents:

@@ -313,3 +313,21 @@ def test_integer_degrees_and_cached_hash_property(ts, uni, data):
     assert hash(ts) == hash((ts.scaling, ts._types, ts.kappa))
     again = DecoratedTree.from_dict(ts, t.to_dict())
     assert again == t and again is not t and hash(again) == hash(t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cached_factorisation_property(ts, uni, data):
+    """``factor()`` is computed once per tree, and ``planted_factors`` plants
+    its branches in the same order; their product with the root monomial is
+    the tree with its colour dropped."""
+    t = data.draw(decorated_universe_tree(uni))
+    root_nd, factors = t.factor()
+    assert t.factor() is t.factor() and root_nd == t.ndeco[0]
+    assert [br for _et, _ed, _od, br in factors] == [
+        t.branch(c) for c in t.children(0)]
+    assert t.planted_factors == tuple(
+        plant(br, et, ed, od) for et, ed, od, br in factors)
+    assert t.planted_factors is t.planted_factors
+    plain = DecoratedTree.from_dict(ts, {**t.to_dict(), "colour": []})
+    assert tree_product(monomial(ts, root_nd), *t.planted_factors) == plain
