@@ -9,6 +9,13 @@ Green's kernel into a singular part that depends on the coefficients only
 through their jet at the base point (with a machine-checkable certificate
 of that form) plus a smooth remainder.
 
+A nested convolution evaluates its inner kernel at every quadrature node of
+its outer one, so ``heat_convolve`` runs its quadrature over blocks of at
+most ``_QUAD_BLOCK`` products, whose temporaries (64 KiB) stay in cache,
+and each profile reads a coefficient only on the axes that it varies along
+(a(zbar) once per outer point, not once per node).  A point's value has the
+same bits alone as in any batch.
+
 The expansions in the base point zbar about w of the frozen Gaussian, its
 x-derivative and the bracket factors of E are built by one function,
 ``kernels._taylor_slots`` (the builder behind ``aniso_taylor`` too): jets
@@ -20,8 +27,10 @@ table of (jet coefficient, Q(u, v)) pairs per order r, ``_green_table(r)``,
 evaluated at the jets at w by ``_chain_factor`` or serialised as products.
 Coefficient strings are read by ``parse_coefficient``, which lets only
 numbers, t, x, arithmetic and a fixed set of elementary functions reach
-sympy; ``_load`` imports it, ``scipy.special`` and ``scipy.linalg`` with
-the first field, parse or ``heat_convolve``, not with the module.
+sympy, and certificate terms by ``parse_lambda_term``, which reads their
+srepr with ``ast`` and calls the sympy constructors itself;
+``_load`` imports sympy, ``scipy.special`` and ``scipy.linalg`` with the
+first field, parse or ``heat_convolve``, not with the module.
 
 Points are z = (t, x); the parabolic scaling is (2, 1), |z|_s = sqrt|t|+|x|.
 Index sets {|k|_s < r}, k!, binomials and |k|_s come from the multi-index
@@ -68,6 +77,7 @@ __all__ = [
 SCALING = (2, 1)
 _LAMBDA = 0.25  # check_parabolicity asks for _LAMBDA <= a <= 1/_LAMBDA
 _VOLTERRA_BUDGET = 5e8  # profile evaluations per point of a summand
+_QUAD_BLOCK = 1 << 13  # quadrature products per block of heat_convolve
 
 
 def boundary_indices(r: int) -> list[tuple[int, int]]:
@@ -317,7 +327,9 @@ def frozen_gaussian(field: CoefficientField, w, z):
 class HeatCalcKernel:
     """Kernel of the form 1_{t>tb} (t-tb)^{(alpha-3)/2} Ftilde(zb, u, v)
     with u = sqrt(t-tb) and v = (x-xb)/u; ``alpha`` is the short-time
-    regularising order, an integer for every kernel regkit builds."""
+    regularising order, an integer for every kernel regkit builds.
+    ``ftilde(tb, xb, u, v)`` gives values of its arguments' broadcast
+    shape, which ``heat_convolve`` sums over."""
 
     alpha: float
     ftilde: Callable
@@ -344,9 +356,16 @@ def _gauss(v, a):
     return np.exp(-np.asarray(v) ** 2 / (4 * a)) / np.sqrt(4 * np.pi * a)
 
 
+def _full(out, *args) -> np.ndarray:
+    """A profile's values broadcast (a view, not a copy) to the shape of its
+    arguments, when it read some of them along fewer axes."""
+    return np.broadcast_to(out, np.broadcast_shapes(
+        np.shape(out), *(np.shape(p) for p in args)))
+
+
 def z_kernel(field: CoefficientField) -> HeatCalcKernel:
     def ftilde(tb, xb, u, v):
-        return _gauss(v, field._fn("a")(tb, xb) * np.ones(np.shape(u)))
+        return _full(_gauss(v, field._fn("a")(tb, xb)), tb, xb, u, v)
     return HeatCalcKernel(2.0, ftilde)
 
 
@@ -358,11 +377,9 @@ def e_kernel(field: CoefficientField) -> HeatCalcKernel:
     cfn = field._fn("c")
 
     def ftilde(tb, xb, u, v):
-        tb, xb, u, v = np.broadcast_arrays(
-            np.asarray(tb, dtype=float), np.asarray(xb, dtype=float),
-            np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-        # v and u carry the full shape, so a constant coefficient (a
-        # scalar) broadcasts in every product below
+        tb, xb, u, v = (np.asarray(p, dtype=float) for p in (tb, xb, u, v))
+        # a(zb) is read on the axes of zb alone: inside a convolution that
+        # is one value per outer point, not one per quadrature node
         a = afn(tb, xb)
         g = _gauss(v, a)
         gp = -v / (2 * a) * g
@@ -370,9 +387,9 @@ def e_kernel(field: CoefficientField) -> HeatCalcKernel:
         t_z, x_z = tb + u ** 2, xb + u * v
         da = a - afn(t_z, x_z)
         safe_u = np.where(u > 0, u, 1.0)
-        return (da / safe_u * gpp
-                - bfn(t_z, x_z) * gp
-                - cfn(t_z, x_z) * u * g)
+        return _full(da / safe_u * gpp
+                     - bfn(t_z, x_z) * gp
+                     - cfn(t_z, x_z) * u * g, tb, xb, u, v)
 
     return HeatCalcKernel(1.0, ftilde)
 
@@ -388,6 +405,16 @@ def heat_convolve(F: HeatCalcKernel, G: HeatCalcKernel, *,
     Gauss-Legendre on [-9, 9].  Refuses kernels whose profiles have not
     decayed to 1e-6 of their centre value (or of 1, if larger) at the edge
     of that window.
+
+    The profile evaluates its n_s x n_y quadrature over the flattened batch
+    of points in blocks of at most ``_QUAD_BLOCK`` products (17 points at
+    the default 20 x 24): the inner level of a nested convolution has one
+    point per outer node, and one array over all of them (1.8 MB per
+    temporary at ``volterra(field, 2)``) would leave the cache, and be
+    mapped and page-faulted afresh by the allocator, for every temporary.
+    Each point still sums its products with one ``np.sum`` over the two
+    quadrature axes of a C-contiguous array, so its value has the same bits
+    whether it is evaluated alone or in a batch.
     """
     alpha, beta = F.alpha, G.alpha
     if not all(o > 0 and float(o).is_integer() for o in (alpha, beta)):
@@ -415,19 +442,30 @@ def heat_convolve(F: HeatCalcKernel, G: HeatCalcKernel, *,
     S = s_nodes[:, None]
     Y = y_nodes[None, :]
     WSY = (s_weights[:, None] * y_weights[None, :])
+    root_s, root_1s = np.sqrt(S), np.sqrt(1 - S)
+    root_s1s = np.sqrt(S * (1 - S))
+    per_block = max(1, _QUAD_BLOCK // (n_s * n_y))
 
     def ftilde(tb, xb, u, v):
-        tb, xb, u, v = np.broadcast_arrays(
-            np.asarray(tb, dtype=float), np.asarray(xb, dtype=float),
-            np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-        tb_, xb_, u_, v_ = (a[..., None, None] for a in (tb, xb, u, v))
-        g_vals = G.ftilde(tb_, xb_, u_ * np.sqrt(S),
-                          Y * np.sqrt(1 - S) + v_ * np.sqrt(S))
-        f_vals = F.ftilde(tb_ + u_ ** 2 * S,
-                          u_ * Y * np.sqrt(S * (1 - S)) + xb_ + u_ * v_ * S,
-                          u_ * np.sqrt(1 - S),
-                          v_ * np.sqrt(1 - S) - Y * np.sqrt(S))
-        return np.sum(WSY * g_vals * f_vals, axis=(-2, -1))
+        args = [np.asarray(p, dtype=float) for p in (tb, xb, u, v)]
+        shape = np.broadcast_shapes(*(p.shape for p in args))
+        n = math.prod(shape)
+        tb, xb, u, v = (np.broadcast_to(p, shape).reshape(-1, 1, 1)
+                        for p in args)
+        out = np.empty(n)
+        for lo in range(0, n, per_block):
+            hi = min(lo + per_block, n)
+            tb_, xb_, u_, v_ = tb[lo:hi], xb[lo:hi], u[lo:hi], v[lo:hi]
+            g_vals = G.ftilde(tb_, xb_, u_ * root_s,
+                              Y * root_1s + v_ * root_s)
+            f_vals = F.ftilde(tb_ + u_ ** 2 * S,
+                              u_ * Y * root_s1s + xb_ + u_ * v_ * S,
+                              u_ * root_1s,
+                              v_ * root_1s - Y * root_s)
+            # a profile has its arguments' shape, and both v arguments span
+            # the block: the products form one C-contiguous array
+            out[lo:hi] = np.sum(WSY * g_vals * f_vals, axis=(-2, -1))
+        return out.reshape(shape)
 
     return HeatCalcKernel(alpha + beta, ftilde)
 
@@ -594,15 +632,76 @@ def _chain_factor(field: CoefficientField, w, pairs,
         # the powers x^0..x^n by products: numpy's x**n is slower for n > 2
         us, vs = (list(accumulate([x] * n, np.multiply, initial=1.0))
                   for x, n in zip((u, v), top))
-        return (sum(c * us[p] * vs[q] for (p, q), c in poly.items())
-                * _gauss(v, a0) * np.ones(np.shape(u)))
+        return _full(sum(c * us[p] * vs[q] for (p, q), c in poly.items())
+                     * _gauss(v, a0), tb, xb, u, v)
     return HeatCalcKernel(float(alpha), ftilde)
 
 
+# the srepr grammar of a certificate term: sympy's constructors by name,
+# with the kind and the number of positional arguments each one takes
+_SREPR_ARGS = {"Add": ("expr", 1, None), "Mul": ("expr", 1, None),
+               "Pow": ("expr", 2, 2), "Integer": (int, 1, 1),
+               "Rational": (int, 2, 2), "Symbol": (str, 1, 1)}
+
+
+def _from_srepr(text) -> sp.Expr:
+    """The expression that ``sp.srepr`` wrote as ``text``, built by calling
+    the constructors of ``_SREPR_ARGS`` (``Symbol`` also takes
+    ``real=True``); ValueError for any other call, name or literal, and for
+    a number that is not finite.  (``sp.sympify`` would run the text as
+    Python.)  A power of a number is refused before sympy evaluates it
+    exactly if it could exceed ``_MAX_EXACT_BITS`` bits."""
+    try:
+        root = ast.parse(str(text), mode="eval").body
+    except (SyntaxError, ValueError, RecursionError) as exc:
+        raise ValueError(f"term {text!r} does not parse") from exc
+
+    def build(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, str):
+            return node.value
+        if (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+                and isinstance(node.operand, ast.Constant)
+                and type(node.operand.value) is int):
+            return -node.operand.value
+        name = (node.func.id if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) else None)
+        keywords = [(k.arg, getattr(k.value, "value", None) is True)
+                    for k in getattr(node, "keywords", ())]
+        if name not in _SREPR_ARGS or keywords not in (
+                [], [("real", True)] * (name == "Symbol")):
+            raise ValueError(f"term {text!r} leaves the srepr grammar at "
+                             f"{ast.unparse(node)[:40]!r}")
+        kind, least, most = _SREPR_ARGS[name]
+        args = [build(a) for a in node.args]
+        if not (least <= len(args) <= (most or len(args)) and all(
+                isinstance(a, sp.Expr if kind == "expr" else kind)
+                for a in args)):
+            raise ValueError(f"term {text!r}: bad arguments to {name}")
+        if name == "Pow" and all(isinstance(a, sp.Rational) for a in args):
+            bits = max(args[0].p.bit_length(), args[0].q.bit_length())
+            if bits * math.ceil(abs(args[1])) > _MAX_EXACT_BITS:
+                raise ValueError(f"term {text!r} holds a power too large "
+                                 "to evaluate exactly")
+        out = getattr(sp, name)(*args, **dict(keywords))
+        if out is sp.zoo or out is sp.nan:
+            raise ValueError(f"term {text!r} holds {out}")
+        return out
+
+    try:
+        expr = build(root)
+    except RecursionError as exc:
+        raise ValueError(f"term {text!r} nests too deeply") from exc
+    if not isinstance(expr, sp.Expr):
+        raise ValueError(f"term {text!r} is not an expression")
+    return expr
+
+
 def parse_lambda_term(data: dict) -> LambdaTerm:
+    """The inverse of ``LambdaTerm.to_dict``; ValueError for anything that
+    is not an srepr of the certificate grammar."""
     _load()
-    return LambdaTerm(sp.sympify(data["coefficient"]),
-                      tuple(sp.sympify(q) for q in data["chain"]))
+    return LambdaTerm(_from_srepr(data["coefficient"]),
+                      tuple(_from_srepr(q) for q in data["chain"]))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
+import hashlib
 import json
 import math
+import tracemalloc
+from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from regkit.heatkernel import (
     EDecomposition,
     HeatCalcKernel,
     LambdaTerm,
+    _QUAD_BLOCK,
     _a_jet,
     _chain_factor,
     _gauss_expr,
@@ -32,7 +36,8 @@ from regkit.heatkernel import (
     volterra,
     z_kernel,
 )
-from regkit.kernels import CutoffFamily, kernel_norm
+from regkit.kernels import CutoffFamily, dyadic_decompose, kernel_norm
+from regkit.models import Grid, KernelOnGrid
 from regkit.trees import mi_factorial, mi_sdeg
 
 ORIGIN = np.array([0.0, 0.0])
@@ -297,6 +302,113 @@ class TestVolterra:
         assert vol.partial
         assert vol.computed_upto == 3
         assert len(vol.summands) == 4
+
+
+HEAT_PINS = json.loads(
+    (Path(__file__).parent / "heat_convolve_pins.json").read_text())
+
+
+@lru_cache(maxsize=None)
+def _pinned_field():
+    return CoefficientField.make(*HEAT_PINS["field"], regularity=12)
+
+
+def _point_counts(per_block):
+    """Point counts just below, at and just above 1, 2 and 3 blocks."""
+    return [k * per_block + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+
+
+@st.composite
+def batches(draw, per_block):
+    """A batch of points (z, zbar): shape (n,) or (a, b) with n = a*b
+    points, zbar sometimes one point or a length-1 axis that broadcasts."""
+    n = draw(st.sampled_from(_point_counts(per_block)))
+    if draw(st.booleans()):
+        shape = (n,)
+    else:
+        a = draw(st.sampled_from([d for d in range(1, n + 1) if n % d == 0]))
+        shape = (a, n // a)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    zbar_shape = draw(st.sampled_from(
+        [shape, (), shape[:-1] + (1,), (1,) * len(shape)]))
+    zbar = rng.uniform(-0.3, 0.3, zbar_shape + (2,))
+    z = zbar + np.stack([rng.uniform(-0.05, 0.8, shape),
+                         rng.uniform(-0.6, 0.6, shape)], axis=-1)
+    return z, zbar
+
+
+def _each_point_alone(kernel, z, zbar):
+    zbar = np.broadcast_to(zbar, z.shape)
+    return [float(kernel(z[i], zbar[i])).hex()
+            for i in np.ndindex(z.shape[:-1])]
+
+
+class TestBlockedQuadrature:
+    """heat_convolve evaluates its quadrature in blocks of at most
+    _QUAD_BLOCK products; the values keep the bits of one evaluation over
+    the whole batch, and of each point alone."""
+
+    def test_pinned_volterra_points(self):
+        vol = volterra(_pinned_field(), 2)
+        for pin in HEAT_PINS["volterra_2"]:
+            got = vol(np.array(pin["z"]), np.array(pin["zbar"]))
+            assert float(got).hex() == pin["value"]
+
+    def test_pinned_base_point_kernel(self, cutoff):
+        probe = HEAT_PINS["probe"]
+        field = CoefficientField.make(probe["field_a"], regularity=12)
+        local = decompose_green(field, 3, 2, cutoff, N=1).local(
+            np.array(probe["w"]))
+        grid = Grid((256, 256), (1 / 256, 1 / 16))
+        kog = KernelOnGrid(dyadic_decompose(local, cutoff, 4,
+                                            beta=Fraction(2), order=10), grid)
+        ti, xi, vals = kog.stencil()
+        digest = hashlib.blake2b(digest_size=16)
+        for part in (ti.astype(np.int64), xi.astype(np.int64),
+                     vals.astype(np.float64)):
+            digest.update(np.ascontiguousarray(part).tobytes())
+        assert len(vals) == probe["stencil_size"]
+        assert digest.hexdigest() == probe["blake2b_16"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), quad=st.sampled_from([(20, 24), (16, 24),
+                                                 (64, 64)]))
+    def test_convolution_batch_equals_points(self, data, quad):
+        n_s, n_y = quad
+        field = _pinned_field()
+        conv = heat_convolve(z_kernel(field), e_kernel(field),
+                             n_s=n_s, n_y=n_y)
+        z, zbar = data.draw(batches(_QUAD_BLOCK // (n_s * n_y)))
+        batch = conv(z, zbar)
+        assert batch.shape == z.shape[:-1]
+        assert [float(x).hex() for x in batch.reshape(-1)] == \
+            _each_point_alone(conv, z, zbar)
+
+    @settings(max_examples=8, deadline=None)
+    @given(data=st.data())
+    def test_volterra_batch_equals_points(self, data):
+        # 8 x 12 nodes: 85 points per block; each outer point's inner level
+        # has 96 points, so the inner blocks straddle the outer points
+        vol = volterra(_pinned_field(), 2, n_s=8, n_y=12)
+        z, zbar = data.draw(batches(_QUAD_BLOCK // 96))
+        batch = vol(z, zbar)
+        assert [float(x).hex() for x in batch.reshape(-1)] == \
+            _each_point_alone(vol, z, zbar)
+
+    def test_warm_point_memory(self):
+        # one point of volterra(field, 2) evaluates 480 inner points; in
+        # blocks its temporaries stay small (19.5 MB when evaluated at once)
+        vol = volterra(_pinned_field(), 2)
+        pin = HEAT_PINS["volterra_2"][0]
+        z, zbar = np.array(pin["z"]), np.array(pin["zbar"])
+        vol(z, zbar)
+        tracemalloc.start()
+        try:
+            vol(z, zbar)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
 
 class TestTaylorZ:
@@ -565,6 +677,36 @@ class TestTaylorE:
                               zbar))) for h in hs]
         target = (1 + mi_sdeg(down(k), (2, 1)) - mi_sdeg(nu, (2, 1)) - 3) / 2
         assert fit_exponent(hs, vals) >= target - 0.2
+
+
+class TestParseLambdaTerm:
+    def test_python_is_not_run(self, tmp_path):
+        target = tmp_path / "ran"
+        payload = f"__import__('pathlib').Path({str(target)!r}).touch()"
+        for data in ({"coefficient": payload, "chain": []},
+                     {"coefficient": "Integer(1)", "chain": [payload]}):
+            with pytest.raises(ValueError, match="srepr grammar"):
+                parse_lambda_term(data)
+        assert not target.exists()
+
+    @pytest.mark.parametrize("text", [
+        "Symbol('u', positive=True)", "Symbol('u', real=1)", "Integer(True)",
+        "Integer('12')", "Rational(1, 2, 3)", "Rational(1, 0)",
+        "Pow(Integer(0), Integer(-1))", "Pow(Integer(9), Integer(10 ** 9))",
+        "Pow(Integer(9), Integer(999999999))", "Add()", "Mul(1, 2)",
+        "Integer(1)(2)", "Symbol('a').func", "x", "1", "Integer(1"])
+    def test_outside_the_grammar_refused(self, text):
+        with pytest.raises(ValueError):
+            parse_lambda_term({"coefficient": text, "chain": []})
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4])
+    def test_certificates_round_trip(self, gentle, cutoff, r):
+        # `regkit heat` and the benchmark compare the dicts
+        for term in decompose_green(gentle, r, 2, cutoff, N=1).certificate():
+            again = parse_lambda_term(term.to_dict())
+            assert again.to_dict() == term.to_dict()
+            assert (again.coefficient, again.chain) == (term.coefficient,
+                                                        term.chain)
 
 
 class TestGreenDecomposition:
