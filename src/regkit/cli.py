@@ -93,7 +93,8 @@ _PARSED = {"degree_cap": lambda v: Fraction(str(v)),
            "grid.dx": lambda v: Fraction(str(v)),
            **{f"heat_field.{c}": parse_coefficient for c in "abc"}}
 # leaves whose (parsed) value a report can only use in a range; heat_order
-# is capped by the 3r <= regularity (12) of the heat field's expansion
+# is capped by the 3r <= regularity (12) of the heat field's expansion, and
+# the diffusion coefficient a must be parabolic for its Gaussian to exist
 _RANGES = {"grid.dx": ("positive", lambda v: v > 0),
            "grid.shape": ("positive in each entry", lambda v: min(v) > 0),
            "mollifier_cells": ("positive", lambda v: v > 0),
@@ -104,6 +105,8 @@ _RANGES = {"grid.dx": ("positive", lambda v: v > 0),
            "budgets.mc_samples": ("at least 2, for a standard error",
                                   lambda v: v >= 2),
            "budgets.heat_order": ("between 1 and 4", lambda v: 1 <= v <= 4),
+           "heat_field.a": ("parabolic (check_parabolicity)", lambda a:
+                            CoefficientField(a, 0, 0).check_parabolicity()),
            **{f"tolerances.{name}": ("non-negative", lambda v: v >= 0)
               for name in DEFAULTS["tolerances"]}}
 
@@ -254,8 +257,11 @@ def _universe(config: RunConfig):
     if "universe" not in config._built:
         ts, rule = load_rule(config)
         cap = Fraction(str(config.data["degree_cap"]))
-        config._built["universe"] = ts, generate(rule, cap,
-                                                 config.data["edge_cap"])
+        try:
+            uni = generate(rule, cap, config.data["edge_cap"])
+        except ValueError as exc:  # no subcriticality witness
+            raise ConfigError("rule-value", str(exc)) from exc
+        config._built["universe"] = ts, uni
     return config._built["universe"]
 
 

@@ -25,12 +25,12 @@ lambdified a-jets, ``_a_jet_fn``.
 The singular Green's kernel ``local(w)`` and its ``certificate()`` read one
 table of (jet coefficient, Q(u, v)) pairs per order r, ``_green_table(r)``,
 evaluated at the jets at w by ``_chain_factor`` or serialised as products.
-Coefficient strings are read by ``parse_coefficient``, which lets only
-numbers, t, x, arithmetic and a fixed set of elementary functions reach
-sympy, and certificate terms by ``parse_lambda_term``, which reads their
-srepr with ``ast`` and calls the sympy constructors itself;
-``_load`` imports sympy, ``scipy.special`` and ``scipy.linalg`` with the
-first field, parse or ``heat_convolve``, not with the module.
+Coefficient strings (``parse_coefficient``) and certificate terms
+(``parse_lambda_term``) are read by one frame, ``_read``, which walks their
+Python ``ast`` and calls sympy itself on each node of its grammar, with
+every number bounded before sympy computes with it.  ``_load`` imports
+sympy, ``scipy.special`` and ``scipy.linalg`` with the first field, parse
+or ``heat_convolve``, not with the module.
 
 Points are z = (t, x); the parabolic scaling is (2, 1), |z|_s = sqrt|t|+|x|.
 Index sets {|k|_s < r}, k!, binomials and |k|_s come from the multi-index
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import ast
 import math
-import re
+import operator
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 from functools import cache, reduce
@@ -93,86 +93,67 @@ def _mono(z, k):
 # ---------------------------------------------------------------------------
 # coefficient fields
 
-# a coefficient string holds numbers, the names below, + - * / ** and
-# parentheses; sympify runs Python, so a string with any other token is
-# refused before sympy sees it
-_NAMES = {"t", "x", "sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh",
-          "tanh", "atan"}
-_TOKEN = re.compile(r"\s*(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"
-                    r"|([A-Za-z_]\w*)|\*\*|[-+*/()])", re.ASCII)
-
-
-# sympy evaluates powers of numbers exactly, so "9**9**9" would never finish:
-# the exact rationals of a coefficient are bounded in bits before it does
-# (2**13 bits keeps them below Python's limit on converting long integers)
+# coefficient strings and certificate terms are read by one frame, _read,
+# which walks the text's Python AST and builds each node with sympy (sympify
+# would run the text as Python), operands first, so that each number is
+# bounded in bits before sympy computes with it: "9**9**9" or
+# "sin(sinh(1e9))" would never finish (2**13 bits keeps integers below
+# Python's limit on converting long integers to text)
 _MAX_EXACT_BITS = 1 << 13
-_MATH = {name: getattr(math, name) for name in _NAMES - {"t", "x"}}
-_FLOAT_OPS = {ast.Add: float.__add__, ast.Sub: float.__sub__,
-              ast.Mult: float.__mul__, ast.Div: float.__truediv__,
-              ast.FloorDiv: float.__floordiv__, ast.Pow: math.pow}
 
 
-def _bound_exact_numbers(text: str) -> None:
-    """ValueError when evaluating the coefficient would build an exact
-    rational of more than ``_MAX_EXACT_BITS`` bits.  The bound comes from an
-    unevaluated (Python) parse: integers have their bit length, floats none,
-    and only a power multiplies its base's bits, by the size of its
-    exponent.  Floats estimate an exponent of numbers; one that holds t or x
-    is bounded by its bits, since sympy may cancel the names ("x - x + 99")
-    and evaluate what is left.  (sympy's own unevaluated parse nests each
-    sum, and recurses too deeply on a few hundred terms.)"""
+def _bits(n) -> float:
+    """Bits of a rational's numerator or denominator, or of a float's
+    magnitude or its inverse's; infinite for zoo, oo and nan."""
+    if isinstance(n, sp.Rational):
+        return max(n.p.bit_length(), n.q.bit_length())
+    if isinstance(n, sp.Float):
+        return abs(n._mpf_[2] + n._mpf_[3])  # (sign, mantissa, exponent, bits)
+    return math.inf if n.is_number and not n.is_finite else 0
+
+
+def _check_numbers(atoms) -> None:
+    if max(map(_bits, atoms), default=0) > _MAX_EXACT_BITS:
+        raise ValueError("a number too large to evaluate, or not finite")
+
+
+def _check_power(base, exponent) -> None:
+    """Refuses, before sympy evaluates it, a power whose exponent is a number
+    above ``_MAX_EXACT_BITS`` in size, or that could take the bits of a
+    number in the base (of a factor, for a product) above it."""
+    size = abs(exponent) if isinstance(exponent, sp.Number) else 0
+    if size > _MAX_EXACT_BITS or math.ceil(size) * max(
+            map(_bits, base.atoms(sp.Number)), default=0) > _MAX_EXACT_BITS:
+        raise ValueError("a power too large to evaluate")
+
+
+def _read(text: str, what: str, build) -> sp.Expr:
+    """The expression that ``build(node, operands)`` makes of the root of
+    the Python AST of ``text``, its operands (a call's arguments) built
+    first; ValueError, naming the text, if it does not parse, if ``build``
+    refuses a node, or for a number that ``_check_numbers`` refuses."""
+    _load()
     try:
-        # as sympify reads it: newlines dropped
-        root = ast.parse(text.replace("\n", "").strip(), mode="eval").body
-    except (SyntaxError, RecursionError) as exc:
-        raise ValueError(f"coefficient {text!r} does not parse") from exc
-    bound = {}  # node -> (bits, value); the value is None if t or x occur
-    stack = [(root, False)]
-    while stack:  # post-order, without recursion
-        node, ready = stack.pop()
-        if isinstance(node, ast.Call) and not isinstance(node.func, ast.Name):
-            # sympy would evaluate the callee, "(9**9**9)(2)", unbounded
-            raise ValueError(f"coefficient {text!r} calls what is not a "
-                             "function")
-        kids = node.args if isinstance(node, ast.Call) else [
-            k for k in ast.iter_child_nodes(node) if isinstance(k, ast.expr)]
-        if not ready:
-            stack += [(node, True)] + [(k, False) for k in kids]
-            continue
-        bits = sum(bound[k][0] for k in kids)
-        values = [bound[k][1] for k in kids]
-        if isinstance(node, ast.Name):
-            value = None
-        elif isinstance(node, ast.Constant):
-            if isinstance(node.value, int):
-                bits = node.value.bit_length()
-            value = float(node.value) if bits < 1000 else math.inf
-        else:
-            value = None if None in values else _float_value(node, values)
-        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
-            size = (2 ** bound[kids[1]][0] if values[1] is None
-                    else values[1])
-            if not abs(size) <= _MAX_EXACT_BITS:
-                raise ValueError(f"an exponent in {text!r} is too large "
-                                 "or not finite")
-            bits = bound[kids[0]][0] * max(1, math.ceil(abs(size)))
-        if bits > _MAX_EXACT_BITS:
-            raise ValueError(f"{text!r} holds numbers too large to evaluate "
-                             "exactly")
-        bound[node] = (bits, value)
-
-
-def _float_value(node, values) -> float:
-    """A float estimate of a node of numbers, given its operands' values."""
-    try:
-        if isinstance(node, ast.BinOp):
-            return _FLOAT_OPS[type(node.op)](*values)
-        if isinstance(node, ast.UnaryOp):
-            return -values[0] if isinstance(node.op, ast.USub) else values[0]
-        return _MATH[node.func.id](*values)
-    except (ArithmeticError, ValueError, KeyError, TypeError,
-            AttributeError):  # the empty tuple "()" has no function
-        return math.nan
+        stack, built = [(ast.parse(text, mode="eval").body, False)], {}
+        while stack:  # post-order, without recursion
+            node, ready = stack.pop()
+            kids = node.args if isinstance(node, ast.Call) else [
+                k for k in ast.iter_child_nodes(node)
+                if isinstance(k, ast.expr)]
+            if not ready:
+                stack += [(node, True)] + [(k, False) for k in kids[::-1]]
+                continue
+            out = built[node] = build(node, [built.pop(k) for k in kids])
+            _check_numbers([out] if isinstance(out, sp.Atom) else [])
+        if not isinstance(out, sp.Expr):
+            raise ValueError("not an expression")
+        _check_numbers(out.atoms())
+        return out
+    except (SyntaxError, RecursionError, MemoryError) as exc:
+        # MemoryError: the parser's stack overflows on "-" * 10000 + "1"
+        raise ValueError(f"{what} {text!r} does not parse") from exc
+    except ValueError as exc:
+        raise ValueError(f"{exc} in {what} {text!r}") from exc
 
 
 @cache
@@ -192,30 +173,50 @@ def _load() -> None:
                 (-sp.Rational(1, 2) / _AFUN, False))
 
 
+# the grammar of a coefficient (README): its functions, its operators by node
+_FUNCTIONS = "sin cos tan exp log sqrt sinh cosh tanh atan".split()
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub,
+              ast.Mult: operator.mul, ast.Div: operator.truediv,
+              ast.Pow: operator.pow, ast.USub: operator.neg,
+              ast.UAdd: operator.pos}
+
+
 def parse_coefficient(value) -> sp.Expr:
-    """A coefficient, given as a number or a string, as an expression in the
-    module's t and x (so that differentiation sees them); ValueError for
-    anything else."""
-    _load()
-    text = str(value)
-    pos = 0
-    while pos < len(text.rstrip()):
-        m = _TOKEN.match(text, pos)
-        if m is None or m.group(1) not in (None, *_NAMES):
-            raise ValueError(f"unexpected {text[pos:].strip()[:20]!r} in "
-                             f"coefficient {text!r}")
-        pos = m.end()
-    if not text.strip():
-        raise ValueError("empty coefficient")
-    _bound_exact_numbers(text)
-    try:
-        expr = sp.sympify(text, locals={"t": T_SYM, "x": X_SYM})
-    except (sp.SympifyError, TypeError, RecursionError) as exc:
-        raise ValueError(f"coefficient {text!r} does not parse") from exc
-    if not isinstance(expr, sp.Expr) or expr.free_symbols - {T_SYM, X_SYM}:
-        raise ValueError(f"coefficient {text!r} is not an expression in t "
-                         "and x")
-    return expr
+    """A coefficient, given as a number or as ASCII text in the grammar
+    above, as an expression in the module's t and x (so that differentiation
+    sees them); ValueError for anything else.  Literals are read as sympify
+    reads them: an integer as ``Integer``, a float as ``Float`` of its own
+    text.  exp, sinh or cosh of a number is refused if its value would
+    exceed 2**_MAX_EXACT_BITS."""
+    text = " ".join(str(value).split())  # one line: offsets are columns
+    if not text.isascii():
+        raise ValueError(f"unexpected non-ASCII text in coefficient {text!r}")
+
+    def build(node, args):
+        source = text[node.col_offset:node.end_col_offset]
+        op = _OPERATORS.get(type(getattr(node, "op", None)))
+        name = getattr(getattr(node, "func", None), "id", None)
+        kind = type(getattr(node, "value", None))  # a literal's, if any
+        if kind is int and source.isdigit():
+            return sp.Integer(node.value)
+        if kind is float and "_" not in source:
+            # mpmath reads 10**exponent exactly: 1e999999 took 45 s
+            if len(source.lower().partition("e")[2].lstrip("+-0")) > 4:
+                raise ValueError("a number too large to evaluate")
+            return sp.Float(source)
+        if isinstance(node, ast.Name) and node.id in ("t", "x"):
+            return T_SYM if node.id == "t" else X_SYM
+        if op:  # of a unary or binary operation
+            if op is operator.pow:
+                _check_power(*args)
+            return op(*args)
+        if name in _FUNCTIONS and len(args) == 1 and not node.keywords:
+            if (name in ("exp", "sinh", "cosh") and args[0].is_Number
+                    and abs(args[0]) > _MAX_EXACT_BITS * math.log(2)):
+                raise ValueError(f"{name} of too large a number")
+            return getattr(sp, name)(*args)
+        raise ValueError(f"unexpected {source[:20]!r}")
+    return _read(text, "coefficient", build)
 
 
 @dataclass(frozen=True)
@@ -277,8 +278,13 @@ class CoefficientField:
         ts = np.linspace(-4.0, 4.0, 21)
         xs = np.linspace(-2.0, 2.0, 21)
         grid = np.stack(np.meshgrid(ts, xs, indexing="ij"), axis=-1)
-        vals = self.a(grid.reshape(-1, 2))
-        return bool(np.all(vals >= _LAMBDA) and np.all(vals <= 1.0 / _LAMBDA))
+        try:
+            with np.errstate(all="ignore"):  # sqrt(x) or log(x) give nan
+                vals = self.a(grid.reshape(-1, 2))
+        except OverflowError:  # an integer beyond the range of floats
+            return False
+        return bool(np.isrealobj(vals) and np.all(vals >= _LAMBDA)
+                    and np.all(vals <= 1.0 / _LAMBDA))
 
     def error_vanishes(self) -> bool:
         """Whether E is zero: a constant and b = c = 0 (a constant b or c
@@ -335,8 +341,7 @@ class HeatCalcKernel:
     ftilde: Callable
 
     def __call__(self, z, zbar):
-        z = np.asarray(z, dtype=float)
-        zbar = np.asarray(zbar, dtype=float)
+        z, zbar = (np.asarray(p, dtype=float) for p in (z, zbar))
         s = z[..., 0] - zbar[..., 0]
         mask = s > 0
         safe = np.where(mask, s, 1.0)
@@ -372,9 +377,7 @@ def z_kernel(field: CoefficientField) -> HeatCalcKernel:
 def e_kernel(field: CoefficientField) -> HeatCalcKernel:
     """One-step error E = (a(zb)-a(z)) dx^2 Z - b(z) dx Z - c(z) Z as an
     order-one element of the calculus."""
-    afn = field._fn("a")
-    bfn = field._fn("b")
-    cfn = field._fn("c")
+    afn, bfn, cfn = (field._fn(name) for name in "abc")
 
     def ftilde(tb, xb, u, v):
         tb, xb, u, v = (np.asarray(p, dtype=float) for p in (tb, xb, u, v))
@@ -439,8 +442,7 @@ def heat_convolve(F: HeatCalcKernel, G: HeatCalcKernel, *,
     y_nodes = yl * y_half
     y_weights = wl * y_half
 
-    S = s_nodes[:, None]
-    Y = y_nodes[None, :]
+    S, Y = s_nodes[:, None], y_nodes[None, :]
     WSY = (s_weights[:, None] * y_weights[None, :])
     root_s, root_1s = np.sqrt(S), np.sqrt(1 - S)
     root_s1s = np.sqrt(S * (1 - S))
@@ -483,10 +485,7 @@ class Volterra:
     computed_upto: int = 0
 
     def __call__(self, z, zbar):
-        total = 0.0
-        for s in self.summands:
-            total = total + s(z, zbar)
-        return total
+        return sum(s(z, zbar) for s in self.summands)
 
 
 def volterra(field: CoefficientField, N: int, *, n_s: int = 20,
@@ -501,8 +500,7 @@ def volterra(field: CoefficientField, N: int, *, n_s: int = 20,
         return Volterra([z_kernel(field)], False, N)
     neg_e = e_kernel(field).scaled(-1.0)
     summands = [z_kernel(field)]
-    cost = 1.0
-    partial = False
+    cost, partial = 1.0, False
     for k in range(1, N + 1):
         cost *= n_s * n_y
         if cost > _VOLTERRA_BUDGET:
@@ -518,8 +516,7 @@ def apply_operator(field: CoefficientField, G: Callable, z, zbar) -> float:
     with steps 2e-5 in t and 2e-4 in x."""
     z = np.asarray(z, dtype=float)
     ht, hx = 2e-5, 2e-4
-    et = np.array([ht, 0.0])
-    ex = np.array([0.0, hx])
+    et, ex = np.array([ht, 0.0]), np.array([0.0, hx])
     dt = (G(z + et, zbar) - G(z - et, zbar)) / (2 * ht)
     dx = (G(z + ex, zbar) - G(z - ex, zbar)) / (2 * hx)
     dxx = (G(z + ex, zbar) - 2 * G(z, zbar) + G(z - ex, zbar)) / hx ** 2
@@ -573,9 +570,8 @@ class LambdaTerm:
         num, den = sp.fraction(sp.together(self.coefficient))
         for s in num.free_symbols | den.free_symbols:
             name = str(s)
-            if not (name[0] in "abc" and "_" in name):
-                return False
-            if mi_sdeg(_parse_jet(s)[1], SCALING) > r:
+            if (not (name[0] in "abc" and "_" in name)
+                    or mi_sdeg(_parse_jet(s)[1], SCALING) > r):
                 return False
         return (den.is_polynomial()
                 and den.free_symbols <= {_jet_symbol("a", (0, 0))})
@@ -627,8 +623,7 @@ def _chain_factor(field: CoefficientField, w, pairs,
     a0 = float(field.a(np.asarray(w, dtype=float)[None, :])[0])
 
     def ftilde(tb, xb, u, v):
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
+        u, v = (np.asarray(p, dtype=float) for p in (u, v))
         # the powers x^0..x^n by products: numpy's x**n is slower for n > 2
         us, vs = (list(accumulate([x] * n, np.multiply, initial=1.0))
                   for x, n in zip((u, v), top))
@@ -645,61 +640,36 @@ _SREPR_ARGS = {"Add": ("expr", 1, None), "Mul": ("expr", 1, None),
 
 
 def _from_srepr(text) -> sp.Expr:
-    """The expression that ``sp.srepr`` wrote as ``text``, built by calling
-    the constructors of ``_SREPR_ARGS`` (``Symbol`` also takes
-    ``real=True``); ValueError for any other call, name or literal, and for
-    a number that is not finite.  (``sp.sympify`` would run the text as
-    Python.)  A power of a number is refused before sympy evaluates it
-    exactly if it could exceed ``_MAX_EXACT_BITS`` bits."""
-    try:
-        root = ast.parse(str(text), mode="eval").body
-    except (SyntaxError, ValueError, RecursionError) as exc:
-        raise ValueError(f"term {text!r} does not parse") from exc
-
-    def build(node):
+    """The expression that ``sp.srepr`` wrote as ``text``, read by ``_read``
+    with the constructors of ``_SREPR_ARGS`` (``Symbol`` also takes
+    ``real=True``); ValueError for any other call, name or literal."""
+    def build(node, args):
         if isinstance(node, ast.Constant) and type(node.value) in (int, str):
             return node.value
         if (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
-                and isinstance(node.operand, ast.Constant)
-                and type(node.operand.value) is int):
-            return -node.operand.value
-        name = (node.func.id if isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Name) else None)
+                and type(args[0]) is int):
+            return -args[0]
+        name = getattr(getattr(node, "func", None), "id", None)
         keywords = [(k.arg, getattr(k.value, "value", None) is True)
                     for k in getattr(node, "keywords", ())]
         if name not in _SREPR_ARGS or keywords not in (
                 [], [("real", True)] * (name == "Symbol")):
-            raise ValueError(f"term {text!r} leaves the srepr grammar at "
+            raise ValueError("the srepr grammar left at "
                              f"{ast.unparse(node)[:40]!r}")
         kind, least, most = _SREPR_ARGS[name]
-        args = [build(a) for a in node.args]
         if not (least <= len(args) <= (most or len(args)) and all(
                 isinstance(a, sp.Expr if kind == "expr" else kind)
                 for a in args)):
-            raise ValueError(f"term {text!r}: bad arguments to {name}")
-        if name == "Pow" and all(isinstance(a, sp.Rational) for a in args):
-            bits = max(args[0].p.bit_length(), args[0].q.bit_length())
-            if bits * math.ceil(abs(args[1])) > _MAX_EXACT_BITS:
-                raise ValueError(f"term {text!r} holds a power too large "
-                                 "to evaluate exactly")
-        out = getattr(sp, name)(*args, **dict(keywords))
-        if out is sp.zoo or out is sp.nan:
-            raise ValueError(f"term {text!r} holds {out}")
-        return out
-
-    try:
-        expr = build(root)
-    except RecursionError as exc:
-        raise ValueError(f"term {text!r} nests too deeply") from exc
-    if not isinstance(expr, sp.Expr):
-        raise ValueError(f"term {text!r} is not an expression")
-    return expr
+            raise ValueError(f"bad arguments to {name}")
+        if name == "Pow":
+            _check_power(*args)
+        return getattr(sp, name)(*args, **dict(keywords))
+    return _read(str(text), "term", build)
 
 
 def parse_lambda_term(data: dict) -> LambdaTerm:
     """The inverse of ``LambdaTerm.to_dict``; ValueError for anything that
     is not an srepr of the certificate grammar."""
-    _load()
     return LambdaTerm(_from_srepr(data["coefficient"]),
                       tuple(_from_srepr(q) for q in data["chain"]))
 
@@ -722,8 +692,7 @@ def _jetify(expr: sp.Expr) -> sp.Expr:
         for var, cnt in der.variable_count:
             counts[var] += cnt
         repl[der] = _jet_symbol("a", (counts[_WT], counts[_WX]))
-    expr = expr.xreplace(repl)
-    return expr.xreplace({_AFUN: _jet_symbol("a", (0, 0))})
+    return expr.xreplace(repl).xreplace({_AFUN: _jet_symbol("a", (0, 0))})
 
 
 @cache
@@ -788,13 +757,9 @@ def taylor_decompose_Z(field: CoefficientField, r: int):
     if r > field.regularity:
         raise ValueError("insufficient coefficient regularity for this "
                          "expansion order")
-    jets, rems = {}, {}
-    for s in _z_slots(field, r, 0):
-        if s.k_label is None:
-            jets[s.nu] = s.value
-        else:
-            rems[s.k_label] = s.value
-    return jets, rems
+    slots = _z_slots(field, r, 0)
+    return ({s.nu: s.value for s in slots if s.k_label is None},
+            {s.k_label: s.value for s in slots if s.k_label is not None})
 
 
 # ---------------------------------------------------------------------------
@@ -879,8 +844,7 @@ class EDecomposition:
         if 3 * r > field.regularity:
             raise ValueError("insufficient coefficient regularity for this "
                              "expansion order")
-        self.field = field
-        self.r = r
+        self.field, self.r = field, r
         self._build()
 
     def _build(self):
@@ -967,10 +931,8 @@ class EDecomposition:
         offset = zbar - w
         # the rows share few powers of the offset (16 for r = 3)
         mono = {nu: _mono(offset, nu) for nu in {row.nu for row in self.rows}}
-        total = 0.0
-        for row, value in zip(self.rows, self._values(self.rows, w, z, zbar)):
-            total = total + mono[row.nu] * value
-        return total
+        return sum(mono[row.nu] * value for row, value in
+                   zip(self.rows, self._values(self.rows, w, z, zbar)))
 
 
 def _e0_lambda_pieces(r: int) -> list[tuple[sp.Expr, sp.Expr]]:
@@ -980,8 +942,7 @@ def _e0_lambda_pieces(r: int) -> list[tuple[sp.Expr, sp.Expr]]:
     a0 = _jet_symbol("a", (0, 0))
     pieces = []
     for l in mi_below(SCALING, r):
-        du = mi_sdeg(l, SCALING)
-        lf = mi_factorial(l)
+        du, lf = mi_sdeg(l, SCALING), mi_factorial(l)
         if l != (0, 0):
             al = _jet_symbol("a", l)
             pieces.append((al / (4 * a0 ** 2 * lf),
@@ -1034,13 +995,8 @@ class GreenDecomposition:
             raise ValueError(
                 f"coefficient regularity {field.regularity} below the "
                 f"required threshold {3 * r} for expansion order {r}")
-        self.field = field
-        self.r = r
-        self.M = M
-        self.N = N
-        self.cutoff = cutoff
-        self.levels = levels
-        self.upper = upper
+        self.field, self.r, self.M, self.N = field, r, M, N
+        self.cutoff, self.levels, self.upper = cutoff, levels, upper
         self._quad = dict(n_s=16, n_y=24)
         self._table = (_green_table(r) if N >= 1
                        and not field.error_vanishes() else ())
@@ -1068,8 +1024,7 @@ class GreenDecomposition:
         """Evaluator of chi * K^w as a function of the offset z - zbar."""
         w = np.asarray(w, dtype=float)
         if self.upper == "z":
-            w_eff = np.array([-w[0], w[1]])
-            inner = self._chain_kernel(w_eff)
+            inner = self._chain_kernel(np.array([-w[0], w[1]]))
 
             def ev(zeta, inner=inner):
                 zeta = np.asarray(zeta, dtype=float)
@@ -1098,8 +1053,7 @@ class GreenDecomposition:
         """Truncated series for the Green's kernel the split refers to."""
         if self._volterra is None:
             self._volterra = volterra(self.field, self.N + 1, **self._quad)
-        z = np.asarray(z, dtype=float)
-        zbar = np.asarray(zbar, dtype=float)
+        z, zbar = (np.asarray(p, dtype=float) for p in (z, zbar))
         if self.upper == "z":
             # the stored field generates the kernel of the time-reflected
             # adjoint problem; map back through both reflections
@@ -1108,8 +1062,7 @@ class GreenDecomposition:
         return self._volterra(z, zbar)
 
     def remainder(self, z, zbar):
-        z = np.asarray(z, dtype=float)
-        zbar = np.asarray(zbar, dtype=float)
+        z, zbar = (np.asarray(p, dtype=float) for p in (z, zbar))
         base = zbar if self.upper == "zbar" else z
         return self.gamma(z, zbar) - self.local(base)(z - zbar)
 

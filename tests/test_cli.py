@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -53,15 +54,13 @@ JSON_VALUES = st.recursive(
 @st.composite
 def fuzzed_configs(draw):
     """A config over the keys of DEFAULTS with arbitrary JSON leaves, each
-    key present or not; the heat field keeps its default, whose strings
-    would otherwise go to sympy."""
+    key present or not; the heat field's strings too, which are read, never
+    run."""
     config = {}
     for key, default in DEFAULTS.items():
         if not draw(st.booleans()):
             continue
-        if key == "heat_field":
-            config[key] = dict(default)
-        elif isinstance(default, dict):
+        if isinstance(default, dict):
             config[key] = {sub: draw(JSON_VALUES | st.just(value))
                            for sub, value in default.items()
                            if draw(st.booleans())}
@@ -231,6 +230,19 @@ class TestConfig:
         assert report["error"]["kind"] == "config-value"
         assert repr(key) in report["error"]["detail"]
 
+    @pytest.mark.parametrize("a", ["-1", "0", "5", "sin(x)", "sqrt(x)",
+                                   "log(x)", "1 + sqrt(-1)/9", "2**1100*x"])
+    def test_non_parabolic_field_refused(self, runner, tmp_path, a):
+        # a must lie in [1/4, 4]; nan, complex values or overflow are out
+        # of it, and NumPy warns of none of them
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result, report = invoke(runner, tmp_path, "heat",
+                                    {"heat_field": {"a": a}})
+        assert result.exit_code == 2
+        assert report["error"]["kind"] == "config-value"
+        assert "'heat_field.a' must be parabolic" in report["error"]["detail"]
+
     @pytest.mark.parametrize("command", ["model", "verify", "bphz"])
     def test_kernel_order_at_sector_order_refused(self, runner, tmp_path,
                                                   command):
@@ -243,11 +255,13 @@ class TestConfig:
         assert "sector order 3" in report["error"]["detail"]
 
     @pytest.mark.parametrize("value", [
-        "1 + 0*9**9**9", "(0*x+9)**(9**9)", "9**(x-x+9**9)", "(9**9**9)(2)"])
+        "1 + 0*9**9**9", "(0*x+9)**(9**9)", "9**(x-x+9**9)", "(9**9**9)(2)",
+        "sin(sinh(1e9))", "exp(1e2400)"])
     def test_tower_of_powers_refused_quickly(self, runner, tmp_path, value):
-        # sympy would evaluate 9**9**9 or 9**387420489 exactly, which takes
-        # minutes or never finishes: a name that cancels or a call around
-        # the tower must not hide it
+        # sympy would evaluate 9**9**9 or 9**387420489 exactly, or sinh(1e9)
+        # and exp(1e2400) to the digits of their size, which takes minutes
+        # or never finishes: a name that cancels or a call around the tower
+        # must not hide it
         started = time.monotonic()
         result, report = invoke(runner, tmp_path, "trees",
                                 {"heat_field": {"a": value}})
@@ -276,6 +290,19 @@ class TestConfig:
                                 {"rule": str(bad)})
         assert result.exit_code == 2
         assert report["error"]["kind"] == "rule-parse"
+
+    def test_rule_without_witness_is_structured_error(self, runner,
+                                                      tmp_path):
+        # a noise of degree -4 leaves no subcriticality witness
+        rule = json.loads(json.dumps(DEFAULT_RULE))
+        rule["types"]["Xi"]["degree"] = "-4"
+        path = tmp_path / "rule.json"
+        path.write_text(json.dumps(rule))
+        result, report = invoke(runner, tmp_path, "trees",
+                                {"rule": str(path)})
+        assert result.exit_code == 2
+        assert report["error"]["kind"] == "rule-value"
+        assert "subcriticality" in report["error"]["detail"]
 
     def test_incomplete_rule_is_structured_error(self, runner, tmp_path):
         bad = tmp_path / "rule.json"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
@@ -68,8 +69,30 @@ def fit_exponent(hs, vals):
     return np.polyfit(np.log(hs), np.log(vals), 1)[0]
 
 
-COEFFICIENT_TOKENS = ["x", "t", "1", "9", "0.5", "99", " ", "+", "-", "*",
-                      "/", "**", "(", ")", "sin(", "exp("]
+COEFFICIENT_TOKENS = ["x", "t", "0", "1", "9", "0.5", "99", "1e3", ".5", " ",
+                      "+", "-", "*", "/", "//", "**", "(", ")", "sin(",
+                      "exp(", "sqrt(", "log("]
+T_SYM, X_SYM = sp.symbols("t x", real=True)
+
+
+def coefficient_texts(depth):
+    """Texts of the coefficient grammar of README, nested at most ``depth``
+    deep, with bounded literals; an operand is bracketed or not, as drawn."""
+    leaves = st.sampled_from(["t", "x", "0", "1", "2", "7", "99", "0.5", "2.",
+                              ".25", "1e3", "3e-2", "1.000000000000000001"])
+    if depth == 0:
+        return leaves
+    inner = coefficient_texts(depth - 1).flatmap(
+        lambda s: st.sampled_from([s, f"({s})"]))
+    return (leaves
+            | st.tuples(st.sampled_from("-+"), inner).map("".join)
+            | st.tuples(inner, st.sampled_from(["+", "-", "*", "/", "**"]),
+                        inner).map("".join)
+            | st.tuples(st.sampled_from(["sin", "cos", "tan", "exp", "log",
+                                         "sqrt", "sinh", "cosh", "tanh",
+                                         "atan"]),
+                        coefficient_texts(depth - 1)).map(
+                lambda p: f"{p[0]}({p[1]})"))
 
 
 class TestCoefficientField:
@@ -84,9 +107,41 @@ class TestCoefficientField:
             return
         assert isinstance(expr, sp.Expr)
 
+    @settings(max_examples=300, deadline=None)
+    @given(text=coefficient_texts(3))
+    def test_reads_as_sympify(self, text):
+        # sympify, which runs the text as Python, is the reference: where
+        # the reader accepts, it builds the same expression, bit for bit
+        try:
+            expr = parse_coefficient(text)
+        except ValueError:
+            return
+        assert sp.srepr(expr) == sp.srepr(
+            sp.sympify(text, locals={"t": T_SYM, "x": X_SYM}))
+
+    @pytest.mark.parametrize("text", [
+        "1//(x-x)", "sin(sinh(1e9))", "exp(1e2400)", "1 + 0*9**9**9",
+        "0x10", "1_000", "1j", "\uff58", "1/0", "x/0", "log(0)", "1e-3000",
+        "(2**4000*x)**3", "sin(x, x)", "sin(x=1)", "sin(*x)", "x.real",
+        "(x)(2)", "lambda: 1", "[x]", "x if t else 1", "'x'", "y", "1e999999",
+        "-" * 10000 + "1"], ids=lambda text: text[:20])
+    def test_outside_the_grammar_refused_quickly(self, text):
+        parse_coefficient("x")  # sympy is loaded before the clock starts
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="coefficient"):
+            parse_coefficient(text)
+        assert time.monotonic() - started < 1.0
+
+    def test_literals_keep_their_text(self):
+        # a float is read from its own digits, at their precision
+        assert parse_coefficient("1.000000000000000000001") != 1
+        assert parse_coefficient(0.1) == sp.Float("0.1")
+        assert parse_coefficient("00") == 0
+        assert parse_coefficient("(1 +\n x)") == 1 + X_SYM
+
     def test_long_sum_parses_or_refuses(self):
-        # 500 terms parse; 3000 nest too deeply for Python's and sympy's
-        # parsers, which is a refusal, not a RecursionError
+        # 500 terms parse; 3000 nest too deeply for Python's parser, which
+        # is a refusal, not a RecursionError
         assert str(parse_coefficient("+".join(["x"] * 500))) == "500*x"
         with pytest.raises(ValueError, match="does not parse"):
             parse_coefficient("+".join(["x"] * 3000))

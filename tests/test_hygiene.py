@@ -3,7 +3,8 @@ the package or of the test suite imports at its top level is used somewhere
 in that module, every module-level function and class of the package and
 every non-dunder method of its classes is referenced from the package, the
 tests or the benchmark, every ``__all__`` entry names something its module
-binds, and no module of the package reads the environment."""
+binds, and no module of the package reads the environment or runs text as
+Python."""
 import ast
 from collections import Counter
 from functools import cache
@@ -164,3 +165,35 @@ def test_detector_flags_environment_reads():
                          ids=lambda p: p.name)
 def test_no_environment_reads(path):
     assert environment_reads(path.read_text()) == []
+
+
+def dynamic_code(source: str) -> list[str]:
+    """Calls of ``sympify``, ``parse_expr``, ``eval`` or ``exec``, also by
+    attribute or when imported by name: each runs text as Python, so
+    untrusted text must be read node by node instead."""
+    out = []
+    for sub in ast.walk(ast.parse(source)):
+        if isinstance(sub, ast.ImportFrom):
+            names = [alias.name for alias in sub.names]
+        elif isinstance(sub, ast.Call):
+            names = [getattr(sub.func, "attr", getattr(sub.func, "id", None))]
+        else:
+            continue
+        out += [f"{name} (line {sub.lineno})" for name in names
+                if name in ("sympify", "parse_expr", "eval", "exec")]
+    return out
+
+
+def test_detector_flags_dynamic_code():
+    source = ("import sympy as sp\nfrom sympy import sympify\n"
+              "sp.sympify('x')\neval('1')\nexec('y = 1')\nsp.S.evalf()\n"
+              "parse_expr(text)\n")
+    assert dynamic_code(source) == ["sympify (line 2)", "sympify (line 3)",
+                                    "eval (line 4)", "exec (line 5)",
+                                    "parse_expr (line 7)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_dynamic_code(path):
+    assert dynamic_code(path.read_text()) == []
