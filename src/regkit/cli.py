@@ -145,7 +145,9 @@ class RunConfig:
             try:
                 with open(path) as fh:
                     supplied = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
+            # ValueError, the base of JSONDecodeError, is also what an
+            # integer literal past Python's digit limit raises
+            except (OSError, ValueError) as exc:
                 raise ConfigError("config-parse", str(exc)) from exc
             if not isinstance(supplied, dict):
                 raise ConfigError("config-parse", "config must be an object")
@@ -204,7 +206,7 @@ def load_rule(config: RunConfig) -> tuple[TypeSet, Rule]:
         try:
             with open(src) as fh:
                 spec = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError("rule-parse", f"{src}: {exc}") from exc
     try:
         types = {name: Degree(Fraction(str(d["degree"])),

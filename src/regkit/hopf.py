@@ -185,20 +185,25 @@ def _left(tree: DecoratedTree, keep: set[int], n_map: Mapping[int, MultiIndex],
     ndeco = dict(n_map)
     for e, k in list(pushed.items()) + [(e, k) for e, (_l, k) in lowered.items()]:
         ndeco[tree.parent[e]] = mi_add(ndeco[tree.parent[e]], k)
+    return DecoratedTree._from_nested(
+        tree.typeset, _left_nested(tree, 0, keep, ndeco, lowered))
 
-    def rec(v):
-        out = []
-        for c in tree.children(v):
-            if c not in keep:
-                continue
-            ed, od = tree.edeco[c], tree.odeco[c]
-            if c in lowered:
-                low, k = lowered[c]
-                ed, od = mi_sub(ed, low), mi_add(k, low)
-            out.append((tree.etype[c], ed, od, tree.coloured[c], rec(c)))
-        return (ndeco[v], out)
 
-    return DecoratedTree._from_nested(tree.typeset, rec(0))
+def _left_nested(tree: DecoratedTree, v: int, keep: set[int],
+                 ndeco: Mapping[int, MultiIndex],
+                 lowered: Mapping[int, tuple[MultiIndex, MultiIndex]]):
+    """Nested form of ``_left``'s root part above node v."""
+    out = []
+    for c in tree.children(v):
+        if c not in keep:
+            continue
+        ed, od = tree.edeco[c], tree.odeco[c]
+        if c in lowered:
+            low, k = lowered[c]
+            ed, od = mi_sub(ed, low), mi_add(k, low)
+        out.append((tree.etype[c], ed, od, tree.coloured[c],
+                    _left_nested(tree, c, keep, ndeco, lowered)))
+    return (ndeco[v], out)
 
 
 def _edges_num(tree: DecoratedTree, edges: Iterable[int]) -> int:

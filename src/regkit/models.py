@@ -834,25 +834,30 @@ def _origin_reach(kernels: Mapping[str, KernelOnGrid], prep: PreparationMap,
     further along its axis.  A prepared tree is bounded by itself and by
     every term of its preparation."""
     memo: dict = {}
+    return _widest([_times_reach(t, kernels, prep, memo) for t in trees])
 
-    def prepared(tree):
-        if tree not in memo:
-            memo[tree] = _widest([times(tree)] + [
-                times(s) for s, _c in prep(tree).items()])
-        return memo[tree]
 
-    def times(tree):
-        reach = []
-        for et, ed, _od, br in tree.factor()[1]:
-            below = (0, 0) if br.is_unit else prepared(br)
-            if et in tree.typeset.noise_types:
-                reach += [ed, below]
-            else:
-                step = kernels[et].reach(ed)
-                reach.append((step[0] + below[0], step[1] + below[1]))
-        return _widest(reach)
-
-    return _widest([times(t) for t in trees])
+def _times_reach(tree: DecoratedTree, kernels: Mapping[str, KernelOnGrid],
+                 prep: PreparationMap, memo: dict) -> tuple[int, int]:
+    """``_origin_reach`` of one tree read as a product of planted factors;
+    ``memo`` holds the reach of each prepared branch."""
+    reach = []
+    for et, ed, _od, br in tree.factor()[1]:
+        if br.is_unit:
+            below = (0, 0)
+        else:
+            if br not in memo:
+                memo[br] = _widest(
+                    [_times_reach(br, kernels, prep, memo)]
+                    + [_times_reach(s, kernels, prep, memo)
+                       for s, _c in prep(br).items()])
+            below = memo[br]
+        if et in tree.typeset.noise_types:
+            reach += [ed, below]
+        else:
+            step = kernels[et].reach(ed)
+            reach.append((step[0] + below[0], step[1] + below[1]))
+    return _widest(reach)
 
 
 def _widest(reaches) -> tuple[int, int]:

@@ -43,17 +43,10 @@ def node_profile(tree: DecoratedTree, v: int) -> Profile:
 
 
 def _subprofiles(p: Profile) -> set[Profile]:
-    out: set[Profile] = set()
-
-    def rec(i: int, acc: tuple) -> None:
-        if i == len(p):
-            out.add(_profile(acc))
-            return
-        rec(i + 1, acc)
-        rec(i + 1, acc + (p[i],))
-
-    rec(0, ())
-    return out
+    subs: list[tuple] = [()]
+    for slot in p:
+        subs += [acc + (slot,) for acc in subs]
+    return {_profile(acc) for acc in subs}
 
 
 @dataclass(frozen=True)
@@ -213,40 +206,44 @@ class TreeUniverse:
 
 def _skeletons(rule: Rule, edge_cap: int) -> set[DecoratedTree]:
     """All strongly conforming trees without node decorations, up to edge_cap."""
-    ts = rule.typeset
     memo: dict[tuple[str, int], set[DecoratedTree]] = {}
-
-    def branches(etype: str, budget: int) -> set[DecoratedTree]:
-        # trees usable below an edge of type `etype`, with at most `budget` edges
-        key = (etype, budget)
-        if key in memo:
-            return memo[key]
-        out: set[DecoratedTree] = set()
-        for prof in rule.profiles(etype):
-            if len(prof) > budget:
-                continue
-            out |= _assemble(prof, budget)
-        memo[key] = out
-        return out
-
-    def _assemble(prof: Profile, budget: int) -> set[DecoratedTree]:
-        # all trees whose root children realise `prof`, within the edge budget
-        if not prof:
-            return {leaf(ts)}
-        out: set[DecoratedTree] = set()
-        (a, k), rest = prof[0], prof[1:]
-        for sub in branches(a, budget - 1 - len(rest)):
-            head = plant(sub, a, edeco=k)
-            used = 1 + sub.n_edges
-            for tail in _assemble(rest, budget - used):
-                out.add(tree_product(head, tail))
-        return out
-
     out: set[DecoratedTree] = set()
-    for t in ts.kernel_types:
+    for t in rule.typeset.kernel_types:
         for prof in rule.profiles(t):
             if len(prof) <= edge_cap:
-                out |= _assemble(prof, edge_cap)
+                out |= _assemble(rule, memo, prof, edge_cap)
+    return out
+
+
+def _branches(rule: Rule, memo: dict, etype: str,
+              budget: int) -> set[DecoratedTree]:
+    """Trees usable below an edge of type ``etype``, with at most ``budget``
+    edges, memoised in ``memo``."""
+    key = (etype, budget)
+    if key in memo:
+        return memo[key]
+    out: set[DecoratedTree] = set()
+    for prof in rule.profiles(etype):
+        if len(prof) > budget:
+            continue
+        out |= _assemble(rule, memo, prof, budget)
+    memo[key] = out
+    return out
+
+
+def _assemble(rule: Rule, memo: dict, prof: Profile,
+              budget: int) -> set[DecoratedTree]:
+    """All trees whose root children realise ``prof``, within the edge
+    budget."""
+    if not prof:
+        return {leaf(rule.typeset)}
+    out: set[DecoratedTree] = set()
+    (a, k), rest = prof[0], prof[1:]
+    for sub in _branches(rule, memo, a, budget - 1 - len(rest)):
+        head = plant(sub, a, edeco=k)
+        used = 1 + sub.n_edges
+        for tail in _assemble(rule, memo, rest, budget - used):
+            out.add(tree_product(head, tail))
     return out
 
 
@@ -255,35 +252,39 @@ def _decorate(skeleton: DecoratedTree, degree_cap: Fraction) -> list[DecoratedTr
     headroom = degree_cap - skeleton.degree_value()
     if headroom < 0:
         return []
-    nested = skeleton._nested()
-
-    def rec(node, budget: Fraction):
-        nd0, edges = node
-        for nd in mi_below(ts.scaling, budget - ts.sdeg(nd0) + 1):
-            # mi_below is strict; shift by one to make the bound inclusive of
-            # exact rational budgets (filtered again below)
-            extra = ts.sdeg(nd)
-            if extra > budget:
-                continue
-            if not edges:
-                yield ((nd, []), extra)
-                continue
-            for (decorated_children, used) in rec_children(edges, budget - extra):
-                yield ((nd, decorated_children), extra + used)
-
-    def rec_children(edges, budget):
-        if not edges:
-            yield ([], Fraction(0))
-            return
-        (et, ed, od, col, ch) = edges[0]
-        for (dch, used) in rec(ch, budget):
-            for (dtail, used2) in rec_children(edges[1:], budget - used):
-                yield ([(et, ed, od, col, dch)] + dtail, used + used2)
-
     out = set()
-    for (dnested, _used) in rec(nested, headroom):
+    for (dnested, _used) in _decorations(ts, skeleton._nested(), headroom):
         out.add(DecoratedTree._from_nested(ts, dnested))
     return sorted(out, key=DecoratedTree.sort_key)
+
+
+def _decorations(ts: TypeSet, node, budget: Fraction):
+    """Node decorations of the nested ``node`` that add at most ``budget``
+    to its degree; yields (decorated node, degree added)."""
+    nd0, edges = node
+    for nd in mi_below(ts.scaling, budget - ts.sdeg(nd0) + 1):
+        # mi_below is strict; shift by one to make the bound inclusive of
+        # exact rational budgets (filtered again below)
+        extra = ts.sdeg(nd)
+        if extra > budget:
+            continue
+        if not edges:
+            yield ((nd, []), extra)
+            continue
+        for (decorated_children, used) in _decorated_edges(ts, edges,
+                                                           budget - extra):
+            yield ((nd, decorated_children), extra + used)
+
+
+def _decorated_edges(ts: TypeSet, edges, budget: Fraction):
+    """``_decorations`` of the branches above a list of nested edges."""
+    if not edges:
+        yield ([], Fraction(0))
+        return
+    (et, ed, od, col, ch) = edges[0]
+    for (dch, used) in _decorations(ts, ch, budget):
+        for (dtail, used2) in _decorated_edges(ts, edges[1:], budget - used):
+            yield ([(et, ed, od, col, dch)] + dtail, used + used2)
 
 
 def generate(rule: Rule, degree_cap, edge_cap: int) -> TreeUniverse:

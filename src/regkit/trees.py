@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product as _iproduct
 from math import ceil, comb, factorial, lcm
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Container, Iterable, Iterator, Mapping, Sequence
 
 MultiIndex = tuple[int, ...]
 
@@ -94,22 +94,19 @@ def mi_leq_iter(a: MultiIndex) -> Iterator[MultiIndex]:
 
 def mi_below(scaling: Sequence[Fraction], bound: Fraction) -> list[MultiIndex]:
     """All multi-indices k with |k|_s < bound, where every s_i > 0."""
-    d = len(scaling)
-    out: list[MultiIndex] = []
     if bound <= 0:
-        return out
-
-    def rec(i: int, prefix: tuple[int, ...], remaining: Fraction) -> None:
-        if i == d:
-            out.append(prefix)
-            return
-        k = 0
-        while k * scaling[i] < remaining:
-            rec(i + 1, prefix + (k,), remaining - k * scaling[i])
-            k += 1
-
-    rec(0, (), bound)
-    return sorted(out)
+        return []
+    # each prefix with the part of the bound it leaves, one axis at a time
+    out: list[tuple[MultiIndex, Fraction]] = [((), bound)]
+    for s in scaling:
+        longer = []
+        for prefix, remaining in out:
+            k = 0
+            while k * s < remaining:
+                longer.append((prefix + (k,), remaining - k * s))
+                k += 1
+        out = longer
+    return sorted(prefix for prefix, _remaining in out)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +268,10 @@ class TypeSet:
 # Internally trees are built from a nested form:
 #   node := (ndeco, [edge, ...])   edge := (etype, edeco, odeco|None, coloured, node)
 # which is canonicalised (children sorted by a recursive key) and flattened.
+# Recursion over either form goes through methods, module-level helpers or
+# explicit stacks, never through a nested function that calls itself: such a
+# function is a reference cycle (through its closure cell) that keeps what it
+# captured alive until the cycle collector runs.
 
 _NO_ODECO = (-1,)  # sort placeholder for "no over-decoration"
 
@@ -322,10 +323,12 @@ class DecoratedTree:
     @staticmethod
     def _from_nested(ts: TypeSet, nested) -> "DecoratedTree":
         parent, etype, edeco, odeco, ndeco, coloured = [], [], [], [], [], []
-
         # the encoding lists siblings in canonical order and has already
-        # turned a zero over-decoration into _NO_ODECO
-        def walk(enc, par, et, ed, od, col):
+        # turned a zero over-decoration into _NO_ODECO; the stack pops
+        # siblings in that order, so nodes are numbered in preorder
+        stack = [(-1, None, None, _NO_ODECO, False, _encode(nested))]
+        while stack:
+            par, et, ed, od, col, enc = stack.pop()
             idx = len(parent)
             parent.append(par)
             etype.append(et)
@@ -333,10 +336,7 @@ class DecoratedTree:
             odeco.append(None if od is _NO_ODECO else od)
             coloured.append(bool(col))
             ndeco.append(enc[0])
-            for (cet, ced, cod, ccol, ch) in enc[1]:
-                walk(ch, idx, cet, ced, cod, ccol)
-
-        walk(_encode(nested), -1, None, None, _NO_ODECO, False)
+            stack.extend((idx, *edge) for edge in reversed(enc[1]))
         t = DecoratedTree(ts, tuple(parent), tuple(etype), tuple(edeco),
                           tuple(odeco), tuple(ndeco), tuple(coloured))
         t._validate()
@@ -359,12 +359,11 @@ class DecoratedTree:
                     and self.parent[i] != 0:
                 raise ValueError("colour must be a root-connected edge set")
 
-    def _nested(self):
-        def rec(v):
-            return (self.ndeco[v],
-                    [(self.etype[c], self.edeco[c], self.odeco[c],
-                      self.coloured[c], rec(c)) for c in self.children(v)])
-        return rec(0)
+    def _nested(self, v: int = 0):
+        """Nested form of the subtree rooted at node v, colour kept."""
+        return (self.ndeco[v],
+                [(self.etype[c], self.edeco[c], self.odeco[c],
+                  self.coloured[c], self._nested(c)) for c in self.children(v)])
 
     # -- basic structure -----------------------------------------------------
 
@@ -414,11 +413,12 @@ class DecoratedTree:
     def has_colour(self) -> bool:
         return any(self.coloured)
 
-    def _branch_nested(self, v: int):
-        """Nested form of the subtree rooted at node v, colour dropped."""
+    def _branch_nested(self, v: int, colour: Container[int] = ()):
+        """Nested form of the subtree rooted at node v, with exactly the
+        edges in ``colour`` coloured."""
         return (self.ndeco[v],
-                [(self.etype[c], self.edeco[c], self.odeco[c], False,
-                  self._branch_nested(c)) for c in self.children(v)])
+                [(self.etype[c], self.edeco[c], self.odeco[c], c in colour,
+                  self._branch_nested(c, colour)) for c in self.children(v)])
 
     def branch(self, v: int) -> "DecoratedTree":
         """Subtree rooted at node v (the edge into v is not part of the result)."""
@@ -452,10 +452,8 @@ class DecoratedTree:
     def strip_odeco(self) -> "DecoratedTree":
         if all(od is None for od in self.odeco):
             return self
-        def rec(node):
-            nd, edges = node
-            return (nd, [(et, ed, None, col, rec(ch)) for (et, ed, _od, col, ch) in edges])
-        return DecoratedTree._from_nested(self.typeset, rec(self._nested()))
+        return DecoratedTree._from_nested(self.typeset,
+                                          _without_odeco(self._nested()))
 
     # -- degree and ordering ---------------------------------------------------
 
@@ -534,15 +532,23 @@ class DecoratedTree:
             od = tuple(e["over_deco"]) if "over_deco" in e else None
             kids[e["from"]].append((e["to"], e["type"], tuple(e["deco"]), od,
                                     e["to"] in coloured))
-
-        def rec(v):
-            return (tuple(nodes[v]["deco"]),
-                    [(et, ed, od, col, rec(w)) for (w, et, ed, od, col) in kids[v]])
-
-        return DecoratedTree._from_nested(ts, rec(root))
+        return DecoratedTree._from_nested(ts, _dict_nested(nodes, kids, root))
 
     def __repr__(self):
         return f"DecoratedTree({_pretty(self, 0)})"
+
+
+def _without_odeco(node):
+    nd, edges = node
+    return (nd, [(et, ed, None, col, _without_odeco(ch))
+                 for (et, ed, _od, col, ch) in edges])
+
+
+def _dict_nested(nodes, kids, v):
+    """Nested form of the subtree of ``from_dict``'s node v."""
+    return (tuple(nodes[v]["deco"]),
+            [(et, ed, od, col, _dict_nested(nodes, kids, w))
+             for (w, et, ed, od, col) in kids[v]])
 
 
 def _pretty(t: DecoratedTree, v: int) -> str:
@@ -618,35 +624,31 @@ def cuts(tree: DecoratedTree, kernel_only: bool = False) -> list[frozenset[int]]
     cut is always included.  Cuts never touch coloured edges (for uncoloured
     trees this is vacuous).
     """
-    def options(e: int) -> list[frozenset[int]]:
-        below = node_cuts(e)
-        if tree.coloured[e]:
-            return below
-        if kernel_only and not tree.typeset.is_kernel(tree.etype[e]):
-            return below
-        return [frozenset((e,))] + below
+    return _node_cuts(tree, 0, kernel_only)
 
-    def node_cuts(v: int) -> list[frozenset[int]]:
-        out = [frozenset()]
-        for c in tree.children(v):
-            out = [s | o for s in out for o in options(c)]
-        return out
 
-    return node_cuts(0)
+def _node_cuts(tree: DecoratedTree, v: int,
+               kernel_only: bool) -> list[frozenset[int]]:
+    """Cuts of the branch above node v; each child edge c may be cut itself
+    or contribute a cut of its own branch."""
+    out = [frozenset()]
+    for c in tree.children(v):
+        options = _node_cuts(tree, c, kernel_only)
+        if not tree.coloured[c] and (
+                not kernel_only or tree.typeset.is_kernel(tree.etype[c])):
+            options = [frozenset((c,))] + options
+        out = [s | o for s in out for o in options]
+    return out
 
 
 def root_part_nodes(tree: DecoratedTree, cut: frozenset[int]) -> set[int]:
     """Nodes of the tree that are not strictly above (or at the top of) a cut edge."""
-    removed: set[int] = set()
-
-    def mark(v: int) -> None:
-        removed.add(v)
-        for c in tree.children(v):
-            mark(c)
-
-    for e in cut:
-        mark(e)
-    return set(range(tree.n_nodes)) - removed
+    # in preorder a parent comes before its children
+    keep: set[int] = set()
+    for v in range(tree.n_nodes):
+        if v not in cut and (v == 0 or tree.parent[v] in keep):
+            keep.add(v)
+    return keep
 
 
 def colour_nodes(tree: DecoratedTree) -> set[int]:
@@ -680,36 +682,34 @@ def contract(tree: DecoratedTree) -> DecoratedTree:
 
 def paint(tree: DecoratedTree, root_part: set[int]) -> DecoratedTree:
     """Return the tree with edges inside ``root_part`` coloured."""
-    def rec(v):
-        return (tree.ndeco[v],
-                [(tree.etype[c], tree.edeco[c], tree.odeco[c],
-                  c in root_part, rec(c)) for c in tree.children(v)])
-    return DecoratedTree._from_nested(tree.typeset, rec(0))
+    return DecoratedTree._from_nested(tree.typeset,
+                                      tree._branch_nested(0, root_part))
 
 
 def symmetry_factor(tree: DecoratedTree) -> int:
     """Order of the decoration-preserving automorphism group."""
-    def rec(v: int) -> tuple[int, tuple]:
-        # returns (sym factor, canonical key) for the branch rooted at v
-        child_data = []
-        sym = 1
-        for c in tree.children(v):
-            s, key = rec(c)
-            sym *= s
-            child_data.append((_edge_key(tree.etype[c], tree.edeco[c],
-                                         tree.odeco[c], tree.coloured[c], key)))
-        child_data.sort()
-        run = 1
-        for i in range(1, len(child_data)):
-            if child_data[i] == child_data[i - 1]:
-                run += 1
-            else:
-                sym *= factorial(run)
-                run = 1
-        sym *= factorial(run) if child_data else 1
-        return sym, (tree.ndeco[v], tuple(child_data))
+    return _symmetry(tree, 0)[0]
 
-    return rec(0)[0]
+
+def _symmetry(tree: DecoratedTree, v: int) -> tuple[int, tuple]:
+    """(symmetry factor, canonical key) of the branch rooted at v."""
+    child_data = []
+    sym = 1
+    for c in tree.children(v):
+        s, key = _symmetry(tree, c)
+        sym *= s
+        child_data.append((_edge_key(tree.etype[c], tree.edeco[c],
+                                     tree.odeco[c], tree.coloured[c], key)))
+    child_data.sort()
+    run = 1
+    for i in range(1, len(child_data)):
+        if child_data[i] == child_data[i - 1]:
+            run += 1
+        else:
+            sym *= factorial(run)
+            run = 1
+    sym *= factorial(run) if child_data else 1
+    return sym, (tree.ndeco[v], tuple(child_data))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import gc
 import json
 import time
 import warnings
@@ -10,7 +11,8 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from regkit.cli import (DEFAULT_RULE, DEFAULTS, ConfigError, RunConfig,
-                        load_rule, main, verify_report)
+                        age_report, coproduct_report, hist_report, load_rule,
+                        main, model_report, trees_report, verify_report)
 from regkit.heatkernel import CoefficientField
 from regkit.models import KernelOnGrid
 
@@ -148,6 +150,14 @@ class TestConfig:
         assert result.exit_code == 2
         assert report["error"]["kind"] == "config-parse"
         assert "budgets.heat_terms" in report["error"]["detail"]
+
+    def test_long_integer_refused(self, runner, tmp_path):
+        # json raises a plain ValueError past Python's integer digit limit
+        path = tmp_path / "run.json"
+        path.write_text('{"edge_cap": ' + "9" * 5000 + "}")
+        result = runner.invoke(main, ["trees", "--config", str(path)])
+        assert result.exit_code == 2
+        assert json.loads(result.output)["error"]["kind"] == "config-parse"
 
     def test_section_not_an_object_refused(self, runner, tmp_path):
         result, report = invoke(runner, tmp_path, "trees", {"grid": 5})
@@ -304,6 +314,15 @@ class TestConfig:
         assert report["error"]["kind"] == "rule-value"
         assert "subcriticality" in report["error"]["detail"]
 
+    def test_long_integer_in_rule_is_structured_error(self, runner, tmp_path):
+        # json raises a plain ValueError past Python's integer digit limit
+        bad = tmp_path / "rule.json"
+        bad.write_text('{"scaling": [' + "9" * 5000 + ', 1]}')
+        result, report = invoke(runner, tmp_path, "trees",
+                                {"rule": str(bad)})
+        assert result.exit_code == 2
+        assert report["error"]["kind"] == "rule-parse"
+
     def test_incomplete_rule_is_structured_error(self, runner, tmp_path):
         bad = tmp_path / "rule.json"
         bad.write_text(json.dumps({"scaling": [2, 1], "kappa": "1/100"}))
@@ -425,6 +444,21 @@ class TestVerify:
         result, report = invoke(runner, tmp_path, "verify", strict)
         assert result.exit_code == 1
         assert report["passed"] is False
+
+
+def test_reports_leave_no_cyclic_garbage():
+    """The tree engine recurses without reference cycles, so the default
+    reports leave nothing that only the cycle collector could free."""
+    config = RunConfig.load(None)
+    gc.collect()
+    gc.disable()
+    try:
+        for report in (trees_report, coproduct_report, hist_report,
+                       age_report, model_report, verify_report):
+            report(config)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestPinnedReports:

@@ -3,8 +3,9 @@ the package or of the test suite imports at its top level is used somewhere
 in that module, every module-level function and class of the package and
 every non-dunder method of its classes is referenced from the package, the
 tests or the benchmark, every ``__all__`` entry names something its module
-binds, and no module of the package reads the environment or runs text as
-Python."""
+binds, no module of the package reads the environment or runs text as
+Python, and no nested function of the package calls itself, directly or
+through a sibling."""
 import ast
 from collections import Counter
 from functools import cache
@@ -197,3 +198,62 @@ def test_detector_flags_dynamic_code():
                          ids=lambda p: p.name)
 def test_no_dynamic_code(path):
     assert dynamic_code(path.read_text()) == []
+
+
+def _nested_functions(fn) -> list:
+    """The functions defined in the body of ``fn``, also inside its control
+    flow, but not those inside them."""
+    out, todo = [], list(fn.body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            out.append(node)
+        elif not isinstance(node, (ast.ClassDef, ast.Lambda)):
+            todo.extend(ast.iter_child_nodes(node))
+    return sorted(out, key=lambda node: node.lineno)
+
+
+def closure_cycles(source: str) -> list[str]:
+    """Nested functions that name themselves, or a sibling that names them
+    back (through any chain of siblings): each call of such a function is a
+    reference cycle through its closure cell, which keeps what it captured
+    alive until the cycle collector runs."""
+    out = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        inner = _nested_functions(fn)
+        names = {f.name for f in inner}
+        calls = {f.name: names.intersection(
+            sub.id for sub in ast.walk(f) if isinstance(sub, ast.Name))
+            for f in inner}
+        for f in inner:
+            seen, todo = set(), list(calls[f.name])
+            while todo:
+                name = todo.pop()
+                if name not in seen:
+                    seen.add(name)
+                    todo.extend(calls[name])
+            if f.name in seen:
+                out.append(f"{fn.name}.{f.name} (line {f.lineno})")
+    return out
+
+
+def test_detector_flags_closure_cycles():
+    source = ("def walk(t):\n    def rec(v):\n        return [rec(c) for c in v]\n"
+              "    return rec(t)\n\n"
+              "def pair(t):\n    def even(v):\n        return v and odd(v - 1)\n"
+              "    def odd(v):\n        if v:\n            return even(v - 1)\n"
+              "    return even(t)\n\n"
+              "def chain(t):\n    def remainder(v):\n        return power(v)\n"
+              "    def power(v):\n        return v * v\n"
+              "    return remainder(t)\n\n"
+              "def top(t):\n    return top(t - 1) if t else 0\n")
+    assert closure_cycles(source) == ["walk.rec (line 2)", "pair.even (line 7)",
+                                      "pair.odd (line 9)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_closure_cycles(path):
+    assert closure_cycles(path.read_text()) == []

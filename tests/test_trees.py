@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import chain, combinations, product
 
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +19,7 @@ from regkit.trees import (
     noise,
     paint,
     plant,
+    root_part_nodes,
     symmetry_factor,
     tree_product,
     unit,
@@ -331,3 +332,44 @@ def test_cached_factorisation_property(ts, uni, data):
     assert t.planted_factors is t.planted_factors
     plain = DecoratedTree.from_dict(ts, {**t.to_dict(), "colour": []})
     assert tree_product(monomial(ts, root_nd), *t.planted_factors) == plain
+
+
+def _root_path(t, v) -> list[int]:
+    """Edges from node v down to the root (edge i enters node i)."""
+    out = []
+    while v != 0:
+        out.append(v)
+        v = t.parent[v]
+    return out
+
+
+def _shuffled(node, rng):
+    nd, edges = node
+    edges = [(et, ed, od, col, _shuffled(ch, rng))
+             for (et, ed, od, col, ch) in edges]
+    rng.shuffle(edges)
+    return (nd, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_recursive_helpers_against_brute_force(ts, uni, data):
+    """Cuts, root parts, the dict round trip and the canonical form of the
+    nested form agree with direct definitions, on universe trees with
+    random decorations and colour."""
+    t = data.draw(decorated_universe_tree(uni))
+    paths = [set(_root_path(t, v)) for v in range(t.n_nodes)]
+    for kernel_only in (False, True):
+        allowed = [e for e in t.edges() if not t.coloured[e] and (
+            not kernel_only or ts.is_kernel(t.etype[e]))]
+        subsets = map(frozenset, chain.from_iterable(
+            combinations(allowed, n) for n in range(len(allowed) + 1)))
+        want = {s for s in subsets if all(len(s & p) <= 1 for p in paths)}
+        got = cuts(t, kernel_only)
+        assert len(got) == len(set(got)) and set(got) == want
+    for cut in cuts(t):
+        assert root_part_nodes(t, cut) == {
+            v for v in range(t.n_nodes) if not cut & paths[v]}
+    assert DecoratedTree.from_dict(ts, t.to_dict()) == t
+    rng = data.draw(st.randoms(use_true_random=False))
+    assert DecoratedTree._from_nested(ts, _shuffled(t._nested(), rng)) == t
