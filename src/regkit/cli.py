@@ -88,17 +88,30 @@ def _matches(value, default) -> bool:
     return type(value) in allowed.get(type(default), (type(default),))
 
 
+def _exact(value) -> Fraction:
+    """``Fraction(str(value))`` for a config or rule number, refusing a
+    decimal exponent of more than three digits before it is expanded:
+    ``Fraction("1e10000000")`` alone takes seconds."""
+    text = str(value)
+    if len(text.lower().partition("e")[2].lstrip("+-")) > 3:
+        raise ValueError(f"exponent out of range in {text!r}")
+    return Fraction(text)
+
+
 # leaves that a report parses later, with the parser it uses
-_PARSED = {"degree_cap": lambda v: Fraction(str(v)),
-           "grid.dx": lambda v: Fraction(str(v)),
+_PARSED = {"degree_cap": _exact,
+           "grid.dx": _exact,
            **{f"heat_field.{c}": parse_coefficient for c in "abc"}}
 # leaves whose (parsed) value a report can only use in a range; heat_order
-# is capped by the 3r <= regularity (12) of the heat field's expansion, and
-# the diffusion coefficient a must be parabolic for its Gaussian to exist
+# is capped by the 3r <= regularity (12) of the heat field's expansion, the
+# diffusion coefficient a must be parabolic for its Gaussian to exist, and
+# the caps bound the universe: both at 8, `regkit trees` with the default
+# rule builds 116,976 trees in about 16 s on a 2-core Xeon
 _RANGES = {"grid.dx": ("positive", lambda v: v > 0),
            "grid.shape": ("positive in each entry", lambda v: min(v) > 0),
            "mollifier_cells": ("positive", lambda v: v > 0),
-           "edge_cap": ("positive", lambda v: v > 0),
+           "degree_cap": ("at most 8", lambda v: v <= 8),
+           "edge_cap": ("between 1 and 8", lambda v: 1 <= v <= 8),
            "budgets.dyadic_levels": ("positive", lambda v: v > 0),
            "budgets.kernel_order": ("positive", lambda v: v > 0),
            "budgets.norm_order": ("non-negative", lambda v: v >= 0),
@@ -189,7 +202,7 @@ class RunConfig:
 
     def grid(self) -> Grid:
         shape = tuple(self.data["grid"]["shape"])
-        dx = float(Fraction(str(self.data["grid"]["dx"])))
+        dx = float(_exact(self.data["grid"]["dx"]))
         return Grid(shape, (dx * dx, dx))
 
     def meta(self) -> dict:
@@ -209,11 +222,10 @@ def load_rule(config: RunConfig) -> tuple[TypeSet, Rule]:
         except (OSError, ValueError) as exc:
             raise ConfigError("rule-parse", f"{src}: {exc}") from exc
     try:
-        types = {name: Degree(Fraction(str(d["degree"])),
-                              Fraction(str(d.get("kappa", 0))))
+        types = {name: Degree(_exact(d["degree"]), _exact(d.get("kappa", 0)))
                  for name, d in spec["types"].items()}
         ts = TypeSet.make(scaling=spec["scaling"], types=types,
-                          kappa=Fraction(str(spec["kappa"])))
+                          kappa=_exact(spec["kappa"]))
         table = {etype: [[(name, tuple(edeco)) for name, edeco in slot_set]
                          for slot_set in slot_sets]
                  for etype, slot_sets in spec["rule"].items()}
@@ -258,7 +270,7 @@ def emit(report: dict) -> None:
 def _universe(config: RunConfig):
     if "universe" not in config._built:
         ts, rule = load_rule(config)
-        cap = Fraction(str(config.data["degree_cap"]))
+        cap = _exact(config.data["degree_cap"])
         try:
             uni = generate(rule, cap, config.data["edge_cap"])
         except ValueError as exc:  # no subcriticality witness

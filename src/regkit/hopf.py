@@ -18,12 +18,12 @@ the parts of a term and builds only the terms under that bound:
 
 ``delta_r_minus`` (root extraction: negative root part or the unit, tensor
 the quotient with the root part collapsed to the new root) keeps its own
-loop over all cuts, because it bounds the transfer jointly over the cut
-edges.  ``d_map`` makes no cut and lowers every kernel edge, under the same
-kind of degree bound.  All of them build the root part with ``_left``.  On
-top sit the character group (``Character``, ``convolve``,
-``character_inverse``, ``gamma_action``) and the recursive jet coproduct
-``delta_tilde``.
+loop over all cuts, with node splits before transfers.  ``d_map`` makes no
+cut and lowers every kernel edge, under the same kind of degree bound.  All
+of them choose their terms with ``trees._weighted_choices`` and build the
+root part with ``_left``.  On top sit the character group (``Character``,
+``convolve``, ``character_inverse``, ``gamma_action``) and the recursive
+jet coproduct ``delta_tilde``.
 
 All coefficients are exact rationals.
 """
@@ -38,6 +38,7 @@ from .trees import (
     DecoratedTree,
     FormalSum,
     MultiIndex,
+    _weighted_choices,
     contract,
     cuts,
     mi_add,
@@ -119,20 +120,12 @@ def _quotient(tree: DecoratedTree, cut: Iterable[int], eps: Mapping[int, MultiIn
          tree._branch_nested(e)) for e in cut]))
 
 
-def _weighted_choices(options: list[list[tuple]], budget: int | None) -> list:
-    """Every choice of one ``(value, coeff, cost)`` option per slot whose
-    costs sum below ``budget`` (every choice for ``None``), in
-    ``itertools.product`` order, as ``(values, coeff)`` with the product of
-    the coefficients.  A partial choice is dropped as soon as its cost
-    reaches the budget, so with non-negative costs nothing is built for a
-    choice that cannot survive."""
-    partial = [((), Fraction(1), 0)]
-    for opts in options:
-        partial = [(values + (v,), coeff * c, cost + w)
-                   for values, coeff, cost in partial
-                   for v, c, w in opts
-                   if budget is None or cost + w < budget]
-    return [(values, coeff) for values, coeff, _cost in partial]
+def _transfers(tree: DecoratedTree, bound: int) -> list[tuple]:
+    """Decorations k with |k|_s below the numerator ``bound`` that a cut edge
+    can take on, each ``(k, 1/k!, |k|_s numerator)``."""
+    ts = tree.typeset
+    return [(k, Fraction(1, mi_factorial(k)), ts.sdeg_num(k))
+            for k in mi_below(ts.scaling_num, bound)]
 
 
 def _split_options(tree: DecoratedTree, v: int) -> list[tuple]:
@@ -148,15 +141,6 @@ def _leftover(tree: DecoratedTree, n_map: Mapping[int, MultiIndex]) -> MultiInde
     for v, n in n_map.items():
         leftover = mi_add(leftover, mi_sub(tree.ndeco[v], n))
     return leftover
-
-
-def _node_splits(tree: DecoratedTree, nodes: list[int]):
-    """All ways of splitting off part of the node decorations on `nodes`;
-    yields (split map, binomial coefficient, leftover total)."""
-    for ns, coeff in _weighted_choices(
-            [_split_options(tree, v) for v in nodes], None):
-        n_map = dict(zip(nodes, ns))
-        yield n_map, coeff, _leftover(tree, n_map)
 
 
 def _lowerings(tree: DecoratedTree, e: int, bound: int) -> list[tuple]:
@@ -227,9 +211,9 @@ def _cut_terms(tree: DecoratedTree, transfer_bound: Callable[[int], int],
     ``left_bound`` bounds the degree of the left slot; ``None`` keeps every
     term.  The engine sums that degree from its parts (the root part's
     edges, plus |k|_s per transfer, |low|_s + |k|_s per lowering and |n|_s
-    per kept node decoration), drops a partial choice once it reaches the
-    bound, and builds the two slots only for the terms that survive, in the
-    order cut, transfers, lowerings, splits.
+    per kept node decoration), ``_weighted_choices`` drops a partial choice
+    once it reaches the bound, and the two slots are built only for the
+    terms that survive, in the order cut, transfers, lowerings, splits.
     """
     ts = tree.typeset
     for cut in cuts(tree, kernel_only=True):
@@ -239,9 +223,7 @@ def _cut_terms(tree: DecoratedTree, transfer_bound: Callable[[int], int],
         inner = [] if lower_bound is None else [
             e for e in nodes[1:]
             if ts.is_kernel(tree.etype[e]) and not tree.coloured[e]]
-        options = ([[(k, Fraction(1, mi_factorial(k)), ts.sdeg_num(k))
-                     for k in mi_below(ts.scaling_num, transfer_bound(e))]
-                    for e in cut_edges]
+        options = ([_transfers(tree, transfer_bound(e)) for e in cut_edges]
                    + [_lowerings(tree, e, lower_bound) for e in inner]
                    + [_split_options(tree, v) for v in nodes])
         budget = None if left_bound is None \
@@ -282,35 +264,26 @@ def delta_plus(tree: DecoratedTree) -> TensorSum:
 
 
 def _rminus_terms(tree: DecoratedTree):
-    """Root extraction over all cuts.  The decoration transfer is bounded
-    jointly over the cut edges, by the negativity of the root part."""
-    ts = tree.typeset
-    d = ts.d
+    """Root extraction over all cuts, with one budget per cut: the root part,
+    with its kept node decorations and the transfers onto the cut edges,
+    must have negative degree.  Not ``_cut_terms``, which runs over kernel
+    cuts only and chooses transfers before splits: this pinned order, splits
+    first, fixes the float summation order of ``PreparationMap``."""
     for cut in cuts(tree):
         keep = root_part_nodes(tree, cut)
         nodes = sorted(keep)
         cut_edges = sorted(cut)
-        edges_num = _edges_num(tree, nodes[1:])
-        for n_map, bin_coeff, leftover in _node_splits(tree, nodes):
-            # the degree numerator of the root part before any transfer
-            base_num = edges_num + sum(ts.sdeg_num(n) for n in n_map.values())
-            eps_choices: list[dict] = []
-            if base_num < 0:
-                tiled = ts.scaling_num * len(cut_edges)
-                for flat in mi_below(tiled, -base_num):
-                    eps_choices.append(
-                        {e: flat[i * d:(i + 1) * d]
-                         for i, e in enumerate(cut_edges)})
-            elif nodes == [0] and not any(n_map[0]):
-                # the root part is the unit
-                eps_choices.append({e: ts.zero() for e in cut_edges})
-            for eps in eps_choices:
-                coeff = bin_coeff
-                for k in eps.values():
-                    coeff /= mi_factorial(k)
-                left = _left(tree, keep, n_map, eps, {})
-                right = _quotient(tree, cut_edges, eps, leftover)
-                yield (left, right), coeff
+        # a non-zero split or transfer costs at least 1: the bare root
+        # keeps just the term (1 tensor tree)
+        budget = 1 if nodes == [0] else -_edges_num(tree, nodes[1:])
+        options = ([_split_options(tree, v) for v in nodes]
+                   + [_transfers(tree, budget)] * len(cut_edges))
+        for choice, coeff in _weighted_choices(options, budget):
+            n_map = dict(zip(nodes, choice))
+            eps = dict(zip(cut_edges, choice[len(nodes):]))
+            left = _left(tree, keep, n_map, eps, {})
+            right = _quotient(tree, cut_edges, eps, _leftover(tree, n_map))
+            yield (left, right), coeff
 
 
 @lru_cache(maxsize=None)
@@ -576,10 +549,14 @@ def _delta_tilde_atom(tree: DecoratedTree, gamma: GammaMap,
     if et in ts.noise_types:
         # no cut is possible through a noise trunk; only the polynomial
         # decorations get redistributed
-        nodes = list(range(tree.n_nodes))
-        return TensorSum(
-            ((_left(tree, set(nodes), n_map, {}, {}), monomial(ts, leftover)), coeff)
-            for n_map, coeff, leftover in _node_splits(tree, nodes))
+        nodes = range(tree.n_nodes)
+        acc = []
+        for ns, coeff in _weighted_choices(
+                [_split_options(tree, v) for v in nodes], None):
+            n_map = dict(zip(nodes, ns))
+            acc.append(((_left(tree, set(nodes), n_map, {}, {}),
+                         monomial(ts, _leftover(tree, n_map))), coeff))
+        return TensorSum(acc)
     g = ts.num_bound(gamma.of(tree))
     br_gamma = gamma._of(br)
     acc = []

@@ -12,13 +12,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as _iproduct
-from math import lcm
+from math import floor, lcm
 from typing import Iterable, Mapping
 
 from .trees import (
     DecoratedTree,
     MultiIndex,
     TypeSet,
+    _weighted_choices,
     leaf,
     mi_below,
     mi_leq_iter,
@@ -247,58 +248,36 @@ def _assemble(rule: Rule, memo: dict, prof: Profile,
     return out
 
 
-def _decorate(skeleton: DecoratedTree, degree_cap: Fraction) -> list[DecoratedTree]:
-    ts = skeleton.typeset
-    headroom = degree_cap - skeleton.degree_value()
-    if headroom < 0:
-        return []
-    out = set()
-    for (dnested, _used) in _decorations(ts, skeleton._nested(), headroom):
-        out.add(DecoratedTree._from_nested(ts, dnested))
-    return sorted(out, key=DecoratedTree.sort_key)
-
-
-def _decorations(ts: TypeSet, node, budget: Fraction):
-    """Node decorations of the nested ``node`` that add at most ``budget``
-    to its degree; yields (decorated node, degree added)."""
-    nd0, edges = node
-    for nd in mi_below(ts.scaling, budget - ts.sdeg(nd0) + 1):
-        # mi_below is strict; shift by one to make the bound inclusive of
-        # exact rational budgets (filtered again below)
-        extra = ts.sdeg(nd)
-        if extra > budget:
-            continue
-        if not edges:
-            yield ((nd, []), extra)
-            continue
-        for (decorated_children, used) in _decorated_edges(ts, edges,
-                                                           budget - extra):
-            yield ((nd, decorated_children), extra + used)
-
-
-def _decorated_edges(ts: TypeSet, edges, budget: Fraction):
-    """``_decorations`` of the branches above a list of nested edges."""
-    if not edges:
-        yield ([], Fraction(0))
-        return
-    (et, ed, od, col, ch) = edges[0]
-    for (dch, used) in _decorations(ts, ch, budget):
-        for (dtail, used2) in _decorated_edges(ts, edges[1:], budget - used):
-            yield ([(et, ed, od, col, dch)] + dtail, used + used2)
+def _filled(node, ndecos):
+    """The nested ``node`` with its node decorations taken, in preorder, from
+    the iterator ``ndecos``."""
+    nd = next(ndecos)
+    return (nd, [(et, ed, od, col, _filled(ch, ndecos))
+                 for et, ed, od, col, ch in node[1]])
 
 
 def generate(rule: Rule, degree_cap, edge_cap: int) -> TreeUniverse:
     """Enumerate the universe of strongly conforming trees with degree and
-    edge caps.  Refuses rules without a subcriticality witness."""
+    edge caps: every skeleton (a tree without node decorations) with every
+    choice of one node decoration per node that keeps its degree within the
+    cap.  Refuses rules without a subcriticality witness."""
     if edge_cap is None or degree_cap is None:
         raise ValueError("degree_cap and edge_cap are mandatory")
     degree_cap = Fraction(degree_cap)
     witness = rule.subcritical_witness()
     if witness is None:
         raise ValueError("no subcriticality witness found on the candidate grid")
+    ts = rule.typeset
     trees: set[DecoratedTree] = set()
     for sk in _skeletons(rule, edge_cap):
-        trees.update(_decorate(sk, degree_cap))
-    ordered = tuple(sorted((t for t in trees
-                            if t.degree_value() <= degree_cap), key=DecoratedTree.sort_key))
-    return TreeUniverse(rule, degree_cap, edge_cap, ordered)
+        # in integer numerators, the decorations keep the degree within the
+        # cap exactly when their costs sum below room
+        room = floor((degree_cap - sk.degree_value()) * ts.den) + 1
+        options = [(nd, 1, ts.sdeg_num(nd))
+                   for nd in mi_below(ts.scaling_num, room)]
+        nested = sk._nested()
+        for ndecos, _c in _weighted_choices([options] * sk.n_nodes, room):
+            trees.add(DecoratedTree._from_nested(
+                ts, _filled(nested, iter(ndecos))))
+    return TreeUniverse(rule, degree_cap, edge_cap,
+                        tuple(sorted(trees, key=DecoratedTree.sort_key)))

@@ -109,6 +109,22 @@ def mi_below(scaling: Sequence[Fraction], bound: Fraction) -> list[MultiIndex]:
     return sorted(prefix for prefix, _remaining in out)
 
 
+def _weighted_choices(options: list[list[tuple]], budget: int | None) -> list:
+    """Every choice of one ``(value, coeff, cost)`` option per slot whose
+    costs sum below ``budget`` (every choice for ``None``), in
+    ``itertools.product`` order, as ``(values, coeff)`` with the product of
+    the coefficients.  A partial choice is dropped as soon as its cost
+    reaches the budget, so with non-negative costs nothing is built for a
+    choice that cannot survive."""
+    partial = [((), Fraction(1), 0)] if budget is None or budget > 0 else []
+    for opts in options:
+        partial = [(values + (v,), coeff * c, cost + w)
+                   for values, coeff, cost in partial
+                   for v, c, w in opts
+                   if budget is None or cost + w < budget]
+    return [(values, coeff) for values, coeff, _cost in partial]
+
+
 # ---------------------------------------------------------------------------
 # degrees
 
@@ -492,9 +508,12 @@ class DecoratedTree:
 
     @cached_property
     def _hash(self) -> int:
-        # the dataclass hash of the fields, computed once
-        return hash((self.typeset, self.parent, self.etype, self.edeco,
-                     self.odeco, self.ndeco, self.coloured))
+        # the hash of the fields, computed once, without None: its hash is an
+        # address on Python 3.11 and would differ between processes.  So the
+        # root's edge entries are left out, and so are the over-decorations,
+        # None on most edges (equality still compares them)
+        return hash((self.typeset, self.parent, self.etype[1:], self.edeco[1:],
+                     self.ndeco, self.coloured))
 
     def sort_key(self):
         return (self.n_nodes, self.parent, self.etype, self.edeco,

@@ -24,6 +24,8 @@ FAST = {
 
 CLI_PINS = json.loads(
     (Path(__file__).parent / "cli_report_pins.json").read_text())
+DERIVATIVE_PINS = json.loads(
+    (Path(__file__).parent / "derivative_rule_pins.json").read_text())
 
 
 @pytest.fixture()
@@ -78,19 +80,15 @@ def _above(value, bound) -> bool:
         return False
 
 
-@st.composite
-def any_config(draw):
+# the upper bounds on the caps that set the size of the universe
+CAP_BOUNDS = {"degree_cap": 8, "edge_cap": 8}
+
+
+def any_config():
     """Any JSON object: a fuzzed config over the keys of DEFAULTS, or
-    arbitrary keys.  The degree and edge caps set the size of the universe,
-    so a cap that reads as a number above a small bound is redrawn: a huge
-    cap is a valid request for a long run, not a malformed config."""
-    config = draw(fuzzed_configs()
-                  | st.dictionaries(st.text(max_size=8), JSON_VALUES,
-                                    max_size=3))
-    for key, bound in (("degree_cap", 3), ("edge_cap", 5)):
-        if key in config and _above(config[key], bound):
-            config[key] = draw(st.integers(-2, bound))
-    return config
+    arbitrary keys.  A cap above its bound is kept: it must be refused."""
+    return fuzzed_configs() | st.dictionaries(st.text(max_size=8),
+                                              JSON_VALUES, max_size=3)
 
 
 class TestConfig:
@@ -131,6 +129,26 @@ class TestConfig:
         assert result.exception is None or isinstance(result.exception,
                                                       SystemExit)
         assert isinstance(json.loads(result.stdout), dict)
+        if any(key in config and _above(config[key], bound)
+               for key, bound in CAP_BOUNDS.items()):
+            assert result.exit_code == 2
+
+    @pytest.mark.parametrize("overrides", [
+        {"degree_cap": "1e3", "edge_cap": 3}, {"degree_cap": 1e300},
+        {"degree_cap": "1e10000000"}, {"degree_cap": "17/2"},
+        {"edge_cap": 9}, {"edge_cap": 10 ** 4000}])
+    def test_cap_above_bound_refused_at_once(self, runner, tmp_path,
+                                             overrides):
+        start = time.perf_counter()
+        result, report = invoke(runner, tmp_path, "trees", overrides)
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 2
+        assert report["error"]["kind"] == "config-value"
+
+    def test_caps_at_bound_accepted(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"degree_cap": "8", "edge_cap": 8}))
+        assert RunConfig.load(str(path)).data["edge_cap"] == 8
 
     def test_defaults_logged(self, runner, tmp_path):
         result, report = invoke(runner, tmp_path, "trees", {"edge_cap": 3})
@@ -477,3 +495,20 @@ class TestPinnedReports:
         report.pop("timestamp")
         report["meta"].pop("config")
         assert report == CLI_PINS["reports"][command]
+
+
+class TestPinnedDerivativeRule:
+    """The tree reports on a rule with derivative decorations reproduce
+    ``derivative_rule_pins.json`` exactly, apart from the timestamp and the
+    path of the config file: the default rule decorates no edge, so its
+    pins leave decoration transfers and split node decorations thin."""
+
+    @pytest.mark.parametrize("command", sorted(DERIVATIVE_PINS["reports"]))
+    def test_report_matches_pin(self, runner, tmp_path, command):
+        rule = tmp_path / "rule.json"
+        rule.write_text(json.dumps(DERIVATIVE_PINS["rule"]))
+        result, report = invoke(runner, tmp_path, command, {"rule": str(rule)})
+        assert result.exit_code == 0
+        report.pop("timestamp")
+        report["meta"].pop("config")
+        assert report == DERIVATIVE_PINS["reports"][command]

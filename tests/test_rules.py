@@ -2,10 +2,12 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from regkit.cli import RunConfig, load_rule
-from regkit.rules import Rule, generate, node_profile
+from regkit.rules import Rule, _skeletons, generate, node_profile
 from regkit.trees import (
+    DecoratedTree,
     Degree,
     TypeSet,
     leaf,
@@ -170,3 +172,45 @@ class TestGeneration:
         strata = uni.by_noise_count()
         assert sum(len(v) for v in strata.values()) == len(uni)
         assert set(strata) <= {0, 1, 2, 3}
+
+
+def _brute_force_universe(rule, degree_cap, edge_cap):
+    """Every node decoration of every skeleton, each node's alone within the
+    cap, filtered by the degree of the decorated tree."""
+    ts = rule.typeset
+    out = set()
+    for sk in _skeletons(rule, edge_cap):
+        room = degree_cap - sk.degree_value()
+        if room < 0:
+            continue
+        box = list(product(*(range(int(room / s) + 1) for s in ts.scaling)))
+        for ndecos in product(box, repeat=sk.n_nodes):
+            if sum(ts.sdeg(nd) for nd in ndecos) <= room:
+                data = sk.to_dict()
+                data["nodes"] = [{"deco": list(nd)} for nd in ndecos]
+                out.add(DecoratedTree.from_dict(ts, data))
+    assert all(t.degree_value() <= degree_cap for t in out)
+    return tuple(sorted(out, key=DecoratedTree.sort_key))
+
+
+def _kpz_rule():
+    """Derivative decorations: I over a noise or over two I^(0,1) edges,
+    with the noise at -3/2 - kappa."""
+    ts = TypeSet.make(scaling=(2, 1),
+                      types={"Xi": Degree(Fraction(-3, 2), Fraction(-1)),
+                             "I": Degree(Fraction(2))},
+                      kappa=Fraction(1, 100))
+    return Rule.make(ts, {"I": [[("Xi", (0, 0))],
+                                [("I", (0, 1)), ("I", (0, 1))]]})
+
+
+@settings(max_examples=60, deadline=None)
+@given(derivatives=st.booleans(), edge_cap=st.integers(0, 3),
+       degree_cap=st.fractions(-2, 3, max_denominator=100))
+def test_generate_is_the_filtered_brute_force(quartic_rule, derivatives,
+                                              edge_cap, degree_cap):
+    """For small caps, ``generate`` gives exactly the decorated skeletons
+    of degree at most the cap, in sort order."""
+    rule = _kpz_rule() if derivatives else quartic_rule
+    assert generate(rule, degree_cap, edge_cap).trees == \
+        _brute_force_universe(rule, degree_cap, edge_cap)

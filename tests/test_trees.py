@@ -1,5 +1,9 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import chain, combinations, product
 
@@ -23,6 +27,7 @@ from regkit.trees import (
     symmetry_factor,
     tree_product,
     unit,
+    _weighted_choices,
 )
 
 
@@ -301,15 +306,17 @@ def decorated_universe_tree(draw, uni):
 def test_integer_degrees_and_cached_hash_property(ts, uni, data):
     """The integer degree numerators give the affine degree at kappa, for
     the tree and for each planted factor, and the cached hash is the hash of
-    the field tuple."""
+    the field tuple without the over-decorations and the root's edge
+    entries, which hold None, whose hash is an address on Python 3.11."""
     t = data.draw(decorated_universe_tree(uni))
     assert t.degree_value() == t.degree.at(ts.kappa)
     assert Fraction(t.degree_nums[0], ts.den) == t.degree_value()
     for e in t.edges():
         planted = plant(t.branch(e), t.etype[e], t.edeco[e], t.odeco[e])
         assert Fraction(t.degree_nums[e], ts.den) == planted.degree_value()
-    fields = (t.typeset, t.parent, t.etype, t.edeco, t.odeco, t.ndeco,
+    fields = (t.typeset, t.parent, t.etype[1:], t.edeco[1:], t.ndeco,
               t.coloured)
+    assert None not in fields[2:]
     assert hash(t) == hash(fields)
     assert hash(ts) == hash((ts.scaling, ts._types, ts.kappa))
     again = DecoratedTree.from_dict(ts, t.to_dict())
@@ -373,3 +380,37 @@ def test_recursive_helpers_against_brute_force(ts, uni, data):
     assert DecoratedTree.from_dict(ts, t.to_dict()) == t
     rng = data.draw(st.randoms(use_true_random=False))
     assert DecoratedTree._from_nested(ts, _shuffled(t._nested(), rng)) == t
+
+
+def test_hashes_repeat_across_processes():
+    """Under a fixed PYTHONHASHSEED, two fresh interpreters give every tree
+    of the default universe the same hash: no None, whose hash is an address
+    on Python 3.11, enters a tree's hash."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = ("from regkit.cli import RunConfig, _universe\n"
+              "print([hash(t) for t in _universe(RunConfig.load(None))[1]])")
+    runs = [subprocess.run([sys.executable, "-c", script], check=True,
+                           capture_output=True, text=True, timeout=300,
+                           env=env).stdout for _ in range(2)]
+    assert runs[0] == runs[1]
+    assert len(json.loads(runs[0])) > 50
+
+
+OPTIONS = st.lists(st.lists(st.tuples(st.integers(0, 9), st.integers(1, 4),
+                                      st.integers(0, 6)), max_size=4),
+                   max_size=4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(options=OPTIONS, budget=st.none() | st.integers(-2, 16))
+def test_weighted_choices_is_the_filtered_product(options, budget):
+    """The enumerator gives the ``itertools.product`` choices whose costs
+    sum below the budget, every choice for ``None``, in product order, each
+    with the product of its coefficients."""
+    expected = [(tuple(v for v, _c, _w in choice),
+                 math.prod((c for _v, c, _w in choice), start=Fraction(1)))
+                for choice in product(*options)
+                if budget is None or sum(w for _v, _c, w in choice) < budget]
+    assert _weighted_choices(options, budget) == expected
