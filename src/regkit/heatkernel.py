@@ -25,12 +25,12 @@ lambdified a-jets, ``_a_jet_fn``.
 The singular Green's kernel ``local(w)`` and its ``certificate()`` read one
 table of (jet coefficient, Q(u, v)) pairs per order r, ``_green_table(r)``,
 evaluated at the jets at w by ``_chain_factor`` or serialised as products.
-Coefficient strings (``parse_coefficient``) and certificate terms
-(``parse_lambda_term``) are read by one frame, ``_read``, which walks their
-Python ``ast`` and calls sympy itself on each node of its grammar, with
-every number bounded before sympy computes with it.  ``_load`` imports
-sympy, ``scipy.special`` and ``scipy.linalg`` with the first field, parse
-or ``heat_convolve``, not with the module.
+One reader, ``_read``, serves two grammars of untrusted text: coefficients
+(``parse_coefficient``) and certificate terms as plain expressions
+(``parse_lambda_term``).  It walks the text's Python ``ast`` and calls sympy
+itself on each node, with every number bounded before sympy computes with
+it.  ``_load`` imports sympy, ``scipy.special`` and ``scipy.linalg`` with
+the first field, parse or ``heat_convolve``, not with the module.
 
 Points are z = (t, x); the parabolic scaling is (2, 1), |z|_s = sqrt|t|+|x|.
 Index sets {|k|_s < r}, k!, binomials and |k|_s come from the multi-index
@@ -43,7 +43,7 @@ import math
 import operator
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 from itertools import accumulate
 from typing import Callable, NamedTuple
 
@@ -93,12 +93,10 @@ def _mono(z, k):
 # ---------------------------------------------------------------------------
 # coefficient fields
 
-# coefficient strings and certificate terms are read by one frame, _read,
-# which walks the text's Python AST and builds each node with sympy (sympify
-# would run the text as Python), operands first, so that each number is
-# bounded in bits before sympy computes with it: "9**9**9" or
-# "sin(sinh(1e9))" would never finish (2**13 bits keeps integers below
-# Python's limit on converting long integers to text)
+# _read builds each node of untrusted text with sympy (sympify would run it
+# as Python), operands first, each number bounded in bits before sympy
+# computes with it: "9**9**9" or "sin(sinh(1e9))" would never finish (2**13
+# bits keeps integers below Python's limit on converting them to text)
 _MAX_EXACT_BITS = 1 << 13
 
 
@@ -127,12 +125,45 @@ def _check_power(base, exponent) -> None:
         raise ValueError("a power too large to evaluate")
 
 
-def _read(text: str, what: str, build) -> sp.Expr:
-    """The expression that ``build(node, operands)`` makes of the root of
-    the Python AST of ``text``, its operands (a call's arguments) built
-    first; ValueError, naming the text, if it does not parse, if ``build``
-    refuses a node, or for a number that ``_check_numbers`` refuses."""
-    _load()
+@cache
+def _load() -> None:
+    """Bind ``sp``, ``roots_legendre`` and the module's symbols, and import
+    what sympy and scipy would on a first diff, lambdify or Jacobi root."""
+    global sp, roots_legendre, T_SYM, X_SYM, U_SYM, V_SYM, _WT, _WX, _V
+    global _AFUN, _BRACKET
+    import scipy.linalg  # noqa: F401
+    import sympy as sp
+    import sympy.assumptions.wrapper  # noqa: F401
+    import sympy.codegen.ast  # noqa: F401
+    from scipy.special import roots_legendre
+    T_SYM, X_SYM, _WT, _WX, _V = sp.symbols("t x w_t w_x v", real=True)
+    U_SYM, V_SYM = sp.symbols("u v")  # of a chain's Q(u, v); _V is real
+    _AFUN = sp.Function("a")(_WT, _WX)
+    # E's bracket v^2/(4a^2) - 1/(2a) as two parts, flagged if they hold v^2
+    _BRACKET = ((sp.Rational(1, 4) / _AFUN ** 2, True),
+                (-sp.Rational(1, 2) / _AFUN, False))
+
+
+# the coefficient grammar's functions (README), and both grammars' operators
+_FUNCTIONS = "sin cos tan exp log sqrt sinh cosh tanh atan".split()
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub,
+              ast.Mult: operator.mul, ast.Div: operator.truediv,
+              ast.Pow: operator.pow, ast.USub: operator.neg,
+              ast.UAdd: operator.pos}
+
+
+def _read(value, what: str, names: Callable, functions,
+          floats: bool) -> sp.Expr:
+    """The expression that the ASCII text of ``value`` writes with integer
+    literals, float literals if ``floats`` (each read as sympify reads it),
+    ``_OPERATORS``, the names that ``names`` maps to a symbol (None for any
+    other) and one-argument calls of ``functions``, built node by node,
+    operands first, after ``_load``; ValueError, naming the text, for
+    anything else or for a number too large (exp, sinh or cosh too) to
+    evaluate."""
+    text = " ".join(str(value).split())  # one line: offsets are columns
+    if not text.isascii():
+        raise ValueError(f"unexpected non-ASCII text in {what} {text!r}")
     try:
         stack, built = [(ast.parse(text, mode="eval").body, False)], {}
         while stack:  # post-order, without recursion
@@ -143,10 +174,33 @@ def _read(text: str, what: str, build) -> sp.Expr:
             if not ready:
                 stack += [(node, True)] + [(k, False) for k in kids[::-1]]
                 continue
-            out = built[node] = build(node, [built.pop(k) for k in kids])
+            args = [built.pop(k) for k in kids]
+            source = text[node.col_offset:node.end_col_offset]
+            op = _OPERATORS.get(type(getattr(node, "op", None)))
+            name = getattr(getattr(node, "func", None), "id", None)
+            kind = type(getattr(node, "value", None))  # a literal's, if any
+            if kind is int and source.isdigit():
+                out = sp.Integer(node.value)
+            elif kind is float and floats and "_" not in source:
+                # mpmath reads 10**exponent exactly: 1e999999 took 45 s
+                if len(source.lower().partition("e")[2].lstrip("+-0")) > 4:
+                    raise ValueError("a number too large to evaluate")
+                out = sp.Float(source)
+            elif isinstance(node, ast.Name) and names(node.id) is not None:
+                out = names(node.id)
+            elif op:  # of a unary or binary operation
+                if op is operator.pow:
+                    _check_power(*args)
+                out = op(*args)
+            elif name in functions and len(args) == 1 and not node.keywords:
+                if (name in ("exp", "sinh", "cosh") and args[0].is_Number
+                        and abs(args[0]) > _MAX_EXACT_BITS * math.log(2)):
+                    raise ValueError(f"{name} of too large a number")
+                out = getattr(sp, name)(*args)
+            else:
+                raise ValueError(f"unexpected {source[:20]!r}")
+            built[node] = out
             _check_numbers([out] if isinstance(out, sp.Atom) else [])
-        if not isinstance(out, sp.Expr):
-            raise ValueError("not an expression")
         _check_numbers(out.atoms())
         return out
     except (SyntaxError, RecursionError, MemoryError) as exc:
@@ -156,67 +210,13 @@ def _read(text: str, what: str, build) -> sp.Expr:
         raise ValueError(f"{exc} in {what} {text!r}") from exc
 
 
-@cache
-def _load() -> None:
-    """Bind ``sp``, ``roots_legendre`` and the module's symbols, and import
-    what sympy and scipy would on a first diff, lambdify or Jacobi root."""
-    global sp, roots_legendre, T_SYM, X_SYM, _WT, _WX, _V, _AFUN, _BRACKET
-    import scipy.linalg  # noqa: F401
-    import sympy as sp
-    import sympy.assumptions.wrapper  # noqa: F401
-    import sympy.codegen.ast  # noqa: F401
-    from scipy.special import roots_legendre
-    T_SYM, X_SYM, _WT, _WX, _V = sp.symbols("t x w_t w_x v", real=True)
-    _AFUN = sp.Function("a")(_WT, _WX)
-    # E's bracket v^2/(4a^2) - 1/(2a) as two parts, flagged if they hold v^2
-    _BRACKET = ((sp.Rational(1, 4) / _AFUN ** 2, True),
-                (-sp.Rational(1, 2) / _AFUN, False))
-
-
-# the grammar of a coefficient (README): its functions, its operators by node
-_FUNCTIONS = "sin cos tan exp log sqrt sinh cosh tanh atan".split()
-_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub,
-              ast.Mult: operator.mul, ast.Div: operator.truediv,
-              ast.Pow: operator.pow, ast.USub: operator.neg,
-              ast.UAdd: operator.pos}
-
-
 def parse_coefficient(value) -> sp.Expr:
-    """A coefficient, given as a number or as ASCII text in the grammar
-    above, as an expression in the module's t and x (so that differentiation
-    sees them); ValueError for anything else.  Literals are read as sympify
-    reads them: an integer as ``Integer``, a float as ``Float`` of its own
-    text.  exp, sinh or cosh of a number is refused if its value would
-    exceed 2**_MAX_EXACT_BITS."""
-    text = " ".join(str(value).split())  # one line: offsets are columns
-    if not text.isascii():
-        raise ValueError(f"unexpected non-ASCII text in coefficient {text!r}")
-
-    def build(node, args):
-        source = text[node.col_offset:node.end_col_offset]
-        op = _OPERATORS.get(type(getattr(node, "op", None)))
-        name = getattr(getattr(node, "func", None), "id", None)
-        kind = type(getattr(node, "value", None))  # a literal's, if any
-        if kind is int and source.isdigit():
-            return sp.Integer(node.value)
-        if kind is float and "_" not in source:
-            # mpmath reads 10**exponent exactly: 1e999999 took 45 s
-            if len(source.lower().partition("e")[2].lstrip("+-0")) > 4:
-                raise ValueError("a number too large to evaluate")
-            return sp.Float(source)
-        if isinstance(node, ast.Name) and node.id in ("t", "x"):
-            return T_SYM if node.id == "t" else X_SYM
-        if op:  # of a unary or binary operation
-            if op is operator.pow:
-                _check_power(*args)
-            return op(*args)
-        if name in _FUNCTIONS and len(args) == 1 and not node.keywords:
-            if (name in ("exp", "sinh", "cosh") and args[0].is_Number
-                    and abs(args[0]) > _MAX_EXACT_BITS * math.log(2)):
-                raise ValueError(f"{name} of too large a number")
-            return getattr(sp, name)(*args)
-        raise ValueError(f"unexpected {source[:20]!r}")
-    return _read(text, "coefficient", build)
+    """A coefficient, a number or text in its grammar (t, x, floats and
+    ``_FUNCTIONS``), as an expression in the module's t and x, so that
+    differentiation sees them; ValueError for anything else."""
+    _load()
+    return _read(value, "coefficient", {"t": T_SYM, "x": X_SYM}.get,
+                 _FUNCTIONS, floats=True)
 
 
 @dataclass(frozen=True)
@@ -533,10 +533,22 @@ def _jet_symbol(name: str, k) -> sp.Symbol:
     return sp.Symbol(f"{name}{k[0]}_{k[1]}", real=True)
 
 
-def _parse_jet(s: sp.Symbol) -> tuple[str, tuple[int, int]]:
-    """Inverse of _jet_symbol: a{i}_{j} -> ("a", (i, j))."""
-    i, j = str(s)[1:].split("_")
-    return str(s)[0], (int(i), int(j))
+def _parse_jet(s) -> tuple[str, tuple[int, int]] | None:
+    """Inverse of _jet_symbol: a{i}_{j} -> ("a", (i, j)); None for a name
+    that _jet_symbol does not write."""
+    name, (i, _, j) = str(s)[:1], str(s)[1:].partition("_")
+    if name in ("a", "b", "c") and all(
+            n.isdecimal() and str(int(n)) == n for n in (i, j)):
+        return name, (int(i), int(j))
+    return None
+
+
+def _term_symbol(name: str) -> sp.Symbol | None:
+    """The symbol of a name of the term grammar, a jet (``_parse_jet``) or a
+    chain variable u or v, else None; ``LambdaTerm.validate`` admits the
+    same two kinds."""
+    jet = _parse_jet(name)
+    return _jet_symbol(*jet) if jet else {"u": U_SYM, "v": V_SYM}.get(name)
 
 
 @dataclass(frozen=True)
@@ -546,8 +558,10 @@ class LambdaTerm:
 
     ``coefficient`` is a rational expression in the jet symbols
     a{i}_{j}, b{i}_{j}, c{i}_{j} (denominators only powers of a0_0);
-    each chain entry is a polynomial Q[i] in (u, v), realising
-    P[i](t, x) = t^{-1/2} Q[i](sqrt t, x / sqrt t).
+    the chain, of at least one factor, holds polynomials Q[i] in (u, v),
+    realising P[i](t, x) = t^{-1/2} Q[i](sqrt t, x / sqrt t).  ``to_dict``
+    prints them once per term as plain expressions of the term grammar,
+    which the coefficient reader ``_read`` reads back.
     """
 
     coefficient: sp.Expr
@@ -558,27 +572,26 @@ class LambdaTerm:
 
     def validate(self, r: int) -> bool:
         """Structural check against the admissible grammar, with jets of
-        order at most r."""
-        u, v = sp.symbols("u v")
-        for q in self.chain:
-            if not q.free_symbols <= {u, v}:
-                return False
-            try:
-                sp.Poly(q, u, v)
-            except sp.PolynomialError:
-                return False
-        num, den = sp.fraction(sp.together(self.coefficient))
-        for s in num.free_symbols | den.free_symbols:
-            name = str(s)
-            if (not (name[0] in "abc" and "_" in name)
-                    or mi_sdeg(_parse_jet(s)[1], SCALING) > r):
-                return False
-        return (den.is_polynomial()
-                and den.free_symbols <= {_jet_symbol("a", (0, 0))})
+        order at most r: a chain of at least one polynomial in (u, v), and
+        a coefficient rational in the jets, its denominator a monomial in
+        a0_0."""
+        jets = [_parse_jet(s) for s in self.coefficient.free_symbols]
+        den = sp.denom(sp.together(self.coefficient))
+        a0 = _jet_symbol("a", (0, 0))
+        return (bool(self.chain) and all(
+            q.free_symbols <= {U_SYM, V_SYM} and q.is_polynomial(U_SYM, V_SYM)
+            for q in self.chain)
+            and all(jet and mi_sdeg(jet[1], SCALING) <= r for jet in jets)
+            and self.coefficient.is_rational_function()
+            and den.free_symbols <= {a0} and sp.Poly(den, a0).is_monomial)
+
+    @cached_property
+    def _text(self) -> tuple[str, ...]:
+        return tuple(map(str, (self.coefficient, *self.chain)))
 
     def to_dict(self) -> dict:
-        return {"coefficient": sp.srepr(self.coefficient),
-                "chain": [sp.srepr(q) for q in self.chain]}
+        coefficient, *chain = self._text
+        return {"coefficient": coefficient, "chain": chain}
 
     def evaluate(self, field: CoefficientField, w, zeta):
         """Numeric value of the certified kernel at offset zeta, frozen at
@@ -601,8 +614,7 @@ def _at_jets(field: CoefficientField, w, exprs) -> list[float]:
 def _monomials(q: sp.Expr, alpha: int) -> tuple:
     """u^{1-alpha} Q(u, v) as ((p, q), coefficient of u^p v^q) pairs: the
     profile in an order-alpha kernel of t^{-1} Q(sqrt t, x / sqrt t)."""
-    u, v = sp.symbols("u v")
-    poly = sp.Poly(sp.expand(q * u ** (1 - alpha)), u, v)
+    poly = sp.Poly(sp.expand(q * U_SYM ** (1 - alpha)), U_SYM, V_SYM)
     return tuple((pq, float(c)) for pq, c in poly.as_dict().items())
 
 
@@ -632,46 +644,28 @@ def _chain_factor(field: CoefficientField, w, pairs,
     return HeatCalcKernel(float(alpha), ftilde)
 
 
-# the srepr grammar of a certificate term: sympy's constructors by name,
-# with the kind and the number of positional arguments each one takes
-_SREPR_ARGS = {"Add": ("expr", 1, None), "Mul": ("expr", 1, None),
-               "Pow": ("expr", 2, 2), "Integer": (int, 1, 1),
-               "Rational": (int, 2, 2), "Symbol": (str, 1, 1)}
-
-
-def _from_srepr(text) -> sp.Expr:
-    """The expression that ``sp.srepr`` wrote as ``text``, read by ``_read``
-    with the constructors of ``_SREPR_ARGS`` (``Symbol`` also takes
-    ``real=True``); ValueError for any other call, name or literal."""
-    def build(node, args):
-        if isinstance(node, ast.Constant) and type(node.value) in (int, str):
-            return node.value
-        if (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
-                and type(args[0]) is int):
-            return -args[0]
-        name = getattr(getattr(node, "func", None), "id", None)
-        keywords = [(k.arg, getattr(k.value, "value", None) is True)
-                    for k in getattr(node, "keywords", ())]
-        if name not in _SREPR_ARGS or keywords not in (
-                [], [("real", True)] * (name == "Symbol")):
-            raise ValueError("the srepr grammar left at "
-                             f"{ast.unparse(node)[:40]!r}")
-        kind, least, most = _SREPR_ARGS[name]
-        if not (least <= len(args) <= (most or len(args)) and all(
-                isinstance(a, sp.Expr if kind == "expr" else kind)
-                for a in args)):
-            raise ValueError(f"bad arguments to {name}")
-        if name == "Pow":
-            _check_power(*args)
-        return getattr(sp, name)(*args, **dict(keywords))
-    return _read(str(text), "term", build)
-
-
 def parse_lambda_term(data: dict) -> LambdaTerm:
-    """The inverse of ``LambdaTerm.to_dict``; ValueError for anything that
-    is not an srepr of the certificate grammar."""
-    return LambdaTerm(_from_srepr(data["coefficient"]),
-                      tuple(_from_srepr(q) for q in data["chain"]))
+    """The inverse of ``LambdaTerm.to_dict``: the coefficient reader
+    ``_read`` held to the term grammar, integer literals, the operators and
+    the names of ``_term_symbol``, without floats or calls; ValueError for
+    anything else.  A number is not distributed over a sum that the text
+    keeps in a product, as ``str`` writes 1/(2*(u + 1))."""
+    _load()
+    if not (isinstance(data, dict) and data.keys() == {"coefficient", "chain"}
+            and isinstance(data["chain"], list)):
+        raise ValueError(f"not a term's dict: {data!r:.60}")
+    texts = [data["coefficient"], *data["chain"]]
+    for distribute in (True, False):
+        # not distributing is tried second, where sympy's reading does not
+        # print back as the text: switching it on or off clears sympy's
+        # cache, and reading every term so made the round trip 4x slower
+        with sp.core.parameters.distribute(distribute):
+            coefficient, *chain = (_read(text, "term", _term_symbol, (),
+                                         floats=False) for text in texts)
+        term = LambdaTerm(coefficient, tuple(chain))
+        if list(term._text) == texts:
+            break
+    return term
 
 
 # ---------------------------------------------------------------------------
@@ -737,11 +731,10 @@ def _zjet_pairs(k) -> tuple:
     grammar; they read no field.  The generic chain factor carries
     t^{-1} Q(u, v) and the jet kernel is t^{-1/2} f(v) W-shaped, so Q picks
     up one power of u."""
-    u, v = sp.symbols("u v")
     gauss = _gauss_expr()
     ratio = sp.cancel(sp.together(_a_jet_expr(gauss, k, 0)
                                   / _jetify(gauss))) / mi_factorial(k)
-    return tuple((sp.together(coeff), u * v ** deg)
+    return tuple((sp.together(coeff), U_SYM * V_SYM ** deg)
                  for (deg,), coeff in sp.Poly(sp.expand(ratio), _V).terms())
 
 
@@ -938,7 +931,6 @@ class EDecomposition:
 def _e0_lambda_pieces(r: int) -> list[tuple[sp.Expr, sp.Expr]]:
     """Symbolic (coefficient, profile) pairs with
     -E^{[0]}(zeta) = sum coeff * t^{-1} Q(u, v) * W-profile(v)."""
-    u, v = sp.symbols("u v")
     a0 = _jet_symbol("a", (0, 0))
     pieces = []
     for l in mi_below(SCALING, r):
@@ -946,13 +938,13 @@ def _e0_lambda_pieces(r: int) -> list[tuple[sp.Expr, sp.Expr]]:
         if l != (0, 0):
             al = _jet_symbol("a", l)
             pieces.append((al / (4 * a0 ** 2 * lf),
-                           u ** (du - 1) * v ** (l[1] + 2)))
+                           U_SYM ** (du - 1) * V_SYM ** (l[1] + 2)))
             pieces.append((-al / (2 * a0 * lf),
-                           u ** (du - 1) * v ** l[1]))
+                           U_SYM ** (du - 1) * V_SYM ** l[1]))
         pieces.append((-_jet_symbol("b", l) / (2 * a0 * lf),
-                       u ** du * v ** (l[1] + 1)))
+                       U_SYM ** du * V_SYM ** (l[1] + 1)))
         pieces.append((_jet_symbol("c", l) / lf,
-                       u ** (du + 1) * v ** l[1]))
+                       U_SYM ** (du + 1) * V_SYM ** l[1]))
     return pieces
 
 
@@ -971,10 +963,9 @@ class _Factors(NamedTuple):
 def _green_table(r: int) -> tuple[tuple[tuple[int, int], _Factors], ...]:
     """The (k0, chain factors) of every |k0|_s < r in ``mi_below`` order:
     one table per order r, shared by every field whose E does not vanish."""
-    u, v = sp.symbols("u v")
     e0 = _e0_lambda_pieces(r)
     return tuple((k0, _Factors(_zjet_pairs(k0), tuple(
-        (c, sp.expand(u ** mi_sdeg(k0, SCALING) * v ** k0[1] * q))
+        (c, sp.expand(U_SYM ** mi_sdeg(k0, SCALING) * V_SYM ** k0[1] * q))
         for c, q in e0))) for k0 in mi_below(SCALING, r))
 
 
@@ -1042,7 +1033,7 @@ class GreenDecomposition:
         """Term-by-term witnesses that the singular part lies in the
         admissible chain grammar: coefficient jets at the base point times
         convolution chains of (polynomial profile) x (frozen Gaussian)."""
-        terms = [LambdaTerm(sp.Integer(1), (sp.Symbol("u"),))]
+        terms = [LambdaTerm(sp.Integer(1), (U_SYM,))]
         for _k0, (zs, es) in self._table:
             terms += [LambdaTerm(sp.together(c_z * c_e), (q_z, q_e))
                       for c_z, q_z in zs for c_e, q_e in es]

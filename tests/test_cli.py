@@ -10,9 +10,10 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from regkit.cli import (DEFAULT_RULE, DEFAULTS, ConfigError, RunConfig,
-                        age_report, coproduct_report, hist_report, load_rule,
-                        main, model_report, trees_report, verify_report)
+from regkit.cli import (_COPRODUCT_TREES, DEFAULT_RULE, DEFAULTS,
+                        ConfigError, RunConfig, _universe, age_report,
+                        coproduct_report, hist_report, load_rule, main,
+                        model_report, trees_report, verify_report)
 from regkit.heatkernel import CoefficientField
 from regkit.models import KernelOnGrid
 
@@ -144,6 +145,35 @@ class TestConfig:
         assert time.perf_counter() - start < 1
         assert result.exit_code == 2
         assert report["error"]["kind"] == "config-value"
+
+    def test_coproduct_work_bounded(self, runner, tmp_path):
+        # caps within their bounds whose universe is too large for three
+        # coproducts a tree: refused once the universe is built
+        caps = {"degree_cap": "6", "edge_cap": 8}
+        start = time.perf_counter()
+        result, report = invoke(runner, tmp_path, "coproduct", caps)
+        refused = time.perf_counter() - start
+        assert result.exit_code == 2
+        assert report["error"]["kind"] == "config-value"
+        start = time.perf_counter()
+        result, report = invoke(runner, tmp_path, "trees", caps)
+        assert result.exit_code == 0
+        assert report["total"] > _COPRODUCT_TREES
+        assert refused < 1.5 * (time.perf_counter() - start) + 1
+
+    @pytest.mark.parametrize("command", ["coproduct", "verify", "tables"])
+    def test_large_universe_refused(self, runner, tmp_path, command):
+        result, report = invoke(runner, tmp_path, command,
+                                {"degree_cap": "5", "edge_cap": 6})
+        assert result.exit_code == 2
+        assert report["error"]["kind"] == "config-value"
+        assert str(_COPRODUCT_TREES) in report["error"]["detail"]
+
+    def test_default_universes_below_coproduct_bound(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(FAST))
+        for config in (RunConfig.load(None), RunConfig.load(str(path))):
+            assert len(_universe(config)[1]) <= _COPRODUCT_TREES
 
     def test_caps_at_bound_accepted(self, tmp_path):
         path = tmp_path / "run.json"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import operator
 import time
 import tracemalloc
 from fractions import Fraction
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from regkit.heatkernel import (
@@ -73,6 +74,20 @@ COEFFICIENT_TOKENS = ["x", "t", "0", "1", "9", "0.5", "99", "1e3", ".5", " ",
                       "+", "-", "*", "/", "//", "**", "(", ")", "sin(",
                       "exp(", "sqrt(", "log("]
 T_SYM, X_SYM = sp.symbols("t x", real=True)
+TERM_SYMBOLS = [*sp.symbols("u v"), *sp.symbols("a0_0 a1_0 a0_2 b0_1 c2_3",
+                                                 real=True)]
+
+
+def term_exprs():
+    """Expressions of the term grammar: jet names, u, v and small integers
+    under + - * / and small integer powers."""
+    leaves = st.integers(-9, 9).map(sp.Integer) | st.sampled_from(TERM_SYMBOLS)
+    ops = st.sampled_from([operator.add, operator.sub, operator.mul,
+                           operator.truediv])
+    return st.recursive(leaves, lambda inner: (
+        st.tuples(ops, inner, inner).map(lambda p: p[0](p[1], p[2]))
+        | st.tuples(inner, st.integers(-3, 3)).map(lambda p: p[0] ** p[1])),
+        max_leaves=8)
 
 
 def coefficient_texts(depth):
@@ -739,20 +754,76 @@ class TestParseLambdaTerm:
         target = tmp_path / "ran"
         payload = f"__import__('pathlib').Path({str(target)!r}).touch()"
         for data in ({"coefficient": payload, "chain": []},
-                     {"coefficient": "Integer(1)", "chain": [payload]}):
-            with pytest.raises(ValueError, match="srepr grammar"):
+                     {"coefficient": "1", "chain": [payload]}):
+            with pytest.raises(ValueError, match="unexpected .* in term"):
                 parse_lambda_term(data)
         assert not target.exists()
 
     @pytest.mark.parametrize("text", [
+        # the srepr texts that an older version wrote are calls, refused
         "Symbol('u', positive=True)", "Symbol('u', real=1)", "Integer(True)",
         "Integer('12')", "Rational(1, 2, 3)", "Rational(1, 0)",
         "Pow(Integer(0), Integer(-1))", "Pow(Integer(9), Integer(10 ** 9))",
         "Pow(Integer(9), Integer(999999999))", "Add()", "Mul(1, 2)",
-        "Integer(1)(2)", "Symbol('a').func", "x", "1", "Integer(1"])
+        "Integer(1)(2)", "Symbol('a').func", "x", "Integer(1", "Integer(1)",
+        "Symbol('u')", "u.func", "f(u, k=1)", "0.5*u", "sin(u)", "1/0",
+        "0**-1", "9**(10**9)", "1//2", "t", "a01_0", "d0_0", "a0_0_1", "w",
+        "u if v else 1", "'u'", "1e3", "True", "-" * 10000 + "1"],
+        ids=lambda text: text[:40])
     def test_outside_the_grammar_refused(self, text):
-        with pytest.raises(ValueError):
-            parse_lambda_term({"coefficient": text, "chain": []})
+        parse_lambda_term({"coefficient": "1", "chain": ["u"]})  # loads sympy
+        for data in ({"coefficient": text, "chain": ["u"]},
+                     {"coefficient": "1", "chain": ["u", text]}):
+            started = time.monotonic()
+            with pytest.raises(ValueError, match="term"):
+                parse_lambda_term(data)
+            assert time.monotonic() - started < 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(coefficient=term_exprs(), chain=st.lists(term_exprs(), min_size=1,
+                                                    max_size=3))
+    def test_plain_text_round_trip(self, coefficient, chain):
+        # any finite expression of the term grammar reads back as itself
+        assume(not any(e.has(sp.zoo, sp.nan) for e in (coefficient, *chain)))
+        term = LambdaTerm(coefficient, tuple(chain))
+        again = parse_lambda_term(term.to_dict())
+        assert (again.coefficient, again.chain) == (coefficient, tuple(chain))
+        assert again.to_dict() == term.to_dict()
+
+    def test_plain_text_example(self):
+        # the README's example reads back as itself; its srepr form is refused
+        srepr = "Mul(Rational(-1, 2), Symbol('b0_1', real=True))"
+        with pytest.raises(ValueError, match="unexpected"):
+            parse_lambda_term({"coefficient": srepr, "chain": ["Symbol('u')"]})
+        term = parse_lambda_term({"coefficient": "-b0_1/(2*a0_0)",
+                                  "chain": ["u", "u*v**2"]})
+        b01, a00 = (sp.Symbol(n, real=True) for n in ("b0_1", "a0_0"))
+        u, v = sp.symbols("u v")
+        assert term == LambdaTerm(-b01 / (2 * a00), (u, u * v ** 2))
+        assert term.to_dict() == {"coefficient": "-b0_1/(2*a0_0)",
+                                  "chain": ["u", "u*v**2"]}
+        # read as sympy would, 2*(a0_0 + 1) would become 2*a0_0 + 2
+        kept = LambdaTerm((a00 + 1) ** -1 / 2, (u,))
+        assert kept.to_dict()["coefficient"] == "1/(2*(a0_0 + 1))"
+        assert parse_lambda_term(kept.to_dict()) == kept
+
+    @pytest.mark.parametrize("data", [
+        {"coefficient": "1", "chain": "uv"}, {"chain": ["u"]},
+        {"coefficient": "1", "chain": ["u"], "order": 3}, ["1", ["u"]], None],
+        ids=repr)
+    def test_not_a_terms_dict_refused(self, data):
+        # a chain given as one string would read as one factor per letter
+        with pytest.raises(ValueError, match="not a term's dict"):
+            parse_lambda_term(data)
+
+    def test_order_five_table_round_trips(self, cutoff):
+        field = CoefficientField.make("1 + sin(x)/5 + t/10", "x/7",
+                                      "cos(x)/3", regularity=15)
+        cert = decompose_green(field, 5, 2, cutoff, N=1).certificate()
+        for term in cert:
+            again = parse_lambda_term(term.to_dict())
+            assert again == term and again.to_dict() == term.to_dict()
+            assert term.validate(5)
 
     @pytest.mark.parametrize("r", [1, 2, 3, 4])
     def test_certificates_round_trip(self, gentle, cutoff, r):
@@ -762,6 +833,28 @@ class TestParseLambdaTerm:
             assert again.to_dict() == term.to_dict()
             assert (again.coefficient, again.chain) == (term.coefficient,
                                                         term.chain)
+
+
+class TestValidate:
+    U = sp.Symbol("u")
+    B01, A00, A10 = sp.symbols("b0_1 a0_0 a1_0", real=True)
+
+    def test_empty_chain_refused(self):
+        # a term is a convolution chain of at least one factor; evaluate
+        # could not reduce an empty one
+        assert not LambdaTerm(sp.Integer(1), ()).validate(3)
+        assert LambdaTerm(sp.Integer(1), (self.U,)).validate(3)
+
+    @pytest.mark.parametrize("den, valid", [
+        (A00, True), (2 * A00 ** 3, True), (sp.Integer(1), True),
+        (A00 + 1, False), (A00 ** 2 - A00, False), (A10, False)], ids=str)
+    def test_denominators_are_powers_of_a0_0(self, den, valid):
+        assert LambdaTerm(self.B01 / den, (self.U,)).validate(3) is valid
+
+    @pytest.mark.parametrize("coefficient", [
+        sp.sin(A00), sp.sqrt(B01) / A00, A00 ** sp.Rational(1, 2)], ids=str)
+    def test_coefficient_not_rational_refused(self, coefficient):
+        assert not LambdaTerm(coefficient, (self.U,)).validate(3)
 
 
 class TestGreenDecomposition:

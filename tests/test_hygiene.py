@@ -200,6 +200,44 @@ def test_no_dynamic_code(path):
     assert dynamic_code(path.read_text()) == []
 
 
+def readers(source: str) -> list[str]:
+    """Every mention of ``srepr`` and every call of ``ast.parse``, also
+    when imported by name: a second reader of untrusted text, or a second
+    grammar."""
+    out = []
+    for sub in ast.walk(ast.parse(source)):
+        if isinstance(sub, ast.ImportFrom):
+            names = [alias.name for alias in sub.names]
+        else:
+            names = [getattr(sub, "attr", getattr(sub, "id", None))]
+        out += [(sub.lineno, "srepr") for name in names if name == "srepr"]
+        func = getattr(sub, "func", None)
+        if isinstance(sub, ast.Call) and (
+                getattr(func, "id", None) == "parse" or (
+                    getattr(func, "attr", None) == "parse"
+                    and getattr(func.value, "id", None) == "ast")):
+            out.append((sub.lineno, "ast.parse"))
+    return [f"{name} (line {line})" for line, name in sorted(out)]
+
+
+def test_detector_flags_readers():
+    source = ("import ast\nimport sympy as sp\nfrom sympy import srepr\n"
+              "from ast import parse\nsp.srepr(1)\nast.parse('1')\n"
+              "parse('2')\nparser.parse('3')\n")
+    assert readers(source) == ["srepr (line 3)", "srepr (line 5)",
+                               "ast.parse (line 6)", "ast.parse (line 7)"]
+
+
+def test_one_reader_of_untrusted_text():
+    """No module of the package mentions srepr, and ``ast.parse`` is called
+    once, in ``heatkernel._read``: the one reader of every grammar of
+    untrusted text."""
+    found = [(path.name, hit) for path in sorted(SRC.glob("*.py"))
+             for hit in readers(path.read_text())]
+    assert [(name, hit.split()[0]) for name, hit in found] == [
+        ("heatkernel.py", "ast.parse")]
+
+
 def _nested_functions(fn) -> list:
     """The functions defined in the body of ``fn``, also inside its control
     flow, but not those inside them."""
