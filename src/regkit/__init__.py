@@ -14,7 +14,6 @@ from .trees import (
     tree_product,
     cuts,
     contract,
-    symmetry_factor,
 )
 from .rules import Rule, TreeUniverse, generate
 from .hopf import (

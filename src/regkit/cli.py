@@ -90,10 +90,10 @@ def _matches(value, default) -> bool:
 
 def _exact(value) -> Fraction:
     """``Fraction(str(value))`` for a config or rule number, refusing a
-    decimal exponent of more than three digits before it is expanded:
-    ``Fraction("1e10000000")`` alone takes seconds."""
+    decimal exponent of more than three digits, leading zeros not counted,
+    before it is expanded: ``Fraction("1e10000000")`` alone takes seconds."""
     text = str(value)
-    if len(text.lower().partition("e")[2].lstrip("+-")) > 3:
+    if len(text.lower().partition("e")[2].lstrip("+-0")) > 3:
         raise ValueError(f"exponent out of range in {text!r}")
     return Fraction(text)
 
@@ -105,18 +105,25 @@ _PARSED = {"degree_cap": _exact,
 # leaves whose (parsed) value a report can only use in a range; heat_order
 # is capped by the 3r <= regularity (12) of the heat field's expansion, the
 # diffusion coefficient a must be parabolic for its Gaussian to exist, and
-# the caps bound the universe: both at 8, `regkit trees` with the default
-# rule builds 116,976 trees in about 16 s on a 2-core Xeon
+# the upper bounds keep each report's work in reach.  On a 2-core Xeon, from
+# the default config: with both caps at 8, `regkit trees` builds 116,976
+# trees in about 16 s; `kernels` takes 5.4 s at norm order 4 (17 s at 5,
+# 56 s at 6) and 11.6 s at norm order 4 with 16 dyadic levels; `bphz` takes
+# 24 s for 10,000 samples; `model` takes 1.7 s and 377 MB on a 1024 x 512
+# grid, and its memory grows with the cell count.  The bounds apply one at a
+# time: a config at several of them at once takes the product of its factors.
 _RANGES = {"grid.dx": ("positive", lambda v: v > 0),
-           "grid.shape": ("positive in each entry", lambda v: min(v) > 0),
+           "grid.shape": ("between 1 and 1024 in each entry",
+                          lambda v: 1 <= min(v) and max(v) <= 1024),
            "mollifier_cells": ("positive", lambda v: v > 0),
            "degree_cap": ("at most 8", lambda v: v <= 8),
            "edge_cap": ("between 1 and 8", lambda v: 1 <= v <= 8),
-           "budgets.dyadic_levels": ("positive", lambda v: v > 0),
+           "budgets.dyadic_levels": ("between 1 and 16",
+                                     lambda v: 1 <= v <= 16),
            "budgets.kernel_order": ("positive", lambda v: v > 0),
-           "budgets.norm_order": ("non-negative", lambda v: v >= 0),
-           "budgets.mc_samples": ("at least 2, for a standard error",
-                                  lambda v: v >= 2),
+           "budgets.norm_order": ("between 0 and 4", lambda v: 0 <= v <= 4),
+           "budgets.mc_samples": ("between 2 (for a standard error) and "
+                                  "10000", lambda v: 2 <= v <= 10000),
            "budgets.heat_order": ("between 1 and 4", lambda v: 1 <= v <= 4),
            "heat_field.a": ("parabolic (check_parabolicity)", lambda a:
                             CoefficientField(a, 0, 0).check_parabolicity()),

@@ -25,6 +25,10 @@ lambdified a-jets, ``_a_jet_fn``.
 The singular Green's kernel ``local(w)`` and its ``certificate()`` read one
 table of (jet coefficient, Q(u, v)) pairs per order r, ``_green_table(r)``,
 evaluated at the jets at w by ``_chain_factor`` or serialised as products.
+The base term of ``local(w)``, the Gaussian frozen at a(w), is not a table
+term: it comes from the (0, 0) Z slot, ``_z_slots(field, 1, 0)[0]``, whose
+bits ``tests/heat_convolve_pins.json`` pins (``_chain_factor`` on the same
+Z jet pair differs from it by rounding, up to 4.1e-16 relative).
 One reader, ``_read``, serves two grammars of untrusted text: coefficients
 (``parse_coefficient``) and certificate terms as plain expressions
 (``parse_lambda_term``).  It walks the text's Python ``ast`` and calls sympy
@@ -625,7 +629,9 @@ def _chain_factor(field: CoefficientField, w, pairs,
     an expression in the jet symbols, taken at the field's jets at w, and
     W^w is the profile of the Gaussian frozen at a(w).  The pairs collapse
     into one polynomial in (u, v) per w.  The one evaluator of certificate
-    chains, and of the kernel they certify."""
+    chains and of the table terms of ``local(w)``; its base term, the
+    frozen Gaussian, is read from the (0, 0) Z slot instead (see
+    ``GreenDecomposition._chain_kernel``)."""
     coeffs = _at_jets(field, w, [c for c, _q in pairs])
     poly: dict = {}
     for c, (_c, q) in zip(coeffs, pairs):
@@ -998,7 +1004,9 @@ class GreenDecomposition:
     def _chain_kernel(self, w) -> Callable:
         key = tuple(np.asarray(w, dtype=float))
         if key not in self._kernel_cache:
-            # the (0, 0) jet slot of Z: the Gaussian frozen at a(w)
+            # the (0, 0) jet slot of Z: the Gaussian frozen at a(w).  It
+            # stays on this route, not _chain_factor's, because the pinned
+            # window bits are its bits: the two differ by rounding only
             base = _z_slots(self.field, 1, 0)[0].value
             parts = [lambda zeta: base(w, zeta, np.zeros(2))]
             for k0, (zs, es) in self._table:

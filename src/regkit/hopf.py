@@ -364,20 +364,6 @@ class Character:
     _memo: dict = field(default_factory=dict, init=False, compare=False,
                         repr=False)
 
-    @staticmethod
-    def from_map(values: Mapping[DecoratedTree, Fraction], x_values=None,
-                 default=Fraction(0)) -> "Character":
-        """The character with the given values on planted trees; the map is
-        copied, so later changes to it do not reach the character."""
-        values = dict(values)
-        return Character(lambda t: values.get(t, default),
-                         tuple(x_values) if x_values else ())
-
-    @staticmethod
-    def identity_like(ts) -> "Character":
-        """The counit: 1 on the unit, 0 on every non-trivial generator."""
-        return Character(lambda t: Fraction(0), (Fraction(0),) * ts.d)
-
     def __call__(self, arg) -> Fraction:
         if isinstance(arg, DecoratedTree):
             return self._value(arg)

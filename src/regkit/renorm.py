@@ -54,8 +54,7 @@ def _outside_domain(tree: DecoratedTree) -> bool:
 
 def precedes(a: DecoratedTree, b: DecoratedTree) -> bool:
     """Strict order: fewer noises, or equally many noises and lower degree."""
-    na, nb = a.noise_count(), b.noise_count()
-    return na < nb or (na == nb and a.degree_value() < b.degree_value())
+    return _order_key(a) < _order_key(b)
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +125,6 @@ class HistoricSet:
                 if any(s not in members for s in phase(t)):
                     return False
         return True
-
-    def strata(self) -> list[tuple[int, tuple[DecoratedTree, ...]]]:
-        """Trees grouped and sorted by age."""
-        groups: dict[int, list[DecoratedTree]] = {}
-        for t in self.trees:
-            groups.setdefault(age(t), []).append(t)
-        return [(a, tuple(sorted(ts))) for a, ts in sorted(groups.items())]
 
 
 def hist(seed: Iterable[DecoratedTree]) -> HistoricSet:

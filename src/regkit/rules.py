@@ -22,7 +22,6 @@ from .trees import (
     _weighted_choices,
     leaf,
     mi_below,
-    mi_leq_iter,
     plant,
     tree_product,
 )
@@ -92,31 +91,7 @@ class Rule:
     def profiles(self, etype: str) -> tuple[Profile, ...]:
         return dict(self._table)[etype]
 
-    # -- derived rules -------------------------------------------------------
-
-    def derivative_completion(self) -> "Rule":
-        """Close the rule under lowering derivative decorations componentwise."""
-        new: dict[str, set[Profile]] = {}
-        for t, ps in self.table.items():
-            acc: set[Profile] = set()
-            for p in ps:
-                for lowered in _iproduct(*(
-                        [(a, j) for j in mi_leq_iter(k)] for (a, k) in p)):
-                    acc.add(_profile(lowered))
-            new[t] = acc
-        return Rule.make(self.typeset, {t: list(ps) for t, ps in new.items()})
-
     # -- conformity ----------------------------------------------------------
-
-    def conforms(self, tree: DecoratedTree) -> bool:
-        """Inner nodes match the rule; the root profile is admissible for at
-        least one type only up to taking subsets (which is automatic for the
-        normalised table)."""
-        for v in tree.edges():
-            if not self.admits(tree.etype[v], node_profile(tree, v)):
-                return False
-        root = node_profile(tree, 0)
-        return any(root in ps for ps in self.table.values())
 
     def strongly_conforms(self, tree: DecoratedTree) -> bool:
         for v in tree.edges():

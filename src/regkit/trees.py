@@ -41,7 +41,6 @@ __all__ = [
     "tree_product",
     "cuts",
     "contract",
-    "symmetry_factor",
 ]
 
 
@@ -136,35 +135,8 @@ class Degree:
     const: Fraction = Fraction(0)
     kappa: Fraction = Fraction(0)
 
-    @staticmethod
-    def of(const, kappa=0) -> "Degree":
-        return Degree(Fraction(const), Fraction(kappa))
-
     def at(self, kappa_value: Fraction) -> Fraction:
         return self.const + self.kappa * kappa_value
-
-    def __add__(self, other):
-        if isinstance(other, Degree):
-            return Degree(self.const + other.const, self.kappa + other.kappa)
-        return Degree(self.const + Fraction(other), self.kappa)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, Degree):
-            return Degree(self.const - other.const, self.kappa - other.kappa)
-        return Degree(self.const - Fraction(other), self.kappa)
-
-    def __rsub__(self, other):
-        return Degree(Fraction(other) - self.const, -self.kappa)
-
-    def __neg__(self):
-        return Degree(-self.const, -self.kappa)
-
-    def __mul__(self, n):
-        return Degree(self.const * n, self.kappa * n)
-
-    __rmul__ = __mul__
 
     def __repr__(self):
         if self.kappa == 0:
@@ -461,10 +433,6 @@ class DecoratedTree:
 
     # -- rebuilding helpers --------------------------------------------------
 
-    def with_root_ndeco(self, k: MultiIndex) -> "DecoratedTree":
-        nested = self._nested()
-        return DecoratedTree._from_nested(self.typeset, (tuple(k), nested[1]))
-
     def strip_odeco(self) -> "DecoratedTree":
         if all(od is None for od in self.odeco):
             return self
@@ -488,16 +456,6 @@ class DecoratedTree:
     @cached_property
     def _degree_value(self) -> Fraction:
         return Fraction(self.degree_nums[0], self.typeset.den)
-
-    @cached_property
-    def degree(self) -> Degree:
-        ts = self.typeset
-        deg = Degree()
-        for i in self.edges():
-            deg = deg + ts.degree_of(self.etype[i]) - ts.sdeg(self.edeco[i])
-        for nd in self.ndeco:
-            deg = deg + ts.sdeg(nd)
-        return deg
 
     def degree_value(self) -> Fraction:
         """The degree at the type set's kappa."""
@@ -633,7 +591,7 @@ def tree_product(*trees: DecoratedTree) -> DecoratedTree:
 
 
 # ---------------------------------------------------------------------------
-# cuts, contraction, symmetry
+# cuts, contraction, colouring
 
 
 def cuts(tree: DecoratedTree, kernel_only: bool = False) -> list[frozenset[int]]:
@@ -703,32 +661,6 @@ def paint(tree: DecoratedTree, root_part: set[int]) -> DecoratedTree:
     """Return the tree with edges inside ``root_part`` coloured."""
     return DecoratedTree._from_nested(tree.typeset,
                                       tree._branch_nested(0, root_part))
-
-
-def symmetry_factor(tree: DecoratedTree) -> int:
-    """Order of the decoration-preserving automorphism group."""
-    return _symmetry(tree, 0)[0]
-
-
-def _symmetry(tree: DecoratedTree, v: int) -> tuple[int, tuple]:
-    """(symmetry factor, canonical key) of the branch rooted at v."""
-    child_data = []
-    sym = 1
-    for c in tree.children(v):
-        s, key = _symmetry(tree, c)
-        sym *= s
-        child_data.append((_edge_key(tree.etype[c], tree.edeco[c],
-                                     tree.odeco[c], tree.coloured[c], key)))
-    child_data.sort()
-    run = 1
-    for i in range(1, len(child_data)):
-        if child_data[i] == child_data[i - 1]:
-            run += 1
-        else:
-            sym *= factorial(run)
-            run = 1
-    sym *= factorial(run) if child_data else 1
-    return sym, (tree.ndeco[v], tuple(child_data))
 
 
 # ---------------------------------------------------------------------------

@@ -75,19 +75,33 @@ def fuzzed_configs(draw):
 
 
 def _above(value, bound) -> bool:
+    if isinstance(value, list):
+        return any(_above(v, bound) for v in value)
     try:
         return Fraction(str(value)) > bound
     except (ValueError, ZeroDivisionError):
         return False
 
 
-# the upper bounds on the caps that set the size of the universe
-CAP_BOUNDS = {"degree_cap": 8, "edge_cap": 8}
+def _supplied(config: dict, key: str):
+    """The value that a config supplies for a dotted key, or None."""
+    section, _, sub = key.partition(".")
+    value = config.get(section)
+    if sub:
+        value = value.get(sub) if isinstance(value, dict) else None
+    return value
+
+
+# the upper bounds on the caps that set the size of the universe, and on
+# the grid and budgets that size each report's arrays and loops
+BOUNDS = {"degree_cap": 8, "edge_cap": 8, "grid.shape": 1024,
+          "budgets.dyadic_levels": 16, "budgets.norm_order": 4,
+          "budgets.mc_samples": 10000}
 
 
 def any_config():
     """Any JSON object: a fuzzed config over the keys of DEFAULTS, or
-    arbitrary keys.  A cap above its bound is kept: it must be refused."""
+    arbitrary keys.  A value above its bound is kept: it must be refused."""
     return fuzzed_configs() | st.dictionaries(st.text(max_size=8),
                                               JSON_VALUES, max_size=3)
 
@@ -130,8 +144,8 @@ class TestConfig:
         assert result.exception is None or isinstance(result.exception,
                                                       SystemExit)
         assert isinstance(json.loads(result.stdout), dict)
-        if any(key in config and _above(config[key], bound)
-               for key, bound in CAP_BOUNDS.items()):
+        if any(_above(_supplied(config, key), bound)
+               for key, bound in BOUNDS.items()):
             assert result.exit_code == 2
 
     @pytest.mark.parametrize("overrides", [
@@ -176,9 +190,18 @@ class TestConfig:
             assert len(_universe(config)[1]) <= _COPRODUCT_TREES
 
     def test_caps_at_bound_accepted(self, tmp_path):
+        # and the grid and budgets at theirs
         path = tmp_path / "run.json"
-        path.write_text(json.dumps({"degree_cap": "8", "edge_cap": 8}))
-        assert RunConfig.load(str(path)).data["edge_cap"] == 8
+        at_bounds = {"degree_cap": "8", "edge_cap": 8,
+                     "grid": {"shape": [1024, 1024], "dx": "1/16"},
+                     "budgets": {"dyadic_levels": 16, "norm_order": 4,
+                                 "mc_samples": 10000}}
+        path.write_text(json.dumps(at_bounds))
+        data = RunConfig.load(str(path)).data
+        assert data["edge_cap"] == 8
+        assert data["grid"] == at_bounds["grid"]
+        assert {k: data["budgets"][k] for k in at_bounds["budgets"]} == \
+            at_bounds["budgets"]
 
     def test_defaults_logged(self, runner, tmp_path):
         result, report = invoke(runner, tmp_path, "trees", {"edge_cap": 3})
@@ -206,6 +229,21 @@ class TestConfig:
         result = runner.invoke(main, ["trees", "--config", str(path)])
         assert result.exit_code == 2
         assert json.loads(result.output)["error"]["kind"] == "config-parse"
+
+    @pytest.mark.parametrize("overrides, exit_code", [
+        ({"grid": {"dx": "1e0001"}}, 0), ({"degree_cap": "2e0000"}, 0),
+        ({"grid": {"dx": "1e+001"}}, 0), ({"grid": {"dx": "1e1000"}}, 2)])
+    def test_exponent_leading_zeros_not_counted(self, runner, tmp_path,
+                                                overrides, exit_code):
+        # the zeros that lead an exponent add nothing to its size
+        result, report = invoke(runner, tmp_path, "trees",
+                                {**overrides, "edge_cap": 3})
+        assert result.exit_code == exit_code
+        if exit_code == 2:
+            assert report["error"]["kind"] == "config-value"
+            assert "exponent out of range" in report["error"]["detail"]
+        elif "degree_cap" in overrides:
+            assert report["degree_cap"] == "2"
 
     def test_section_not_an_object_refused(self, runner, tmp_path):
         result, report = invoke(runner, tmp_path, "trees", {"grid": 5})
@@ -280,10 +318,23 @@ class TestConfig:
         ("trees", {"edge_cap": 0}, "edge_cap"),
         ("verify", {"tolerances": {"chain_defect": -1e-6}},
          "tolerances.chain_defect"),
+        # above the upper bounds, which hold before anything is allocated
+        ("kernels", {"budgets": {"norm_order": 5}}, "budgets.norm_order"),
+        ("tables", {"budgets": {"norm_order": 10 ** 9}}, "budgets.norm_order"),
+        ("kernels", {"budgets": {"dyadic_levels": 17}},
+         "budgets.dyadic_levels"),
+        ("model", {"budgets": {"dyadic_levels": 10 ** 12}},
+         "budgets.dyadic_levels"),
+        ("bphz", {"budgets": {"mc_samples": 10001}}, "budgets.mc_samples"),
+        ("bphz", {"budgets": {"mc_samples": 10 ** 15}}, "budgets.mc_samples"),
+        ("model", {"grid": {"shape": [1025, 256]}}, "grid.shape"),
+        ("verify", {"grid": {"shape": [256, 10 ** 12]}}, "grid.shape"),
     ])
     def test_out_of_range_value_refused(self, runner, tmp_path, command,
                                         overrides, key):
+        start = time.perf_counter()
         result, report = invoke(runner, tmp_path, command, overrides)
+        assert time.perf_counter() - start < 1
         assert result.exit_code == 2
         assert report["error"]["kind"] == "config-value"
         assert repr(key) in report["error"]["detail"]

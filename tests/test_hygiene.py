@@ -3,9 +3,10 @@ the package or of the test suite imports at its top level is used somewhere
 in that module, every module-level function and class of the package and
 every non-dunder method of its classes is referenced from the package, the
 tests or the benchmark, every ``__all__`` entry names something its module
-binds, no module of the package reads the environment or runs text as
-Python, and no nested function of the package calls itself, directly or
-through a sibling."""
+binds, every definition that only the tests read is listed with its reason,
+no module of the package reads the environment or runs text as Python, and
+no nested function of the package calls itself, directly or through a
+sibling."""
 import ast
 from collections import Counter
 from functools import cache
@@ -19,6 +20,10 @@ MODULES = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
            + sorted(TESTS.glob("*.py")))
 REFERRING = (sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
              + sorted((TESTS.parent / "perfbench").glob("*.py")))
+# what runs: the package, without the re-exports of its __init__, and the
+# benchmark
+PROGRAM = (sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+           + sorted((TESTS.parent / "perfbench").glob("*.py")))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -139,6 +144,96 @@ def test_every_method_is_referenced(path):
                          ids=lambda p: p.name)
 def test_every_export_is_bound(path):
     assert unbound_exports(path.read_text()) == []
+
+
+# Definitions of the package that only the tests read, each with what keeps
+# it: an acceptance test, a reference that another path is checked against,
+# or the ROADMAP item that will call it.  Anything else that only a test
+# reads serves nothing and goes.
+TEST_ONLY = {
+    "frozen_gaussian": "reference: the Z kernel, heat_convolve and the "
+                       "kernel mass are checked against it (test_07)",
+    "apply_operator": "test_07; ROADMAP item 7 reads the remainder R with it",
+    "LambdaTerm.evaluate": "reference: the certificate terms of the Z jets "
+                           "are checked against the jets by value",
+    "taylor_decompose_Z": "test_08 checks the Taylor reassembly of Z and E; "
+                          "ROADMAP item 11",
+    "EDecomposition.remainders": "test_08 checks the Taylor reassembly of E; "
+                                 "ROADMAP item 11",
+    "decompose_green_adjoint": "reference for "
+                               "TestGreenAdjoint::test_routes_agree",
+    "delta_tilde_coloured": "reference: test_03 checks the jet coproduct "
+                            "against it",
+    "d_map": "its term order is pinned in coproduct_order_pins.json",
+    "CutoffFamily.telescope_defect": "property checker: the dyadic cutoffs "
+                                     "telescope exactly",
+    "holder_norm_estimate": "ROADMAP items 1(c) and 9: the continuity test "
+                            "measures the field with it",
+    "aniso_taylor": "test_09",
+    "GridField.derivative": "reference: the recentred model's grid "
+                            "derivatives vanish at the base point",
+    "monomial_field": "reference for the model on X^k Xi; ROADMAP item 2 "
+                      "centres it",
+    "ModelInstance.pi_times": "reference: the twist of the preparation map "
+                              "is checked against the plain product",
+    "model_difference": "ROADMAP items 1(c) and 9: the continuity test "
+                        "measures the models with it",
+    "precedes": "the order of _order_key as a predicate, which the tests "
+                "check to be lexicographic",
+    "PreparationMap.check_triangular": "property checker: a preparation map "
+                                       "is triangular",
+    "Rule.strongly_conforms": "oracle of the tests of generate",
+    "DecoratedTree.from_dict": "the hypothesis strategies and the "
+                               "brute-force generate build trees with it",
+    "paint": "test_03 colours its trees with it",
+}
+
+
+def only_tested(source: str, program: Counter, tests: Counter) -> list[str]:
+    """Module-level functions and classes of ``source``, and non-dunder
+    methods of its classes, whose name the program (``program``, by name)
+    reads nowhere outside their own definition, and the tests (``tests``)
+    do."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            found += [(f"{node.name}.{sub.name}", sub) for sub in node.body
+                      if isinstance(sub, ast.FunctionDef)
+                      and not (sub.name.startswith("__")
+                               and sub.name.endswith("__"))]
+    return [label for label, node in found
+            if program[node.name] <= _names(node).count(node.name)
+            and tests[node.name]]
+
+
+def test_detector_flags_test_only_api():
+    module = ("def used():\n    pass\n\ndef probe(n):\n    return probe(n)\n"
+              "\ndef alone():\n    pass\n\nclass C:\n"
+              "    def run(self):\n        pass\n\n"
+              "    def check(self):\n        return self.check()\n")
+    program = reads([module, "from m import used, C\nused()\nC().run()\n"])
+    tests = reads(["from m import probe, C\nprobe(1)\nC().check()\n"])
+    assert only_tested(module, program, tests) == ["probe", "C.check"]
+
+
+@cache
+def _test_only_found() -> set[str]:
+    program = reads([p.read_text() for p in PROGRAM])
+    tests = reads([p.read_text() for p in sorted(TESTS.glob("*.py"))])
+    return {label for path in sorted(SRC.glob("*.py"))
+            for label in only_tested(path.read_text(), program, tests)}
+
+
+def test_every_test_only_definition_is_listed():
+    assert sorted(_test_only_found() - set(TEST_ONLY)) == []
+
+
+def test_every_listed_definition_is_test_only():
+    # a listed name that the package or the benchmark now reads (or that is
+    # gone) leaves the table
+    assert sorted(set(TEST_ONLY) - _test_only_found()) == []
 
 
 def environment_reads(source: str) -> list[str]:

@@ -236,8 +236,3 @@ class TestPreparationMap:
         pmap, closure = prep
         assert pmap.check_triangular(closure.negative())
 
-    def test_strata_cover_closure(self, prep):
-        _, closure = prep
-        strata = closure.strata()
-        assert sum(len(ts_) for _a, ts_ in strata) == len(closure)
-        assert [a for a, _ in strata] == sorted(a for a, _ in strata)

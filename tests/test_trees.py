@@ -24,7 +24,6 @@ from regkit.trees import (
     paint,
     plant,
     root_part_nodes,
-    symmetry_factor,
     tree_product,
     unit,
     _weighted_choices,
@@ -39,25 +38,38 @@ def i_of(ts, t):
     return plant(t, "I")
 
 
+def _fraction_degree(tree) -> Fraction:
+    """The degree at kappa as a plain ``Fraction`` sum over edges and nodes:
+    the reference that ``degree_nums`` is checked against."""
+    ts = tree.typeset
+    return (sum((ts.degree_of(tree.etype[e]).at(ts.kappa)
+                 - mi_sdeg(tree.edeco[e], ts.scaling) for e in tree.edges()),
+                Fraction(0))
+            + sum(mi_sdeg(nd, ts.scaling) for nd in tree.ndeco))
+
+
 def test_degree_examples(ts):
+    def at_kappa(const, kappa=0):
+        return Degree(Fraction(const), Fraction(kappa)).at(ts.kappa)
+
     # a single noise edge
-    assert xi(ts).degree == Degree(Fraction(-5, 2), Fraction(-1))
+    assert xi(ts).degree_value() == at_kappa(Fraction(-5, 2), -1)
     # I(Xi) has degree 2 + (-5/2 - kappa) = -1/2 - kappa
     u = i_of(ts, xi(ts))
-    assert u.degree == Degree(Fraction(-1, 2), Fraction(-1))
+    assert u.degree_value() == at_kappa(Fraction(-1, 2), -1)
     # cube: three copies multiplied at the root
     cube = tree_product(u, u, u)
-    assert cube.degree == Degree(Fraction(-3, 2), Fraction(-3))
+    assert cube.degree_value() == at_kappa(Fraction(-3, 2), -3)
     # node decorations raise the degree, edge decorations lower it
-    assert monomial(ts, (1, 1)).degree == Degree(Fraction(3))
+    assert monomial(ts, (1, 1)).degree_value() == at_kappa(3)
     dec = plant(xi(ts), "I", edeco=(0, 1))
-    assert dec.degree == Degree(Fraction(-3, 2), Fraction(-1))
+    assert dec.degree_value() == at_kappa(Fraction(-3, 2), -1)
 
 
 def test_degree_ignores_over_decoration(ts):
     a = plant(xi(ts), "I")
     b = plant(xi(ts), "I", odeco=(1, 0))
-    assert a.degree == b.degree
+    assert a.degree_nums == b.degree_nums
     assert a != b
 
 
@@ -109,16 +121,6 @@ def test_kernel_only_cuts(ts):
             assert t.typeset.is_kernel(t.etype[e])
 
 
-def test_symmetry_factors(ts):
-    u = i_of(ts, xi(ts))
-    assert symmetry_factor(u) == 1
-    assert symmetry_factor(tree_product(u, u)) == 2
-    assert symmetry_factor(tree_product(u, u, u)) == 6
-    # distinct edge decorations break the symmetry
-    v = plant(xi(ts), "I", edeco=(0, 1))
-    assert symmetry_factor(tree_product(u, v)) == 1
-
-
 def test_canonical_form_is_order_independent(ts):
     a = i_of(ts, xi(ts))
     b = plant(xi(ts), "I", edeco=(0, 1))
@@ -134,11 +136,11 @@ def test_contract_collapses_coloured_part(ts):
     # colour the lower kernel edge of I(I(Xi)) and contract: node decorations
     # of the collapsed pair of nodes are summed at the root.
     inner = plant(xi(ts), "I")
-    t = plant(inner.with_root_ndeco((1, 0)), "I")
-    t = t.with_root_ndeco((0, 2))
+    t = plant(tree_product(monomial(ts, (1, 0)), inner), "I")
+    t = tree_product(monomial(ts, (0, 2)), t)
     coloured = paint(t, {0, 1})  # root part = root plus first child
     got = contract(coloured)
-    expect = plant(xi(ts), "I").with_root_ndeco((1, 2))
+    expect = tree_product(monomial(ts, (1, 2)), plant(xi(ts), "I"))
     assert got == expect
 
 
@@ -148,8 +150,9 @@ def test_contract_trivial_colour_is_identity(ts):
 
 
 def test_json_roundtrip(ts):
-    t = tree_product(plant(xi(ts), "I", edeco=(0, 1), odeco=(1, 0)),
-                     i_of(ts, xi(ts))).with_root_ndeco((2, 1))
+    t = tree_product(monomial(ts, (2, 1)),
+                     plant(xi(ts), "I", edeco=(0, 1), odeco=(1, 0)),
+                     i_of(ts, xi(ts)))
     d = t.to_dict()
     assert DecoratedTree.from_dict(ts, d) == t
 
@@ -254,8 +257,7 @@ def test_product_order_invariance_property(ts, data):
     random.Random(0).shuffle(parts)
     t2 = tree_product(*parts)
     assert t1 == t2
-    assert t1.degree == t2.degree
-    assert symmetry_factor(t1) == symmetry_factor(t2)
+    assert t1.degree_nums == t2.degree_nums
 
 
 @settings(max_examples=40, deadline=None)
@@ -304,16 +306,12 @@ def decorated_universe_tree(draw, uni):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_integer_degrees_and_cached_hash_property(ts, uni, data):
-    """The integer degree numerators give the affine degree at kappa, for
-    the tree and for each planted factor, and the cached hash is the hash of
-    the field tuple without the over-decorations and the root's edge
-    entries, which hold None, whose hash is an address on Python 3.11."""
+    """The degree value is the tree's integer degree numerator over
+    ``den``, and the cached hash is the hash of the field tuple without the
+    over-decorations and the root's edge entries, which hold None, whose
+    hash is an address on Python 3.11."""
     t = data.draw(decorated_universe_tree(uni))
-    assert t.degree_value() == t.degree.at(ts.kappa)
     assert Fraction(t.degree_nums[0], ts.den) == t.degree_value()
-    for e in t.edges():
-        planted = plant(t.branch(e), t.etype[e], t.edeco[e], t.odeco[e])
-        assert Fraction(t.degree_nums[e], ts.den) == planted.degree_value()
     fields = (t.typeset, t.parent, t.etype[1:], t.edeco[1:], t.ndeco,
               t.coloured)
     assert None not in fields[2:]
@@ -321,6 +319,22 @@ def test_integer_degrees_and_cached_hash_property(ts, uni, data):
     assert hash(ts) == hash((ts.scaling, ts._types, ts.kappa))
     again = DecoratedTree.from_dict(ts, t.to_dict())
     assert again == t and again is not t and hash(again) == hash(t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_degree_nums_match_fraction_sum_property(ts, uni, data):
+    """``degree_nums`` holds, over ``den``, the plain ``Fraction`` sum of the
+    tree and of the planted factor above each edge, and over-decorations
+    add nothing to either."""
+    t = data.draw(decorated_universe_tree(uni))
+    assert Fraction(t.degree_nums[0], ts.den) == _fraction_degree(t)
+    for e in t.edges():
+        planted = plant(t.branch(e), t.etype[e], t.edeco[e], t.odeco[e])
+        assert Fraction(t.degree_nums[e], ts.den) == _fraction_degree(planted)
+    bare = t.strip_odeco()
+    assert bare.degree_nums[0] == t.degree_nums[0]
+    assert sorted(bare.degree_nums) == sorted(t.degree_nums)
 
 
 @settings(max_examples=100, deadline=None)
