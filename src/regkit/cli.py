@@ -196,6 +196,14 @@ class RunConfig:
         if unknown:
             raise ConfigError("config-parse",
                               f"unknown config keys: {sorted(unknown)}")
+        # past half the space axis the mollifier's support wraps around the
+        # torus, and a little past the whole axis (280 cells of 256) it is
+        # constant, which makes each noise draw one number
+        cells, axis = data["mollifier_cells"], data["grid"]["shape"][1]
+        if 2 * cells > axis:
+            raise ConfigError("config-value", "config key 'mollifier_cells' "
+                              f"must be at most half the space axis of "
+                              f"grid.shape ({axis // 2}), got {cells!r}")
         return cls(data, sorted(used), path)
 
     def tolerance(self, name: str) -> float:

@@ -21,7 +21,12 @@ x-derivative and the bracket factors of E are built by one function,
 ``kernels._taylor_slots`` (the builder behind ``aniso_taylor`` too): jets
 d^k g(w)/k! for |k|_s < r plus one Gauss-Jacobi increment remainder per
 boundary index, with the derivatives d^k g taken from one cached table of
-lambdified a-jets, ``_a_jet_fn``.
+lambdified a-jets, ``_a_jet_fn``, keyed by the profile's name.  An entry,
+d_w^k d_v^dv of a profile written in the jets a_ij of a at w, is derived by
+an exact chain rule on its terms c a0_0^p v^q prod a_ij^m (``_derive``) and
+becomes one sympy sum at the end: the expression that sympy's derivatives
+of an abstract a(w) give (the tests keep that route as the reference), so
+it lambdifies to the same code, in about a twentieth of the time.
 The singular Green's kernel ``local(w)`` and its ``certificate()`` read one
 table of (jet coefficient, Q(u, v)) pairs per order r, ``_green_table(r)``,
 evaluated at the jets at w by ``_chain_factor`` or serialised as products.
@@ -133,19 +138,14 @@ def _check_power(base, exponent) -> None:
 def _load() -> None:
     """Bind ``sp``, ``roots_legendre`` and the module's symbols, and import
     what sympy and scipy would on a first diff, lambdify or Jacobi root."""
-    global sp, roots_legendre, T_SYM, X_SYM, U_SYM, V_SYM, _WT, _WX, _V
-    global _AFUN, _BRACKET
+    global sp, roots_legendre, T_SYM, X_SYM, U_SYM, V_SYM, _V
     import scipy.linalg  # noqa: F401
     import sympy as sp
     import sympy.assumptions.wrapper  # noqa: F401
     import sympy.codegen.ast  # noqa: F401
     from scipy.special import roots_legendre
-    T_SYM, X_SYM, _WT, _WX, _V = sp.symbols("t x w_t w_x v", real=True)
+    T_SYM, X_SYM, _V = sp.symbols("t x v", real=True)
     U_SYM, V_SYM = sp.symbols("u v")  # of a chain's Q(u, v); _V is real
-    _AFUN = sp.Function("a")(_WT, _WX)
-    # E's bracket v^2/(4a^2) - 1/(2a) as two parts, flagged if they hold v^2
-    _BRACKET = ((sp.Rational(1, 4) / _AFUN ** 2, True),
-                (-sp.Rational(1, 2) / _AFUN, False))
 
 
 # the coefficient grammar's functions (README), and both grammars' operators
@@ -678,43 +678,76 @@ def parse_lambda_term(data: dict) -> LambdaTerm:
 # Taylor expansion in the base point
 
 
+# The profiles that the base-point expansions differentiate, each as its
+# terms {(p, q, jets): c} for c * a0_0^p * v^q * prod a_ij, with jets the
+# sorted indices ij of the factors a_ij, repeated for a power: the frozen
+# Gaussian's profile, whose terms also carry pi^{-1/2} exp(-v^2/(4 a0_0)),
+# and E's bracket v^2/(4a^2) - 1/(2a) as two parts, flagged in _BRACKET if
+# they hold v^2
+_PROFILES = {"gauss": {(Fraction(-1, 2), 0, ()): Fraction(1, 2)},
+             "bracket_v2": {(Fraction(-2), 0, ()): Fraction(1, 4)},
+             "bracket_1": {(Fraction(-1), 0, ()): Fraction(-1, 2)}}
+_BRACKET = (("bracket_v2", True), ("bracket_1", False))
+
+
+def _derive(terms: dict, d: int, gauss: bool) -> dict:
+    """d_t (d = 0), d_x (d = 1) or d_v (d = 2) of a profile's terms, by the
+    chain rule: d_t and d_x map a_ij to a_{i+1,j} and a_{i,j+1}, and, with
+    E = exp(-v^2/(4a)) for the Gaussian (``gauss``) and E = 1 otherwise,
+    d_a (a^p v^q E) = p a^{p-1} v^q E [+ 1/4 a^{p-2} v^{q+2} E] and
+    d_v (v^q E) = q v^{q-1} E [- 1/2 a^{-1} v^{q+1} E]."""
+    out: dict = {}
+    for (p, q, jets), c in terms.items():
+        if d == 2:
+            parts = [((p, q - 1, jets), q * c)]
+            if gauss:
+                parts.append(((p - 1, q + 1, jets), -c / 2))
+        else:
+            step = ((1, 0), (0, 1))[d]
+            da = tuple(sorted(jets + (step,)))  # d a0_0 = a_step
+            parts = [((p - 1, q, da), p * c)]
+            if gauss:
+                parts.append(((p - 2, q + 2, da), c / 4))
+            parts += [((p, q, tuple(sorted(
+                jets[:n] + ((i + step[0], j + step[1]),) + jets[n + 1:]))), c)
+                for n, (i, j) in enumerate(jets)]
+        for key, part in parts:
+            out[key] = out.get(key, 0) + part
+    return {key: c for key, c in out.items() if c}
+
+
 @cache
-def _gauss_expr() -> sp.Expr:
-    # built on first use: sympy's first exp and sqrt take 80 ms and 1 MB
-    return sp.exp(-_V ** 2 / (4 * _AFUN)) / sp.sqrt(4 * sp.pi * _AFUN)
-
-
-def _jetify(expr: sp.Expr) -> sp.Expr:
-    """Replace derivatives of the abstract coefficient by jet symbols."""
-    repl = {}
-    for der in expr.atoms(sp.Derivative):
-        counts = {_WT: 0, _WX: 0}
-        for var, cnt in der.variable_count:
-            counts[var] += cnt
-        repl[der] = _jet_symbol("a", (counts[_WT], counts[_WX]))
-    return expr.xreplace(repl).xreplace({_AFUN: _jet_symbol("a", (0, 0))})
-
-
-@cache
-def _a_jet_expr(g, k, dv: int) -> sp.Expr:
-    """d_w^k d_v^dv of an expression g in a(w) and v (the frozen Gaussian's
-    profile, a bracket factor of E), with a-derivatives as jet symbols."""
-    return _jetify(sp.expand(sp.diff(g, _WT, k[0], _WX, k[1], _V, dv)))
+def _a_jet_expr(name: str, k, dv: int) -> sp.Expr:
+    """d_w^k d_v^dv of the profile ``name`` of _PROFILES, written in a(w)'s
+    jet symbols a{i}_{j} and v: the terms derived exactly, then one sympy
+    sum of products (the expanded form that sympy's own derivatives of an
+    abstract a(w), with the jets put in, would give)."""
+    _load()
+    gauss, terms = name == "gauss", _PROFILES[name]
+    for d in (0,) * k[0] + (1,) * k[1] + (2,) * dv:
+        terms = _derive(terms, d, gauss)
+    a0 = _jet_symbol("a", (0, 0))
+    frame = (sp.exp(-_V ** 2 / (4 * a0)) / sp.sqrt(sp.pi) if gauss
+             else sp.S.One)
+    return sp.Add(*(sp.Mul(sp.Rational(c), frame, a0 ** sp.Rational(p),
+                           _V ** q, *(_jet_symbol("a", ij) for ij in jets))
+                    for (p, q, jets), c in terms.items()))
 
 
 @cache
-def _a_jet_fn(g, k, dv: int) -> tuple[Callable, list]:
+def _a_jet_fn(name: str, k, dv: int) -> tuple[Callable, list]:
     """_a_jet_expr lambdified, with the jet indices of its arguments: the
     one table of callables behind every base-point expansion."""
-    e = _a_jet_expr(g, k, dv)
+    e = _a_jet_expr(name, k, dv)
     syms = sorted((s for s in e.free_symbols if s is not _V), key=str)
     return (sp.lambdify([*syms, _V], e, "numpy"),
             [_parse_jet(s)[1] for s in syms])
 
 
-def _a_jet(field, g, k, point, v, dv: int):
-    """d_w^k d_v^dv g at the field's a-jets at a point and at v."""
-    fn, ks = _a_jet_fn(g, tuple(k), dv)
+def _a_jet(field, name: str, k, point, v, dv: int):
+    """d_w^k d_v^dv of the profile ``name`` at the field's a-jets at a point
+    and at v."""
+    fn, ks = _a_jet_fn(name, tuple(k), dv)
     point = np.asarray(point, dtype=float)
     return fn(*(field.jet("a", j, point) for j in ks),
               np.asarray(v, dtype=float))
@@ -725,7 +758,7 @@ def _z_slots(field: CoefficientField, r: int, dv: int) -> list[_SlotTerm]:
     or of its x-derivative (dv = 1), an order-1 kernel: the jet slot of k
     is the frozen Gaussian's profile differentiated k times in w, over k!."""
     return _taylor_slots(
-        lambda k, p, v: _a_jet(field, _gauss_expr(), k, p, v, dv),
+        lambda k, p, v: _a_jet(field, "gauss", k, p, v, dv),
         mi_below(SCALING, r),
         lambda z, zbar, f: HeatCalcKernel(
             2.0 - dv, lambda _tb, _xb, _u, v: f(v))(z, zbar))
@@ -737,9 +770,9 @@ def _zjet_pairs(k) -> tuple:
     grammar; they read no field.  The generic chain factor carries
     t^{-1} Q(u, v) and the jet kernel is t^{-1/2} f(v) W-shaped, so Q picks
     up one power of u."""
-    gauss = _gauss_expr()
-    ratio = sp.cancel(sp.together(_a_jet_expr(gauss, k, 0)
-                                  / _jetify(gauss))) / mi_factorial(k)
+    ratio = sp.cancel(sp.together(_a_jet_expr("gauss", k, 0)
+                                  / _a_jet_expr("gauss", (0, 0), 0))
+                      ) / mi_factorial(k)
     return tuple((sp.together(coeff), U_SYM * V_SYM ** deg)
                  for (deg,), coeff in sp.Poly(sp.expand(ratio), _V).terms())
 
@@ -1002,36 +1035,45 @@ class GreenDecomposition:
 
     # -- singular part ------------------------------------------------
     def _chain_kernel(self, w) -> Callable:
+        """K^w as a function of the offsets zeta and of a mask ``live`` of
+        the offsets at which its table terms are evaluated; elsewhere it is
+        the base term alone."""
         key = tuple(np.asarray(w, dtype=float))
         if key not in self._kernel_cache:
             # the (0, 0) jet slot of Z: the Gaussian frozen at a(w).  It
             # stays on this route, not _chain_factor's, because the pinned
             # window bits are its bits: the two differ by rounding only
             base = _z_slots(self.field, 1, 0)[0].value
-            parts = [lambda zeta: base(w, zeta, np.zeros(2))]
-            for k0, (zs, es) in self._table:
-                conv = heat_convolve(
-                    _chain_factor(self.field, w, zs, 2),
-                    _chain_factor(self.field, w, es,
-                                  1 + mi_sdeg(k0, SCALING)), **self._quad)
-                parts.append(lambda zeta, conv=conv: conv(zeta, np.zeros(2)))
-            self._kernel_cache[key] = lambda zeta: sum(
-                p(zeta) for p in parts)
+            convs = [heat_convolve(
+                _chain_factor(self.field, w, zs, 2),
+                _chain_factor(self.field, w, es, 1 + mi_sdeg(k0, SCALING)),
+                **self._quad) for k0, (zs, es) in self._table]
+
+            def kernel(zeta, live):
+                out = np.array(base(w, zeta, np.zeros(2)), dtype=float)
+                # one point's quadrature has the same bits in any batch
+                for conv in convs:
+                    out[live] += conv(zeta[live], np.zeros(2))
+                return out
+            self._kernel_cache[key] = kernel
         return self._kernel_cache[key]
 
     def local(self, w) -> Callable:
-        """Evaluator of chi * K^w as a function of the offset z - zbar."""
+        """Evaluator of chi * K^w as a function of the offset z - zbar.  The
+        quadrature of K^w's table terms runs only where chi > 0 and t > 0:
+        where t <= 0 every term is 0, and where chi = 0 the value is a zero
+        (whose sign K^w's would set, and a window's sum clears)."""
         w = np.asarray(w, dtype=float)
-        if self.upper == "z":
-            inner = self._chain_kernel(np.array([-w[0], w[1]]))
+        # upper == "z": the stored field's kernel at w reflected in t, read
+        # at offsets reflected in x (see decompose_green)
+        flip = np.array([1.0, -1.0]) if self.upper == "z" else np.ones(2)
+        inner = self._chain_kernel(w * flip[::-1])
 
-            def ev(zeta, inner=inner):
-                zeta = np.asarray(zeta, dtype=float)
-                refl = np.stack([zeta[..., 0], -zeta[..., 1]], axis=-1)
-                return self.cutoff.chi(zeta) * inner(refl)
-            return ev
-        inner = self._chain_kernel(w)
-        return lambda zeta: self.cutoff.chi(zeta) * inner(zeta)
+        def ev(zeta):
+            zeta = np.asarray(zeta, dtype=float)
+            chi = self.cutoff.chi(zeta)
+            return chi * inner(zeta * flip, (chi > 0) & (zeta[..., 0] > 0))
+        return ev
 
     def dyadic(self, w):
         return dyadic_decompose(self.local(w), self.cutoff, self.levels,

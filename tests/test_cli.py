@@ -99,6 +99,17 @@ BOUNDS = {"degree_cap": 8, "edge_cap": 8, "grid.shape": 1024,
           "budgets.mc_samples": 10000}
 
 
+def _mollifier_above_half_axis(config: dict) -> bool:
+    """Whether a config's mollifier_cells, supplied or default, is above
+    half the space axis of its grid (the default grid's if it supplies no
+    integer one)."""
+    shape = _supplied(config, "grid.shape")
+    axis = (shape[1] if isinstance(shape, list) and len(shape) == 2
+            and type(shape[1]) is int else DEFAULTS["grid"]["shape"][1])
+    return _above(config.get("mollifier_cells", DEFAULTS["mollifier_cells"]),
+                  Fraction(axis, 2))
+
+
 def any_config():
     """Any JSON object: a fuzzed config over the keys of DEFAULTS, or
     arbitrary keys.  A value above its bound is kept: it must be refused."""
@@ -145,7 +156,8 @@ class TestConfig:
                                                       SystemExit)
         assert isinstance(json.loads(result.stdout), dict)
         if any(_above(_supplied(config, key), bound)
-               for key, bound in BOUNDS.items()):
+               for key, bound in BOUNDS.items()) or (
+                   _mollifier_above_half_axis(config)):
             assert result.exit_code == 2
 
     @pytest.mark.parametrize("overrides", [
@@ -192,13 +204,13 @@ class TestConfig:
     def test_caps_at_bound_accepted(self, tmp_path):
         # and the grid and budgets at theirs
         path = tmp_path / "run.json"
-        at_bounds = {"degree_cap": "8", "edge_cap": 8,
+        at_bounds = {"degree_cap": "8", "edge_cap": 8, "mollifier_cells": 512,
                      "grid": {"shape": [1024, 1024], "dx": "1/16"},
                      "budgets": {"dyadic_levels": 16, "norm_order": 4,
                                  "mc_samples": 10000}}
         path.write_text(json.dumps(at_bounds))
         data = RunConfig.load(str(path)).data
-        assert data["edge_cap"] == 8
+        assert data["edge_cap"] == 8 and data["mollifier_cells"] == 512
         assert data["grid"] == at_bounds["grid"]
         assert {k: data["budgets"][k] for k in at_bounds["budgets"]} == \
             at_bounds["budgets"]
@@ -329,6 +341,12 @@ class TestConfig:
         ("bphz", {"budgets": {"mc_samples": 10 ** 15}}, "budgets.mc_samples"),
         ("model", {"grid": {"shape": [1025, 256]}}, "grid.shape"),
         ("verify", {"grid": {"shape": [256, 10 ** 12]}}, "grid.shape"),
+        # above half the space axis, where the mollifier wraps the torus
+        ("model", {"mollifier_cells": 129}, "mollifier_cells"),
+        ("model", {"mollifier_cells": 300}, "mollifier_cells"),
+        ("model", {"mollifier_cells": 10 ** 8}, "mollifier_cells"),
+        ("bphz", {"grid": {"shape": [256, 63]}, "mollifier_cells": 32},
+         "mollifier_cells"),
     ])
     def test_out_of_range_value_refused(self, runner, tmp_path, command,
                                         overrides, key):

@@ -20,9 +20,10 @@ from regkit.heatkernel import (
     HeatCalcKernel,
     LambdaTerm,
     _QUAD_BLOCK,
+    _PROFILES,
     _a_jet,
+    _a_jet_expr,
     _chain_factor,
-    _gauss_expr,
     _z_slots,
     _zjet_pairs,
     apply_operator,
@@ -40,7 +41,7 @@ from regkit.heatkernel import (
 )
 from regkit.kernels import CutoffFamily, dyadic_decompose, kernel_norm
 from regkit.models import Grid, KernelOnGrid
-from regkit.trees import mi_factorial, mi_sdeg
+from regkit.trees import mi_below, mi_factorial, mi_sdeg
 
 ORIGIN = np.array([0.0, 0.0])
 
@@ -578,6 +579,37 @@ def _bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
+def _a_jet_reference(name, k, dv):
+    """d_w^k d_v^dv of a profile of ``_PROFILES`` by sympy's derivatives of
+    an abstract coefficient a(w_t, w_x), expanded, with each derivative of
+    a, and a itself, then replaced by its jet symbol a{i}_{j}: the route
+    that ``_a_jet_expr``'s chain rule replaces."""
+    wt, wx, v = sp.symbols("w_t w_x v", real=True)
+    a = sp.Function("a")(wt, wx)
+    g = {"gauss": sp.exp(-v ** 2 / (4 * a)) / sp.sqrt(4 * sp.pi * a),
+         "bracket_v2": sp.Rational(1, 4) / a ** 2,
+         "bracket_1": -sp.Rational(1, 2) / a}[name]
+    expr = sp.expand(sp.diff(g, wt, k[0], wx, k[1], v, dv))
+    jets = {}
+    for der in expr.atoms(sp.Derivative):
+        counts = {wt: 0, wx: 0}
+        for var, count in der.variable_count:
+            counts[var] += count
+        jets[der] = sp.Symbol(f"a{counts[wt]}_{counts[wx]}", real=True)
+    return expr.xreplace(jets).xreplace({a: sp.Symbol("a0_0", real=True)})
+
+
+class TestAJetTable:
+    @pytest.mark.parametrize("name", sorted(_PROFILES))
+    def test_chain_rule_is_the_derivative(self, name):
+        # structurally equal, so lambdify prints the same code and every
+        # value keeps its bits
+        for k in mi_below((2, 1), 4):
+            for dv in (0, 1):
+                assert _a_jet_expr(name, k, dv) == _a_jet_reference(
+                    name, k, dv), (k, dv)
+
+
 class TestFrame:
     # offsets with t <= 0 (zeros included) and t > 0, in batches
     points = hnp.arrays(
@@ -608,7 +640,7 @@ class TestFrame:
         slot = {s.nu: s for s in _z_slots(gentle, 3, dv)
                 if s.k_label is None}[k]
         want = _parabolic_reference(
-            z - zbar, dv, lambda v: _a_jet(gentle, _gauss_expr(), k, w, v, dv)
+            z - zbar, dv, lambda v: _a_jet(gentle, "gauss", k, w, v, dv)
             / mi_factorial(k))
         assert np.array_equal(_bits(slot.value(w, z, zbar)), _bits(want))
 
@@ -857,6 +889,10 @@ class TestValidate:
         assert not LambdaTerm(coefficient, (self.U,)).validate(3)
 
 
+CERTIFICATE_PINS = json.loads(
+    (Path(__file__).parent / "certificate_pins.json").read_text())
+
+
 class TestGreenDecomposition:
     def test_constant_split_exact(self, constant, cutoff):
         dec = decompose_green(constant, 3, 2, cutoff, N=1)
@@ -882,6 +918,41 @@ class TestGreenDecomposition:
         zeta = np.array([[0.04, 0.1], [0.09, 0.2], [0.16, -0.25]])
         assert np.max(np.abs(k1(zeta) - k2(zeta))) <= 1e-10
 
+    # offsets with t <= 0 and with chi = 0 (|zeta|_s >= 1) besides those
+    # that a drawn batch may hold
+    FIXED_OFFSETS = np.array([[0.0, 0.3], [-0.2, 0.1], [0.0, 0.0],
+                              [0.5, 1.2], [1.2, 0.0], [0.04, 0.1]])
+
+    @settings(max_examples=25, deadline=None)
+    @given(zeta=hnp.arrays(float, st.integers(0, 8).map(lambda n: (n, 2)),
+                           elements=st.one_of(st.just(0.0),
+                                              st.floats(-1.5, 1.5))),
+           w=st.sampled_from([(0.0, 0.0), (0.1, -0.3)]),
+           route=st.sampled_from([decompose_green, decompose_green_adjoint]))
+    def test_masked_local_is_unmasked(self, gentle, cutoff, zeta, w, route):
+        # local(w) runs the table terms' quadrature only where chi > 0 and
+        # t > 0, the reference every term at every offset: the same bits
+        # up to a zero's sign, which + 0.0 clears as a window's sum does
+        # (the masked route gives +0 where chi = 0)
+        zeta = np.concatenate([self.FIXED_OFFSETS, zeta])
+        chi = cutoff.chi(zeta)
+        assert np.any(chi == 0) and np.any(zeta[:, 0] <= 0)
+        dec, w = route(gentle, 2, 2, cutoff, N=1), np.array(w)
+        at, kw = zeta, w
+        if dec.upper == "z":
+            at = np.stack([zeta[:, 0], -zeta[:, 1]], axis=-1)
+            kw = np.array([-w[0], w[1]])
+        kernel = _z_slots(dec.field, 1, 0)[0].value(kw, at, ORIGIN)
+        for k0, (zs, es) in dec._table:
+            kernel = kernel + heat_convolve(
+                _chain_factor(dec.field, kw, zs, 2),
+                _chain_factor(dec.field, kw, es, 1 + mi_sdeg(k0, (2, 1))),
+                n_s=16, n_y=24)(at, ORIGIN)
+        assert len(dec._table) == 2
+        got = dec.local(w)(zeta)
+        assert np.array_equal(_bits(got + 0.0), _bits(chi * kernel + 0.0))
+        assert np.all(_bits(got[chi == 0]) == 0)
+
     def test_certificates(self, gentle, cutoff):
         dec = decompose_green(gentle, 3, 2, cutoff, N=1)
         cert = dec.certificate()
@@ -900,6 +971,15 @@ class TestGreenDecomposition:
                    .certificate()) == 113
         assert len(decompose_green(heat, 3, 2, cutoff, N=1)
                    .certificate()) == 1
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_pinned_certificate_texts(self, cutoff, r):
+        # the texts read no float: they pin the jet table, and _zjet_pairs'
+        # division by the k = 0 entry of the a-jets
+        field = CoefficientField.make(*CERTIFICATE_PINS["field"],
+                                      regularity=12)
+        cert = decompose_green(field, r, 2, cutoff, N=1).certificate()
+        assert [term.to_dict() for term in cert] == CERTIFICATE_PINS[str(r)]
 
     def test_table_reads_no_field(self, cutoff):
         # one table per expansion order: two fields with different a, b and

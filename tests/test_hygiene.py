@@ -4,9 +4,9 @@ in that module, every module-level function and class of the package and
 every non-dunder method of its classes is referenced from the package, the
 tests or the benchmark, every ``__all__`` entry names something its module
 binds, every definition that only the tests read is listed with its reason,
-no module of the package reads the environment or runs text as Python, and
-no nested function of the package calls itself, directly or through a
-sibling."""
+no module of the package reads the environment, runs text as Python or
+differentiates an abstract sympy function, and no nested function of the
+package calls itself, directly or through a sibling."""
 import ast
 from collections import Counter
 from functools import cache
@@ -331,6 +331,37 @@ def test_one_reader_of_untrusted_text():
              for hit in readers(path.read_text())]
     assert [(name, hit.split()[0]) for name, hit in found] == [
         ("heatkernel.py", "ast.parse")]
+
+
+def abstract_derivatives(source: str) -> list[str]:
+    """Every mention of sympy's ``Function`` or ``Derivative``, also when
+    imported by name: derivatives of an abstract coefficient, the slow route
+    that the exact chain rule of ``heatkernel._a_jet_expr`` replaces, kept
+    only as the reference in the tests."""
+    out = []
+    for sub in ast.walk(ast.parse(source)):
+        if isinstance(sub, ast.ImportFrom):
+            names = [alias.name for alias in sub.names]
+        else:
+            names = [getattr(sub, "attr", getattr(sub, "id", None))]
+        out += [(sub.lineno, name) for name in names
+                if name in ("Function", "Derivative")]
+    return [f"{name} (line {line})" for line, name in sorted(out)]
+
+
+def test_detector_flags_abstract_derivatives():
+    source = ("import sympy as sp\nfrom sympy import Derivative\n"
+              "a = sp.Function('a')(t)\ne.atoms(sp.Derivative)\n"
+              "Function\nsp.diff(x ** 2, x)\n")
+    assert abstract_derivatives(source) == [
+        "Derivative (line 2)", "Function (line 3)", "Derivative (line 4)",
+        "Function (line 5)"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_abstract_derivatives(path):
+    assert abstract_derivatives(path.read_text()) == []
 
 
 def _nested_functions(fn) -> list:
